@@ -15,16 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import greens, liouville
-from .kirchhoff_routh import SpikeConfig
+from .kirchhoff_routh import NewtonDivergedError, SpikeConfig
+from .linsolve import SparseOperator
 from .mesh import GridMesh
 from .radial import RadialSolution, solve_radial
 
 SQRT_E = math.sqrt(math.e)
 EIGHT_PI = 8.0 * math.pi
-
-
-class NewtonDivergedError(RuntimeError):
-    pass
 
 
 class TrivialSolutionError(RuntimeError):
@@ -106,6 +103,38 @@ def ansatz(mesh: GridMesh, cfg: SpikeConfig, p: float) -> np.ndarray:
     return u0
 
 
+class LaneEmdenProblem:
+    """F(u, p) = -Δ_h u - u_+^p on a mesh, with its Jacobian in u and its
+    derivative in p.  The Laplacian is the mesh's cached one; p is an
+    argument of every method because continuation moves it."""
+
+    def __init__(self, mesh: GridMesh):
+        self.A = greens.laplacian_operator(mesh)
+        self.Asp = self.A.to_scipy()
+
+    def residual(self, u: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """(F(u, p), u_+^p); an overflowing power reads inf."""
+        with np.errstate(over="ignore"):
+            upow = np.maximum(u, 0.0) ** p
+        return self.Asp @ u - upow, upow
+
+    @staticmethod
+    def potential(u: np.ndarray, p: float) -> np.ndarray:
+        """p u_+^(p-1), the weight of the linearized operator -Δ - p u_+^(p-1)."""
+        with np.errstate(over="ignore"):
+            return p * np.maximum(u, 0.0) ** (p - 1.0)
+
+    def jacobian(self, u: np.ndarray, p: float) -> SparseOperator:
+        """dF/du = -Δ_h - diag(p u_+^(p-1))."""
+        return self.A.plus_diagonal(-self.potential(u, p))
+
+    def d_dp(self, u: np.ndarray, p: float) -> np.ndarray:
+        """dF/dp = -u_+^p log u_+, zero where u <= 0."""
+        up = np.maximum(u, 0.0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return -np.where(up > 0.0, up**p * np.log(up), 0.0)
+
+
 def _residual_norm(mesh: GridMesh, res: np.ndarray, rhs_scale: float) -> float:
     return mesh.norm(res) / (1.0 + rhs_scale)
 
@@ -124,21 +153,15 @@ def newton_solve(
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    A = greens.laplacian_operator(mesh)
-    Asp = A.to_scipy()
-
-    def parts(u):
-        up = np.maximum(u, 0.0)
-        with np.errstate(over="ignore"):
-            upow = up**p
-        return upow
+    problem = LaneEmdenProblem(mesh)
 
     u = np.asarray(u0, dtype=float).copy()
-    upow = parts(u)
-    res = Asp @ u - upow
+    res, upow = problem.residual(u, p)
     # damping decisions use the plain discrete L2 norm of F (a fixed merit
-    # function); the u-scaled residual is only the stopping measure
-    merit = mesh.norm(res)
+    # function); the u-scaled residual is only the stopping measure.  A trial
+    # that overflows has an infinite merit and is rejected as non-finite
+    with np.errstate(over="ignore"):
+        merit = mesh.norm(res)
     rn = _residual_norm(mesh, res, mesh.norm(upow))
     history = [rn]
     for _ in range(max_iter):
@@ -146,18 +169,14 @@ def newton_solve(
             raise NewtonDivergedError("non-finite residual in Newton iteration")
         if rn <= tol:
             break
-        up = np.maximum(u, 0.0)
-        with np.errstate(over="ignore"):
-            diag = -p * up ** (p - 1.0)
-        J = A.plus_diagonal(diag)
-        lu = J.factorized()
+        lu = problem.jacobian(u, p).factorized()
         step = lu.solve(-res)
         accepted = False
         for alpha in tuple(0.5**i for i in range(11)):
             trial = u + alpha * step
-            t_upow = parts(trial)
-            t_res = Asp @ trial - t_upow
-            t_merit = mesh.norm(t_res)
+            t_res, t_upow = problem.residual(trial, p)
+            with np.errstate(over="ignore"):
+                t_merit = mesh.norm(t_res)
             if np.isfinite(t_merit) and t_merit < merit:
                 u, upow, res, merit = trial, t_upow, t_res, t_merit
                 rn = _residual_norm(mesh, res, mesh.norm(upow))
@@ -345,24 +364,14 @@ def _arclength_march(mesh, u, p, target, tol, ds_init=0.5, max_steps=2000):
     solve is attempted there.  Inner products weight the field by the node
     areas (the discrete L2 product) so the p-component is commensurable.
     """
-    A = greens.laplacian_operator(mesh)
-    Asp = A.to_scipy()
+    problem = LaneEmdenProblem(mesh)
     area = mesh.node_area
 
     def dot(a, b):
         return float((area * a) @ b)
 
-    def residual(uv, pv):
-        up = np.maximum(uv, 0.0)
-        with np.errstate(over="ignore"):
-            return Asp @ uv - up**pv
-
     def jac_parts(uv, pv):
-        up = np.maximum(uv, 0.0)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            diag = -pv * up ** (pv - 1.0)
-            fp = -np.where(up > 0.0, up**pv * np.log(up), 0.0)
-        return A.plus_diagonal(diag).factorized(), fp
+        return problem.jacobian(uv, pv).factorized(), problem.d_dp(uv, pv)
 
     def solved_tangent(uv, pv, prev):
         lu, fp = jac_parts(uv, pv)
@@ -392,10 +401,9 @@ def _arclength_march(mesh, u, p, target, tol, ds_init=0.5, max_steps=2000):
         it = 0
         while it < 24 and denom != 0.0 and np.isfinite(denom):
             it += 1
-            res = residual(uv, pv)
+            res, upow = problem.residual(uv, pv)
             with np.errstate(over="ignore"):
-                rhs_norm = mesh.norm(np.maximum(uv, 0) ** pv)
-            rn = _residual_norm(mesh, res, rhs_norm)
+                rn = _residual_norm(mesh, res, mesh.norm(upow))
             nres = dot(tau[0], uv - u0) + tau[1] * (pv - p0) - ds
             if rn <= tol and abs(nres) <= 1e-10 * max(1.0, ds):
                 ok = True
@@ -500,10 +508,6 @@ class RescaledProfile:
     w: np.ndarray  # (n_r, n_theta)
     v: np.ndarray
     k: np.ndarray | None
-
-    def sup_v_minus_w0(self) -> float:
-        # v already has w0 subtracted inside k; keep the raw helper here
-        raise NotImplementedError
 
 
 def rescale_profile(

@@ -1,11 +1,12 @@
-"""Sparse CSR operators, a preconditioned Krylov solve, and a shift-invert
-eigensolver for the few eigenvalues nearest a target."""
+"""Sparse CSR operators and the few eigenpairs nearest a target by ARPACK
+shift-invert on the operator's one sparse LU."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -42,18 +43,11 @@ class SparseOperator:
         m.sum_duplicates()
         return cls(n, m.indptr, m.indices, m.data)
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseOperator":
-        return cls.from_coo(n, np.arange(n), np.arange(n), np.ones(n))
-
     def to_scipy(self) -> sp.csr_matrix:
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ x
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.matvec(x)
+        return self.to_scipy() @ x
 
     def diagonal(self) -> np.ndarray:
         return self.to_scipy().diagonal()
@@ -75,25 +69,6 @@ class SparseOperator:
         return spla.splu(m, permc_spec="MMD_AT_PLUS_A")
 
 
-def solve(A: SparseOperator, b: np.ndarray, tol: float = 1e-10, max_iter: int = 20000) -> np.ndarray:
-    """Jacobi-preconditioned BiCGSTAB solve of A x = b to relative residual tol."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.n,):
-        raise ValueError(f"rhs shape {b.shape} does not match operator dimension {A.n}")
-    diag = A.diagonal()
-    if np.any(diag == 0.0):
-        raise SolverError("operator has a zero diagonal entry; solve is not defined")
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(A.n)
-    M = spla.LinearOperator((A.n, A.n), matvec=lambda x: x / diag)
-    x, info = spla.bicgstab(A.to_scipy(), b, rtol=tol, atol=0.0, maxiter=max_iter, M=M)
-    res = np.linalg.norm(A @ x - b) / bnorm
-    if info != 0 or not np.isfinite(res) or res > 10 * tol:
-        raise NoConvergenceError(f"BiCGSTAB did not reach tol={tol:.1e}", res)
-    return x
-
-
 @dataclass
 class EigenPairs:
     """Eigenvalues ascending; eigenvectors column-stacked with unit L2 norm.
@@ -106,94 +81,60 @@ class EigenPairs:
     residuals: np.ndarray
 
 
-def _start_vector(n: int, j: int) -> np.ndarray:
-    # deterministic, roughly isotropic starts
-    k = np.arange(n)
-    v = np.cos(0.37 * (j + 1) * k + 0.11 * j) + 0.5 * np.sin(0.013 * (j + 2) * k * k / max(n, 1))
-    v /= np.linalg.norm(v)
-    return v
-
-
 def smallest_eigenpairs(
     A: SparseOperator,
     m: int = 1,
     sigma: float = 0.0,
     tol: float = 1e-8,
-    max_iter: int = 400,
 ) -> EigenPairs:
-    """m eigenpairs nearest sigma via shift-invert power iteration.
+    """m eigenpairs nearest sigma by ARPACK shift-invert (scipy ``eigs``).
 
-    Gram-Schmidt deflation separates clustered pairs; the operator may be
-    mildly nonsymmetric (cut-cell Laplacians), in which case deflation is
-    approximate but the per-pair residual check still guards the result.
+    (A - sigma I) is factorized once by ``SparseOperator.factorized``; when
+    sigma is exactly an eigenvalue the shift is nudged.  The operator may be
+    mildly nonsymmetric (cut-cell Laplacians), so the Arnoldi variant runs.
+    ARPACK needs m < n - 1; above that the dense eigenproblem is solved.
+    Raises ``NoConvergenceError`` when a pair's residual exceeds tol.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     m = min(m, A.n)
-    lu = None
-    shift = sigma
-    for attempt in range(4):
-        try:
-            lu = A.factorized(shift)
-            break
-        except RuntimeError:
-            scale = max(abs(sigma), float(np.max(np.abs(A.diagonal()))), 1.0)
-            shift = sigma + (10.0 ** (attempt - 8)) * scale
-    if lu is None:
-        raise ShiftBreakdownError(f"factorization of (A - {sigma} I) failed")
-
     Asp = A.to_scipy()
-    found_vals: list[float] = []
-    found_vecs: list[np.ndarray] = []
-    for j in range(m):
-        x = _start_vector(A.n, j)
-        lam = shift
-        res = np.inf
-        for it in range(max_iter):
-            y = lu.solve(x)
-            for v in found_vecs:
-                y -= (v @ y) * v
-            ny = np.linalg.norm(y)
-            if not np.isfinite(ny) or ny == 0.0:
-                raise ShiftBreakdownError("shift-invert iteration broke down")
-            x = y / ny
-            Ax = Asp @ x
-            lam = float(x @ Ax)
-            res = float(np.linalg.norm(Ax - lam * x)) / max(1.0, abs(lam))
-            if res <= tol or (it >= 40 and res <= 1e-4):
-                break
-        # Rayleigh-quotient polish: deflation noise floors the fixed-shift
-        # iteration near clustered pairs; a few refactored steps fix that
-        polish = 0
-        while res > tol and polish < 12 and np.isfinite(res):
+    if m >= A.n - 1:
+        vals, vecs = la.eig(Asp.toarray())
+        keep = np.argsort(np.abs(vals - sigma))[:m]
+        vals, vecs = vals[keep], vecs[:, keep]
+    else:
+        lu = None
+        shift = sigma
+        for attempt in range(4):
             try:
-                lu2 = A.factorized(lam + res * max(1.0, abs(lam)) * 1e-3)
+                lu = A.factorized(shift)
+                break
             except RuntimeError:
-                break
-            y = lu2.solve(x)
-            for v in found_vecs:
-                y -= (v @ y) * v
-            ny = np.linalg.norm(y)
-            if not np.isfinite(ny) or ny == 0.0:
-                break
-            x = y / ny
-            Ax = Asp @ x
-            lam = float(x @ Ax)
-            res = float(np.linalg.norm(Ax - lam * x)) / max(1.0, abs(lam))
-            polish += 1
-        if res > tol:
-            raise NoConvergenceError(f"eigenpair {j} stalled at sigma={shift:.3e}", res)
-        # polish deflation: re-orthogonalize once more
-        for v in found_vecs:
-            x -= (v @ x) * v
-        x /= np.linalg.norm(x)
-        found_vals.append(lam)
-        found_vecs.append(x)
+                scale = max(abs(sigma), float(np.max(np.abs(A.diagonal()))), 1.0)
+                shift = sigma + (10.0 ** (attempt - 8)) * scale
+        if lu is None:
+            raise ShiftBreakdownError(f"factorization of (A - {sigma} I) failed")
+        OPinv = spla.LinearOperator((A.n, A.n), matvec=lu.solve, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(A.n)
+        vals, vecs = spla.eigs(Asp, k=m, sigma=shift, OPinv=OPinv, v0=v0, tol=0.0)
 
-    order = np.argsort(found_vals)
-    vals = np.array([found_vals[i] for i in order])
-    vecs = np.column_stack([found_vecs[i] for i in order])
-    resid = np.empty(len(vals))
-    for i in range(len(vals)):
-        resid[i] = np.linalg.norm(Asp @ vecs[:, i] - vals[i] * vecs[:, i]) / max(1.0, abs(vals[i]))
+    order = np.argsort(vals.real)
+    vals, vecs = vals.real[order], vecs[:, order]
+    # the eigenvector of a real eigenvalue is a real vector times a phase
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs = (vecs * (np.abs(peak) / peak)).real
+    vecs /= np.linalg.norm(vecs, axis=0)
+    # a multiple eigenvalue comes back as an arbitrary basis of its
+    # eigenspace; eigenvalues equal to within tol share one orthonormal basis
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[i - 1] > tol * max(1.0, abs(vals[i])):
+            if i - start > 1:
+                vecs[:, start:i] = np.linalg.qr(vecs[:, start:i])[0]
+            start = i
+    resid = np.linalg.norm(Asp @ vecs - vecs * vals, axis=0) / np.maximum(1.0, np.abs(vals))
+    worst = float(np.max(resid))
+    if not worst <= tol:
+        raise NoConvergenceError(f"eigenpairs near sigma={sigma:.3e} missed tol={tol:.1e}", worst)
     return EigenPairs(vals, vecs, resid)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import greens, liouville
-from .lane_emden import BranchEntry, SpikeData
-from .linsolve import EigenPairs, SparseOperator, smallest_eigenpairs
+from . import liouville
+from .lane_emden import BranchEntry, LaneEmdenProblem, SpikeData
+from .linsolve import SparseOperator, smallest_eigenpairs
 from .mesh import GridMesh
 
 
@@ -32,17 +32,15 @@ class SpectrumReport:
     notes: list = field(default_factory=list)
     projections: list = field(default_factory=list)  # per analysed mode
     coefficients: list = field(default_factory=list)
+    eigenvectors: np.ndarray | None = field(default=None, repr=False)  # columns, as eigenvalues
 
 
 def assemble_Lp(mesh: GridMesh, u_p: np.ndarray, p: float) -> SparseOperator:
-    """Discrete -Δ minus the diagonal p u_+^(p-1)."""
+    """Discrete -Δ minus the diagonal p u_+^(p-1): the Jacobian of the
+    Lane-Emden residual at u_p."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    up = np.maximum(u_p, 0.0)
-    with np.errstate(over="ignore"):
-        diag = -p * up ** (p - 1.0)
-    A = greens.laplacian_operator(mesh)
-    return A.plus_diagonal(diag)
+    return LaneEmdenProblem(mesh).jacobian(u_p, p)
 
 
 def _rayleigh_iterate(Lp: SparseOperator, v0: np.ndarray, iters: int = 6) -> float:
@@ -83,7 +81,7 @@ def bottom_spectrum(
     Rayleigh-quotient iteration seeded by bubble bumps at the spikes; the
     Morse index combines them with any negatives among the near-zero modes.
     """
-    pairs: EigenPairs = smallest_eigenpairs(Lp, m=m, sigma=0.0, tol=tol)
+    pairs = smallest_eigenpairs(Lp, m=m, sigma=0.0, tol=tol)
     notes = []
     dmin = float(np.min(Lp.diagonal()))
     if dmin < 0:
@@ -110,6 +108,7 @@ def bottom_spectrum(
         nondeg_margin=float(np.min(np.abs(pairs.eigenvalues))),
         giants=giants,
         notes=notes,
+        eigenvectors=pairs.eigenvectors,
     )
 
 
@@ -163,9 +162,9 @@ def spike_coefficients(
     B_i = (p/eps) int (x_i - x_{j,i}) u^(p-1) xi over the spike ball."""
     sup = float(np.max(np.abs(xi)))
     idx, wts = mesh.ball_weights(spike.position, d)
-    wgt = wts * np.maximum(u_p[idx], 0.0) ** (p - 1.0) * xi[idx] / sup
-    A = p * float(np.sum(wgt))
-    B = p * (wgt @ (mesh.coords[idx] - spike.position)) / spike.eps
+    wgt = wts * LaneEmdenProblem.potential(u_p[idx], p) * xi[idx] / sup
+    A = float(np.sum(wgt))
+    B = (wgt @ (mesh.coords[idx] - spike.position)) / spike.eps
     return {"A": A, "B1": float(B[0]), "B2": float(B[1])}
 
 
@@ -181,9 +180,7 @@ def analyse_entry(
     Lp = assemble_Lp(mesh, entry.u, entry.p)
     rep = bottom_spectrum(Lp, m=m, tol=tol, mesh=mesh, spikes=entry.spikes)
     rep.p = entry.p
-    pairs = smallest_eigenpairs(Lp, m=m, sigma=0.0, tol=tol)
-    for col in range(pairs.eigenvectors.shape[1]):
-        xi = pairs.eigenvectors[:, col]
+    for xi in rep.eigenvectors.T:
         projs = []
         coefs = []
         for j, s in enumerate(entry.spikes):

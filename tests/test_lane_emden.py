@@ -107,6 +107,15 @@ def test_jacobian_matches_directional_difference(disk64, solved_p10):
     assert np.linalg.norm(fd - Jv) / np.linalg.norm(Jv) <= 1e-5
 
 
+def test_d_dp_matches_central_difference(disk64, solved_p10):
+    u, _ = solved_p10
+    p, dp = 10.0, 1e-4
+    problem = le.LaneEmdenProblem(disk64)
+    fd = (problem.residual(u, p + dp)[0] - problem.residual(u, p - dp)[0]) / (2.0 * dp)
+    Fp = problem.d_dp(u, p)
+    assert np.linalg.norm(fd - Fp) / np.linalg.norm(Fp) <= 1e-5
+
+
 def test_extract_spikes_wrong_count(disk64, solved_p10):
     u, _ = solved_p10
     with pytest.raises(le.WrongPeakCountError):
@@ -141,6 +150,7 @@ def test_peak_mass_approaches_limit(disk64, solved_p10):
     assert s.C * 10.0 < 8 * np.pi * math.sqrt(math.e)
 
 
+@pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
 def test_continuation_records_targets(disk64, kr_disk):
     br = le.continue_in_p(disk64, kr_disk, 10.0, 14.0, record_at=[10.0, 12.0, 14.0])
     assert br.p_values == [10.0, 12.0, 14.0]

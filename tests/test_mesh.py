@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import bisect
 
-from spikelab import linsolve
+from spikelab import greens, linsolve
 from spikelab.mesh import (
     DIRS,
     InvalidParamsError,
@@ -151,18 +151,16 @@ def test_poisson_solve_reproduces_quadratic():
     # -Δu = 4 with zero data has u* = 1 - |x|^2 on the unit disk; the
     # Shortley-Weller stencil is exact on quadratics, so the solve is too
     m = build_mesh(make_domain("disk", r=1.0), 0.05)
-    A = assemble_laplacian(m)
-    u = linsolve.solve(A, np.full(m.n_nodes, 4.0), tol=1e-13)
+    u = greens.laplacian_factorization(m).solve(np.full(m.n_nodes, 4.0))
     ustar = 1.0 - m.coords[:, 0] ** 2 - m.coords[:, 1] ** 2
     assert np.max(np.abs(u - ustar)) < 1e-9
 
 
 def test_discrete_maximum_principle():
     m = build_mesh(make_domain("ellipse", a=1.3, b=0.8), 0.05)
-    A = assemble_laplacian(m)
     rng = np.random.default_rng(7)
     f = rng.random(m.n_nodes)
-    u = linsolve.solve(A, f, tol=1e-12)
+    u = greens.laplacian_factorization(m).solve(f)
     assert np.min(u) >= -1e-12
 
 
@@ -180,9 +178,8 @@ def test_disk_eigenvalue_converges_to_bessel_zero():
 def test_dirichlet_rhs_harmonic_solve():
     # harmonic data x^2 - y^2 is reproduced exactly (quadratic exactness)
     m = build_mesh(make_domain("disk", r=1.0), 0.05)
-    A = assemble_laplacian(m)
     b = dirichlet_rhs(m, lambda x, y: x * x - y * y)
-    u = linsolve.solve(A, b, tol=1e-13)
+    u = greens.laplacian_factorization(m).solve(b)
     exact = m.coords[:, 0] ** 2 - m.coords[:, 1] ** 2
     assert np.max(np.abs(u - exact)) < 1e-9
 
