@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -222,17 +223,23 @@ class ModeOperator:
     def rayleigh(self, xi: np.ndarray) -> float:
         return self.quadratic_form(xi) / float(np.sum(self.mass * xi * xi))
 
+    @cached_property
+    def _offdiag_squares(self) -> np.ndarray:
+        # x ** 2 is libm pow, as for numpy scalars; x * x can differ in the last bit
+        return np.array([x**2 for x in (-self.kappa[1:-1]).tolist()])
+
     def count_below(self, lam: float) -> int:
         """Sturm-sequence count of eigenvalues below lam (exact inertia)."""
-        d, e = self.diagonals(lam)
+        # Python floats take the same IEEE steps as numpy scalars, only faster
+        d = self.diagonals(lam)[0].tolist()
         count = 0
         t = d[0]
         if t == 0.0:
             t = -1e-300
         if t < 0:
             count += 1
-        for i in range(1, len(d)):
-            t = d[i] - e[i - 1] ** 2 / t
+        for di, e2i in zip(d[1:], self._offdiag_squares.tolist()):
+            t = di - e2i / t
             if t == 0.0:
                 t = -1e-300
             if t < 0:
@@ -291,6 +298,10 @@ def mode_operator(rad: RadialSolution, m: int, n: int = 4000, r_min_factor: floa
     return ModeOperator(m, r, kappa, mass, pot)
 
 
+_LAM_HI = 64.0  # top of the first m = 1 bracket scan, quadrupled until it holds the mode
+_BLOCK = 256  # RK4 steps whose propagators are evaluated together (all at once: ~20 MB)
+
+
 class _Mode1Shooter:
     """Batched fixed-step RK4 shooter for the factorized m = 1 sector.
 
@@ -302,16 +313,44 @@ class _Mode1Shooter:
     freezes g there, so the dynamics stay O(1) across all scales and a fixed
     logarithmic step suffices; the rhs is linear in the state, so trial
     eigenvalues integrate as one vectorized batch.
+
+    Linearity also makes each RK4 step a 2x2 matrix quadratic in lam,
+    P_i(lam) = C0_i + lam C1_i + lam^2 C2_i, whose coefficients are built once.
+    The shooter is cached on its RadialSolution and keeps its bracket scans
+    and eigenpairs, so each (solution, index) is shot once.
     """
 
     def __init__(self, rad: RadialSolution, n_steps: int = 6000):
         t0 = math.log(max(rad.eps0 * 1e-3, 1e-14))
         self.t = np.linspace(t0, 0.0, 2 * n_steps + 1)  # includes half-steps
         r = np.exp(self.t)
-        self.phi2 = rad.u_prime(r) ** 2
-        self.w_r2phi2 = r * r * self.phi2
+        phi2 = rad.u_prime(r) ** 2
+        a = 1.0 / phi2  # dg/dt = a F
+        b = r * r * phi2  # dF/dt = -lam b g
+        a0, am, a1 = a[:-1:2], a[1::2], a[2::2]  # step start, midpoint, end
+        b0, bm, b1 = b[:-1:2], b[1::2], b[2::2]
+        h = (0.0 - t0) / n_steps
+        # rows: (g <- g, g <- F, F <- g, F <- F) entries of P_i
+        self.C0 = np.zeros((4, n_steps))
+        self.C0[0] = self.C0[3] = 1.0
+        self.C0[1] = h / 6.0 * (a0 + 4.0 * am + a1)
+        self.C1 = np.stack([
+            -h * h / 6.0 * (am * (b0 + bm) + a1 * bm),
+            -h**3 / 12.0 * am * bm * (a0 + a1),
+            -h / 6.0 * (b0 + 4.0 * bm + b1),
+            -h * h / 6.0 * (bm * (a0 + am) + b1 * am),
+        ])
+        self.C2 = np.stack([
+            h**4 / 24.0 * a1 * bm * am * b0,
+            np.zeros(n_steps),
+            h**3 / 12.0 * am * bm * (b0 + b1),
+            h**4 / 24.0 * b1 * am * bm * a0,
+        ])
         self.n_steps = n_steps
-        self.dt = (0.0 - t0) / n_steps
+        self.r = np.exp(self.t[::2])
+        self.r.setflags(write=False)
+        self.scans = []  # (grid, flips) of the bracket scans, lam_hi ascending
+        self.pairs = {}  # index -> (lam, r, xi)
 
     def run(self, lams: np.ndarray, keep_path: bool = False):
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
@@ -319,32 +358,37 @@ class _Mode1Shooter:
         F = np.zeros_like(lams)
         flips = np.zeros(lams.shape, dtype=int)
         path = np.empty((self.n_steps + 1, lams.size)) if keep_path else None
-        if keep_path:
-            path[0] = g
-        dt = self.dt
-        for i in range(self.n_steps):
-            i0, im, i1 = 2 * i, 2 * i + 1, 2 * i + 2
-            g_prev = g
-            k1g = F / self.phi2[i0]
-            k1f = -lams * self.w_r2phi2[i0] * g
-            g2 = g + 0.5 * dt * k1g
-            f2 = F + 0.5 * dt * k1f
-            k2g = f2 / self.phi2[im]
-            k2f = -lams * self.w_r2phi2[im] * g2
-            g3 = g + 0.5 * dt * k2g
-            f3 = F + 0.5 * dt * k2f
-            k3g = f3 / self.phi2[im]
-            k3f = -lams * self.w_r2phi2[im] * g3
-            g4 = g + dt * k3g
-            f4 = F + dt * k3f
-            k4g = f4 / self.phi2[i1]
-            k4f = -lams * self.w_r2phi2[i1] * g4
-            g = g + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
-            F = F + (dt / 6.0) * (k1f + 2 * k2f + 2 * k3f + k4f)
-            flips += (g_prev * g < 0).astype(int)
+        gs = np.empty((_BLOCK + 1, lams.size))  # g across one block of steps
+        for start in range(0, self.n_steps, _BLOCK):
+            stop = min(start + _BLOCK, self.n_steps)
+            s = slice(start, stop)
+            P = self.C0[:, s, None] + lams * (self.C1[:, s, None] + lams * self.C2[:, s, None])
+            gs[0] = g
+            for j, (gg, gF, Fg, FF) in enumerate(zip(*P), 1):
+                g, F = gg * g + gF * F, Fg * g + FF * F
+                gs[j] = g
+            blk = gs[: stop - start + 1]
+            flips += np.count_nonzero(blk[:-1] * blk[1:] < 0, axis=0)
             if keep_path:
-                path[i + 1] = g
+                path[start : stop + 1] = blk
         return g, flips, path
+
+    def bracket(self, index: int):
+        """First scan grid holding index sign flips of g, and the first grid
+        point that does; scans are shared by every index."""
+        k = 0
+        while True:
+            if k == len(self.scans):
+                lam_hi = _LAM_HI * 4.0**k
+                if lam_hi > 1e7:
+                    raise BracketFailureError("mode-1 eigenvalue bracket not found")
+                grid = np.geomspace(1e-6, lam_hi, 96)
+                self.scans.append((grid, self.run(grid)[1]))
+            grid, flips = self.scans[k]
+            above = np.nonzero(flips >= index)[0]
+            if above.size:
+                return grid, above[0]
+            k += 1
 
 
 def _mode1_shooter(rad: RadialSolution) -> _Mode1Shooter:
@@ -355,26 +399,22 @@ def _mode1_shooter(rad: RadialSolution) -> _Mode1Shooter:
     return sh
 
 
-def mode1_eigenvalue(rad: RadialSolution, index: int = 1, lam_hi: float = 64.0):
+def mode1_eigenvalue(rad: RadialSolution, index: int = 1):
     """index-th eigenvalue (1-based) of the disk m = 1 sector by shooting,
     with the eigenfunction xi = phi* g on a log radial grid.
 
     The factorized form is positive definite for every p (the sector never
     contributes to the Morse index on the disk); the returned eigenvalues are
     therefore positive, the near-null translation mode being index = 1.
+    The pair is computed once per solution; the returned arrays are shared
+    and read-only.
     """
     sh = _mode1_shooter(rad)
-    while True:
-        grid = np.geomspace(1e-6, lam_hi, 96)
-        _, flips, _ = sh.run(grid)
-        above = np.nonzero(flips >= index)[0]
-        if above.size:
-            break
-        lam_hi *= 4.0
-        if lam_hi > 1e7:
-            raise BracketFailureError("mode-1 eigenvalue bracket not found")
-    blo = grid[above[0] - 1] if above[0] > 0 else 1e-9
-    bhi = grid[above[0]]
+    if index in sh.pairs:
+        return sh.pairs[index]
+    grid, k = sh.bracket(index)
+    blo = grid[k - 1] if k > 0 else 1e-9
+    bhi = grid[k]
 
     # batched interval refinement on the single sign change of g(1);
     # 4 rounds of 16x shrink leave the midpoint within ~1e-6 relative
@@ -387,9 +427,10 @@ def mode1_eigenvalue(rad: RadialSolution, index: int = 1, lam_hi: float = 64.0):
         blo, bhi = grid[crossings[0]], grid[crossings[0] + 1]
     lam = 0.5 * (blo + bhi)
     _, _, path = sh.run(np.array([lam]), keep_path=True)
-    r = np.exp(sh.t[::2])
-    xi = -rad.u_prime(r) * path[:, 0]
-    return lam, r, xi
+    xi = -rad.u_prime(sh.r) * path[:, 0]
+    xi.setflags(write=False)
+    sh.pairs[index] = (lam, sh.r, xi)
+    return sh.pairs[index]
 
 
 @dataclass

@@ -1,3 +1,8 @@
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,3 +84,31 @@ def test_residual_guard_reports_achieved():
     with pytest.raises(NoConvergenceError) as err:
         linsolve.smallest_eigenpairs(A, m=2, sigma=0.0, tol=1e-300)
     assert 0.0 < err.value.achieved < 1e-8
+
+
+_FREED_BLOCK_RSS = """
+import numpy as np
+from spikelab import linsolve  # pins the thresholds on import
+
+def rss_kb():
+    for line in open("/proc/self/status"):
+        if line.startswith("VmRSS"):
+            return int(line.split()[1])
+
+big = np.ones(3 << 20)  # 24 MB: unpinned, freeing it lifts the mmap threshold to 24 MB
+del big
+before = rss_kb()
+block = np.ones(2 << 20)  # 16 MB, touched
+del block
+print(rss_kb() - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_freed_large_block_leaves_resident_set():
+    # the peak resident set must not depend on heap fragmentation: a large
+    # block freed after a larger one goes back to the system at once
+    src = str(Path(linsolve.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _FREED_BLOCK_RSS], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert int(out.stdout) < 1024

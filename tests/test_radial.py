@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spikelab import radial
 
@@ -108,6 +109,91 @@ def test_grid_refinement_stability(rad20):
     s1 = radial.disk_spectrum(rad20, m_max=2, n=3000)
     s2 = radial.disk_spectrum(rad20, m_max=2, n=6000)
     assert s1.margin() == pytest.approx(s2.margin(), rel=1e-4)
+
+
+def _staged_rk4(rad, t, lams):
+    """The m = 1 RK4 integration written out stage by stage: g along the
+    log-radial grid t (with half-steps) and the sign flips of g."""
+    r = np.exp(t)
+    phi2 = rad.u_prime(r) ** 2
+    b = r * r * phi2
+    dt = (t[-1] - t[0]) / ((len(t) - 1) // 2)
+    g, F = np.ones_like(lams), np.zeros_like(lams)
+    flips = np.zeros(lams.shape, dtype=int)
+    path = [g]
+    for i0 in range(0, len(t) - 1, 2):
+        im, i1 = i0 + 1, i0 + 2
+        k1g, k1f = F / phi2[i0], -lams * b[i0] * g
+        g2, f2 = g + 0.5 * dt * k1g, F + 0.5 * dt * k1f
+        k2g, k2f = f2 / phi2[im], -lams * b[im] * g2
+        g3, f3 = g + 0.5 * dt * k2g, F + 0.5 * dt * k2f
+        k3g, k3f = f3 / phi2[im], -lams * b[im] * g3
+        g4, f4 = g + dt * k3g, F + dt * k3f
+        k4g, k4f = f4 / phi2[i1], -lams * b[i1] * g4
+        g_new = g + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
+        F = F + (dt / 6.0) * (k1f + 2 * k2f + 2 * k3f + k4f)
+        flips += g * g_new < 0
+        g = g_new
+        path.append(g)
+    return np.array(path), flips
+
+
+@pytest.mark.parametrize("p", [20.0, 80.0])
+@pytest.mark.parametrize("block", [7, radial._BLOCK])
+def test_blocked_propagator_matches_staged_rk4(monkeypatch, p, block):
+    monkeypatch.setattr(radial, "_BLOCK", block)
+    rad = radial.solve_radial(p)
+    sh = radial._Mode1Shooter(rad, n_steps=600)
+    assert sh.n_steps > block and sh.n_steps % block != 0  # boundaries mid-run, a partial last block
+    lams = np.geomspace(1e-6, 64.0, 24)
+    g1, flips, path = sh.run(lams, keep_path=True)
+    ref_path, ref_flips = _staged_rk4(rad, sh.t, lams)
+    scale = np.max(np.abs(ref_path), axis=0)
+    assert np.all(np.abs(g1 - ref_path[-1]) <= 1e-12 * scale)
+    assert np.all(np.abs(path - ref_path) <= 1e-12 * scale)
+    assert np.array_equal(flips, ref_flips)
+    assert flips.max() >= 2  # the batch reaches past the second eigenvalue
+
+
+def test_disk_spectrum_shoots_mode1_once(monkeypatch):
+    rad = radial.solve_radial(20.0)
+    calls = []
+    run = radial._Mode1Shooter.run
+
+    def counting_run(sh, *args, **kwargs):
+        calls.append(args)
+        return run(sh, *args, **kwargs)
+
+    monkeypatch.setattr(radial._Mode1Shooter, "run", counting_run)
+    s1 = radial.disk_spectrum(rad, m_max=1, n=4000)
+    # one bracket scan shared by both indices, then 4 refinements and a path each
+    assert len(calls) == 1 + 2 * 5
+    assert len(rad.__dict__["_mode1_shooter"].scans) == 1
+    s2 = radial.disk_spectrum(rad, m_max=1, n=2000)
+    assert len(calls) == 11
+    assert s2.modes[1][0] == s1.modes[1][0]
+    assert all(not xi.flags.writeable for xi in s2.modes[1][1])
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_sturm_count_is_exact_inertia(rad20, m):
+    op = radial.mode_operator(rad20, m, n=300)
+    d, e = op.diagonals(0.0)
+    K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    lams = scipy.linalg.eigh(K, np.diag(op.mass), eigvals_only=True)
+    shifts = [lams[0] - 1.0, 0.0] + list(0.5 * (lams[:8] + lams[1:9]))
+    for sigma in shifts:
+        assert op.count_below(sigma) == np.count_nonzero(lams < sigma)
+
+
+def test_mode1_step_refinement():
+    # n refines only m = 0, 2, 3; the m = 1 sector refines with the RK4 step
+    vals = []
+    for n_steps in (3000, 6000):
+        rad = radial.solve_radial(20.0)
+        rad.__dict__["_mode1_shooter"] = radial._Mode1Shooter(rad, n_steps=n_steps)
+        vals.append([radial.mode1_eigenvalue(rad, index=k)[0] for k in (1, 2)])
+    assert vals[0] == pytest.approx(vals[1], rel=1e-6)
 
 
 def test_mode1_kernel_data(rad80):
