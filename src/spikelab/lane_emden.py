@@ -171,6 +171,7 @@ def newton_solve(
             break
         lu = problem.jacobian(u, p).factorized()
         step = lu.solve(-res)
+        del lu  # free the factor before the next one is built
         accepted = False
         for alpha in tuple(0.5**i for i in range(11)):
             trial = u + alpha * step
@@ -391,7 +392,8 @@ def _arclength_march(mesh, u, p, target, tol, ds_init=0.5, max_steps=2000):
         pv = p0 + ds * tau[1]
         # modified-Newton corrector: the Jacobian is factorized at the
         # predictor and reused; near folds (slow contraction) it is refreshed
-        # at the current iterate, restoring the full Newton corrector
+        # at the current iterate, restoring the full Newton corrector.  A
+        # factor is dropped before the next one is built, so only one is resident
         lu, fp = jac_parts(uv, pv)
         b = lu.solve(fp)
         denom = tau[1] - dot(tau[0], b)
@@ -409,6 +411,7 @@ def _arclength_march(mesh, u, p, target, tol, ds_init=0.5, max_steps=2000):
                 ok = True
                 break
             if rn > 0.5 * rn_prev and refreshes < 3 and np.isfinite(rn):
+                lu = None
                 lu, fp = jac_parts(uv, pv)
                 b = lu.solve(fp)
                 denom = tau[1] - dot(tau[0], b)
@@ -422,6 +425,7 @@ def _arclength_march(mesh, u, p, target, tol, ds_init=0.5, max_steps=2000):
             pv = pv + dp
             if not np.isfinite(pv) or pv <= 1.0:
                 break
+        lu = None
         if not ok:
             ds *= 0.5
             if ds < 1e-5:

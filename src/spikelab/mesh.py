@@ -194,6 +194,12 @@ def _cell_of(lines: np.ndarray, x):
     return np.clip(np.floor(_line_position(lines, x)), 0, len(lines) - 2).astype(int)
 
 
+def _blocks(arr: np.ndarray, i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
+    """The size x size sub-arrays arr[i[k]:i[k]+size, j[k]:j[k]+size], stacked."""
+    off = np.arange(size)
+    return arr[i[:, None, None] + off[:, None], j[:, None, None] + off]
+
+
 def _dual_widths(lines: np.ndarray) -> np.ndarray:
     """Width of each line's dual cell: half the spacing on either side."""
     gaps = np.diff(lines)
@@ -315,31 +321,25 @@ class GridMesh:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         ic = _nearest_line(self.xs, pts[:, 0], margin=1)
         jc = _nearest_line(self.ys, pts[:, 1], margin=1)
-        out = np.empty(pts.shape[0])
-        for k, (x, y) in enumerate(pts):
-            out[k] = self._interp_one(arr, x, y, ic[k], jc[k])
-        return out
+        blocks = _blocks(arr, ic - 1, jc - 1, 3)
+        for k in np.nonzero(np.isnan(blocks).any(axis=(1, 2)))[0]:
+            ic[k], jc[k] = self._interior_block(arr, pts[k], ic[k], jc[k])
+            blocks[k] = arr[ic[k] - 1 : ic[k] + 2, jc[k] - 1 : jc[k] + 2]
+        rx, _, tx = _arm_units(self.xs, ic, pts[:, 0])
+        ry, _, ty = _arm_units(self.ys, jc, pts[:, 1])
+        wx, wy = _quad_weights(rx, tx), _quad_weights(ry, ty)
+        return np.einsum("ik,kij,jk->k", wx, blocks, wy)
 
-    def _interp_one(self, arr: np.ndarray, x: float, y: float, i0: int, j0: int) -> float:
-        block = arr[i0 - 1 : i0 + 2, j0 - 1 : j0 + 2]
-        if np.isnan(block).any():
-            # try the 3x3 block shifted toward the interior
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ii, jj = i0 + di, j0 + dj
-                    if 1 <= ii < len(self.xs) - 1 and 1 <= jj < len(self.ys) - 1:
-                        cand = arr[ii - 1 : ii + 2, jj - 1 : jj + 2]
-                        if not np.isnan(cand).any():
-                            i0, j0, block = ii, jj, cand
-                            break
-                else:
-                    continue
-                break
-            else:
-                raise ValueError(f"interpolation stencil at ({x:.4g},{y:.4g}) touches the exterior")
-        rx, _, tx = _arm_units(self.xs, i0, x)
-        ry, _, ty = _arm_units(self.ys, j0, y)
-        return float(_quad_weights(rx, tx) @ block @ _quad_weights(ry, ty))
+    def _interior_block(self, arr: np.ndarray, pt, i0: int, j0: int) -> tuple[int, int]:
+        """Centre of the first 3x3 block within one line of (i0, j0) that
+        touches no exterior node."""
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                ii, jj = i0 + di, j0 + dj
+                if 1 <= ii < len(self.xs) - 1 and 1 <= jj < len(self.ys) - 1:
+                    if not np.isnan(arr[ii - 1 : ii + 2, jj - 1 : jj + 2]).any():
+                        return ii, jj
+        raise ValueError(f"interpolation stencil at ({pt[0]:.4g},{pt[1]:.4g}) touches the exterior")
 
     def refine_stationary(self, values: np.ndarray, start, max_shift: float | None = None):
         """Stationary point of the local biquadratic patch around ``start``.
@@ -420,28 +420,21 @@ class GridMesh:
 
     def interp_gradient(self, values: np.ndarray, pts: np.ndarray, fill: float | None = None) -> np.ndarray:
         """Bilinear interpolation of the nodal gradient field."""
-        gx_arr, gy_arr = self.gradient_arrays(values, fill=fill)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ic = _cell_of(self.xs, pts[:, 0])
-        jc = _cell_of(self.ys, pts[:, 1])
+        i = _cell_of(self.xs, pts[:, 0])
+        j = _cell_of(self.ys, pts[:, 1])
+        tx = (pts[:, 0] - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
+        ty = (pts[:, 1] - self.ys[j]) / (self.ys[j + 1] - self.ys[j])
         out = np.empty((pts.shape[0], 2))
-        for k, (x, y) in enumerate(pts):
-            out[k, 0] = self._bilinear(gx_arr, x, y, ic[k], jc[k])
-            out[k, 1] = self._bilinear(gy_arr, x, y, ic[k], jc[k])
+        for col, arr in enumerate(self.gradient_arrays(values, fill=fill)):
+            c = _blocks(arr, i, j, 2)
+            bad = np.nonzero(np.isnan(c).any(axis=(1, 2)))[0]
+            if len(bad):
+                x, y = pts[bad[0]]
+                raise ValueError(f"bilinear stencil at ({x:.4g},{y:.4g}) touches the exterior")
+            out[:, col] = (c[:, 0, 0] * (1 - tx) * (1 - ty) + c[:, 1, 0] * tx * (1 - ty)
+                           + c[:, 0, 1] * (1 - tx) * ty + c[:, 1, 1] * tx * ty)
         return out
-
-    def _bilinear(self, arr: np.ndarray, x: float, y: float, i: int, j: int) -> float:
-        tx = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
-        ty = (y - self.ys[j]) / (self.ys[j + 1] - self.ys[j])
-        c = arr[i : i + 2, j : j + 2]
-        if np.isnan(c).any():
-            raise ValueError(f"bilinear stencil at ({x:.4g},{y:.4g}) touches the exterior")
-        return float(
-            c[0, 0] * (1 - tx) * (1 - ty)
-            + c[1, 0] * tx * (1 - ty)
-            + c[0, 1] * (1 - tx) * ty
-            + c[1, 1] * tx * ty
-        )
 
 
 def _bisect_arms(domain: DomainSpec, starts: np.ndarray, dirs: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from spikelab import linsolve
+from spikelab import kirchhoff_routh, lane_emden, linsolve
 from spikelab.linsolve import NoConvergenceError, SparseOperator
-from spikelab.mesh import assemble_laplacian, build_mesh, make_domain
+from spikelab.mesh import assemble_laplacian, build_graded_mesh, build_mesh, make_domain
 
 
 def square_interior_laplacian(n):
@@ -84,6 +85,37 @@ def test_residual_guard_reports_achieved():
     with pytest.raises(NoConvergenceError) as err:
         linsolve.smallest_eigenpairs(A, m=2, sigma=0.0, tol=1e-300)
     assert 0.0 < err.value.achieved < 1e-8
+
+
+def backward_error(M, x, b):
+    """Normwise relative backward error ||Mx - b|| / (||M|| ||x|| + ||b||), max norms."""
+    r = M @ x - b
+    return np.max(np.abs(r)) / (spla.norm(M, np.inf) * np.max(np.abs(x)) + np.max(np.abs(b)))
+
+
+def test_tiny_diagonal_is_not_taken_as_pivot():
+    # ones beside a diagonal of 1e-13: keeping every diagonal pivot (threshold
+    # 0) gives a backward error near 2e-5, so the threshold must act here
+    n = 400
+    i = np.arange(n - 1)
+    A = SparseOperator.from_coo(n, np.r_[i, i + 1, np.arange(n)], np.r_[i + 1, i, np.arange(n)],
+                                np.r_[np.ones(2 * n - 2), np.full(n, 1e-13)])
+    b = np.random.default_rng(0).standard_normal(n)
+    assert backward_error(A.to_scipy(), A.factorized().solve(b), b) <= 1e-12
+
+
+def test_spike_jacobian_keeps_predicted_fill():
+    # the p = 20 spike makes the Jacobian's spike rows diagonally dominant;
+    # keeping those diagonal pivots roughly halves the fill of partial pivoting
+    eps20 = 1.39e-3
+    msh = build_graded_mesh(make_domain("disk", r=1.0), 1.0 / 64, (0.0, 0.0), eps20)
+    u = lane_emden.ansatz(msh, kirchhoff_routh.psi_eval(msh, [(0.0, 0.0)]), 20.0)
+    J = lane_emden.LaneEmdenProblem(msh).jacobian(u, 20.0)
+    M = J.to_scipy().tocsc()
+    b = np.random.default_rng(1).standard_normal(J.n)
+    lu = J.factorized()
+    assert backward_error(M, lu.solve(b), b) <= 1e-10
+    assert lu.nnz < spla.splu(M, permc_spec="MMD_AT_PLUS_A").nnz
 
 
 _FREED_BLOCK_RSS = """

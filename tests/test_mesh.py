@@ -349,3 +349,80 @@ def test_lines_must_enclose_domain():
     xs = np.linspace(-0.9, 0.9, 19)
     with pytest.raises(ValueError):
         mesh_on_lines(d, xs, xs, 0.1)
+
+
+def _lagrange(nodes, x):
+    """Quadratic Lagrange weights of the three nodes, at x."""
+    return np.array([np.prod([(x - nodes[m]) / (nodes[l] - nodes[m]) for m in range(3) if m != l])
+                     for l in range(3)])
+
+
+def _interp_point_by_point(msh, values, pts, fill):
+    """Reference for GridMesh.interp, one point at a time: the 3x3 block of the
+    nearest node, else the first block one line away that avoids the exterior.
+    Returns (values, shifted), with NaN where no such block exists."""
+    arr = msh.grid_array(values)
+    if fill is not None:
+        arr = np.where(np.isnan(arr), fill, arr)
+    out, shifted = np.full(len(pts), np.nan), np.zeros(len(pts), dtype=bool)
+    for k, (x, y) in enumerate(pts):
+        i0 = int(np.clip(np.argmin(np.abs(msh.xs - x)), 1, len(msh.xs) - 2))
+        j0 = int(np.clip(np.argmin(np.abs(msh.ys - y)), 1, len(msh.ys) - 2))
+        for di, dj in [(0, 0)] + [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]:
+            i, j = i0 + di, j0 + dj
+            block = arr[i - 1 : i + 2, j - 1 : j + 2]
+            if 1 <= i < len(msh.xs) - 1 and 1 <= j < len(msh.ys) - 1 and not np.isnan(block).any():
+                out[k] = _lagrange(msh.xs[i - 1 : i + 2], x) @ block @ _lagrange(msh.ys[j - 1 : j + 2], y)
+                shifted[k] = (i, j) != (i0, j0)
+                break
+    return out, shifted
+
+
+def _gradient_point_by_point(msh, values, pts, fill):
+    """Reference for GridMesh.interp_gradient: bilinear in the lattice cell."""
+    out = np.empty((len(pts), 2))
+    for col, arr in enumerate(msh.gradient_arrays(values, fill=fill)):
+        for k, (x, y) in enumerate(pts):
+            i = int(np.clip(np.searchsorted(msh.xs, x, side="right") - 1, 0, len(msh.xs) - 2))
+            j = int(np.clip(np.searchsorted(msh.ys, y, side="right") - 1, 0, len(msh.ys) - 2))
+            tx = (x - msh.xs[i]) / (msh.xs[i + 1] - msh.xs[i])
+            ty = (y - msh.ys[j]) / (msh.ys[j + 1] - msh.ys[j])
+            out[k, col] = np.array([1 - tx, tx]) @ arr[i : i + 2, j : j + 2] @ np.array([1 - ty, ty])
+    return out
+
+
+@pytest.fixture(scope="module", params=["uniform", "graded"])
+def disk_field(request, graded):
+    msh = build_mesh(make_domain("disk", r=1.0), 1.0 / 32) if request.param == "uniform" else graded
+    x, y = msh.coords.T
+    u = np.cos(3.0 * x) * np.exp(y) * (1.0 - x * x - y * y)
+    rng = np.random.default_rng(5)
+    # half the points within a cell or two of the circle, where blocks touch the exterior
+    r = np.r_[0.95 * np.sqrt(rng.random(300)), rng.uniform(0.95, 0.999, 300)]
+    a = 2 * np.pi * rng.random(600)
+    return msh, u, np.column_stack([r * np.cos(a), r * np.sin(a)])
+
+
+def test_bulk_interp_matches_point_by_point(disk_field):
+    msh, u, pts = disk_field
+    scale = np.max(np.abs(u))
+    want, _ = _interp_point_by_point(msh, u, pts, 0.0)
+    assert np.max(np.abs(msh.interp(u, pts, fill=0.0) - want)) <= 1e-14 * scale
+    want, shifted = _interp_point_by_point(msh, u, pts, None)
+    ok = ~np.isnan(want)
+    assert shifted.sum() > 10 and (~ok).any()
+    assert np.max(np.abs(msh.interp(u, pts[ok]) - want[ok])) <= 1e-14 * scale
+    with pytest.raises(ValueError, match="touches the exterior"):
+        msh.interp(u, pts[~ok][:1])
+
+
+def test_bulk_interp_gradient_matches_point_by_point(disk_field):
+    msh, u, pts = disk_field
+    scale = np.max(np.abs(msh.nodal_gradient(u)))
+    want = _gradient_point_by_point(msh, u, pts, 0.0)
+    assert np.max(np.abs(msh.interp_gradient(u, pts, fill=0.0) - want)) <= 1e-14 * scale
+    inner = pts[:300]
+    want = _gradient_point_by_point(msh, u, inner, None)
+    assert np.max(np.abs(msh.interp_gradient(u, inner) - want)) <= 1e-14 * scale
+    with pytest.raises(ValueError, match="touches the exterior"):
+        msh.interp_gradient(u, pts)
