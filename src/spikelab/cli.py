@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fractions
 import json
 import os
 import sys
@@ -30,6 +31,14 @@ def parse_points(text: str) -> np.ndarray:
         x, y = chunk.split(",")
         pts.append([float(x), float(y)])
     return np.array(pts)
+
+
+def parse_h(text: str) -> float:
+    """Grid spacing as a decimal or a fraction: '1/64', '0.015625', '1e-2'."""
+    try:
+        return float(fractions.Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a decimal or a fraction: {text!r}") from None
 
 
 def parse_p_range(text: str) -> list[float]:
@@ -112,18 +121,21 @@ def cmd_liouville(args) -> int:
     return 0
 
 
-def _solve_at(dom, h, k, p, tol):
-    msh = mesh_mod.build_mesh(dom, h)
+def _solve_at(args, p_list):
+    """Continue the branch from its Kirchhoff-Routh point to p_list[-1],
+    recording it at each p of the ascending p_list."""
+    dom = parse_domain(args.domain)
+    msh = mesh_mod.build_mesh(dom, args.h)
     cx, cy = dom.center()
-    starts = np.array([[cx + 0.1, cy + 0.05]][:k])
+    starts = np.array([[cx + 0.1, cy + 0.05]][: args.k])
     cfg = kirchhoff_routh.find_critical_point(msh, starts)
-    branch = lane_emden.continue_in_p(msh, cfg, min(10.0, p), p, record_at=[p], tol=tol)
+    branch = lane_emden.continue_in_p(msh, cfg, min(p_list[0], 10.0), p_list[-1],
+                                      record_at=p_list, tol=args.tol)
     return msh, cfg, branch
 
 
 def cmd_solve(args) -> int:
-    dom = parse_domain(args.domain)
-    msh, cfg, branch = _solve_at(dom, args.h, args.k, args.p, args.tol)
+    msh, cfg, branch = _solve_at(args, [args.p])
     e = branch.at_p(args.p)
     _emit(
         {
@@ -143,14 +155,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    dom = parse_domain(args.domain)
-    p_list = parse_p_range(args.p)
-    msh = mesh_mod.build_mesh(dom, args.h)
-    cx, cy = dom.center()
-    starts = np.array([[cx + 0.1, cy + 0.05]][: args.k])
-    cfg = kirchhoff_routh.find_critical_point(msh, starts)
-    branch = lane_emden.continue_in_p(msh, cfg, min(p_list[0], 10.0), p_list[-1],
-                                      record_at=p_list, tol=args.tol)
+    _, _, branch = _solve_at(args, parse_p_range(args.p))
     out = args.out or "branch.csv"
     with open(out, "w") as f:
         f.write(harness.branch_csv_text(branch))
@@ -165,14 +170,7 @@ def _read_branch_ps(path: str) -> list[float]:
 
 
 def cmd_pohozaev(args) -> int:
-    dom = parse_domain(args.domain)
-    p_list = _read_branch_ps(args.branch)
-    msh = mesh_mod.build_mesh(dom, args.h)
-    cx, cy = dom.center()
-    starts = np.array([[cx + 0.1, cy + 0.05]][: args.k])
-    cfg = kirchhoff_routh.find_critical_point(msh, starts)
-    branch = lane_emden.continue_in_p(msh, cfg, min(p_list[0], 10.0), p_list[-1],
-                                      record_at=p_list, tol=args.tol)
+    msh, _, branch = _solve_at(args, _read_branch_ps(args.branch))
     out = args.out or (os.path.splitext(args.branch)[0] + "_pohozaev.csv")
     with open(out, "w", newline="") as f:
         w = csv.writer(f)
@@ -191,14 +189,7 @@ def cmd_pohozaev(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    dom = parse_domain(args.domain)
-    p_list = _read_branch_ps(args.branch) if args.branch else [args.p]
-    msh = mesh_mod.build_mesh(dom, args.h)
-    cx, cy = dom.center()
-    starts = np.array([[cx + 0.1, cy + 0.05]][: args.k])
-    cfg = kirchhoff_routh.find_critical_point(msh, starts)
-    branch = lane_emden.continue_in_p(msh, cfg, min(p_list[0], 10.0), p_list[-1],
-                                      record_at=p_list, tol=args.tol)
+    _, _, branch = _solve_at(args, _read_branch_ps(args.branch) if args.branch else [args.p])
     rows = []
     for e in branch.entries:
         rep = spectrum.analyse_entry(e, m=args.m, tol=args.eigen_tol)
@@ -248,7 +239,7 @@ def main(argv=None) -> int:
     def common(sp, domain=True):
         if domain:
             sp.add_argument("--domain", default="disk,r=1")
-        sp.add_argument("--h", type=lambda s: eval(s, {"__builtins__": {}}), default=1.0 / 64,
+        sp.add_argument("--h", type=parse_h, default=1.0 / 64,
                         help="grid spacing (fractions like 1/128 accepted)")
         sp.add_argument("--k", type=int, default=1)
         sp.add_argument("--tol", type=float, default=1e-10)

@@ -45,9 +45,6 @@ class RunConfig:
     p_list: list = field(default_factory=lambda: list(DEFAULT_P_LIST))
     p_start: float = 10.0
     newton_tol: float = 1e-10
-    linsolve_tol: float = 1e-10
-    eigen_tol: float = 2e-6
-    quadrature_tol: float = 1e-10
     out_dir: str = "out"
     checks: list = field(default_factory=lambda: ["all"])
     start_points: list | None = None
@@ -60,9 +57,8 @@ class RunConfig:
             raise ConfigError("p list must be ascending")
         if sorted(self.h_list, reverse=True) != list(self.h_list):
             raise ConfigError("h list must be descending")
-        for name in ("newton_tol", "linsolve_tol", "eigen_tol", "quadrature_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.newton_tol <= 0:
+            raise ConfigError("newton_tol must be positive")
 
     def domain(self) -> mesh_mod.DomainSpec:
         return mesh_mod.make_domain(self.domain_kind, **self.domain_params)
@@ -115,12 +111,6 @@ def parse_config_text(text: str) -> RunConfig:
             cfg.spectrum_enabled = bool(value) if isinstance(value, int) else value == "on"
         elif key == "tol.newton":
             cfg.newton_tol = float(value)
-        elif key == "tol.linsolve":
-            cfg.linsolve_tol = float(value)
-        elif key == "tol.eigen":
-            cfg.eigen_tol = float(value)
-        elif key == "tol.quadrature":
-            cfg.quadrature_tol = float(value)
         elif key == "out.dir":
             cfg.out_dir = str(value)
         elif key == "checks.enable":

@@ -31,10 +31,6 @@ class NewtonDivergedError(RuntimeError):
     pass
 
 
-class LeftDomainError(RuntimeError):
-    pass
-
-
 @dataclass
 class SpikeConfig:
     """Candidate concentration points with Kirchhoff-Routh data."""

@@ -258,10 +258,6 @@ class GridMesh:
             "bbox": list(self.domain.bbox),
         }
 
-    def arm_point(self, i: int, d: int) -> np.ndarray:
-        """Coordinates of the boundary crossing of a cut arm."""
-        return self.coords[i] + self.arms[i, d] * DIRS[d]
-
     def cell_size(self, x: float, y: float) -> float:
         """Longer side of the lattice cell holding (x, y)."""
         i, j = int(_cell_of(self.xs, x)), int(_cell_of(self.ys, y))

@@ -13,19 +13,19 @@ resolves spike scales like eps ~ e^(-p/4) exactly, far below what any 2-D
 grid can represent.
 
 The same profile feeds a one-dimensional eigensolver for the linearized
-operator -Δ - p u^(p-1) decomposed into angular Fourier modes, with exact
-negative-eigenvalue counts by Sturm sequences on the tridiagonal forms.
+operator -Δ - p u^(p-1) decomposed into angular Fourier modes: LAPACK
+bisection on the finite-volume tridiagonal forms gives exact negative-eigenvalue
+counts, and the translation sector m = 1 is shot in factorized form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import liouville
 
@@ -190,95 +190,16 @@ def solve_radial(p: float, tol: float = 1e-12) -> RadialSolution:
 # ---- linearized operator on the disk, per angular Fourier mode -----------
 
 
-@dataclass
-class ModeOperator:
-    """Finite-volume form of -d2/dr2 - (1/r)d/dr + m^2/r^2 - V(r) on (0, 1).
-
-    Generalized eigenproblem K xi = lambda M xi with diagonal mass M;
-    kappa are the edge conductances, pot the potential-weighted masses.
+def mode_pencil(rad: RadialSolution, m: int, n: int = 4000, r_min_factor: float = 1e-3):
+    """Finite-volume form K xi = lambda M xi of -d2/dr2 - (1/r)d/dr + m^2/r^2 - V(r)
+    on (0, 1), on n geometric nodes: (diagonal of K, off-diagonal of K, diagonal of M).
 
     Adequate for eigenvalues that are not the result of near-cancellation
     between the gradient and potential energies (the giant negative mode and
     the domain-scale modes).  The translation sector m = 1, whose near-null
-    eigenvalue is a ~1e-9 relative cancellation at large p, uses the
-    factorized form below instead.
+    eigenvalue is a ~1e-9 relative cancellation at large p, is shot in
+    factorized form instead (_Mode1Shooter).
     """
-
-    m: int
-    r: np.ndarray  # interior nodes
-    kappa: np.ndarray  # len n+1; kappa[0] is the inner edge (0 for m = 0 regularity)
-    mass: np.ndarray
-    pot: np.ndarray  # (m^2/r^2 - V) * mass
-
-    def diagonals(self, sigma: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        d = self.kappa[:-1] + self.kappa[1:] + self.pot - sigma * self.mass
-        e = -self.kappa[1:-1]
-        return d, e
-
-    def quadratic_form(self, xi: np.ndarray) -> float:
-        bulk = float(np.sum(self.kappa[1:-1] * np.diff(xi) ** 2))
-        bulk += float(self.kappa[0] * xi[0] ** 2 + self.kappa[-1] * xi[-1] ** 2)
-        return bulk + float(np.sum(self.pot * xi * xi))
-
-    def rayleigh(self, xi: np.ndarray) -> float:
-        return self.quadratic_form(xi) / float(np.sum(self.mass * xi * xi))
-
-    @cached_property
-    def _offdiag_squares(self) -> np.ndarray:
-        # x ** 2 is libm pow, as for numpy scalars; x * x can differ in the last bit
-        return np.array([x**2 for x in (-self.kappa[1:-1]).tolist()])
-
-    def count_below(self, lam: float) -> int:
-        """Sturm-sequence count of eigenvalues below lam (exact inertia)."""
-        # Python floats take the same IEEE steps as numpy scalars, only faster
-        d = self.diagonals(lam)[0].tolist()
-        count = 0
-        t = d[0]
-        if t == 0.0:
-            t = -1e-300
-        if t < 0:
-            count += 1
-        for di, e2i in zip(d[1:], self._offdiag_squares.tolist()):
-            t = di - e2i / t
-            if t == 0.0:
-                t = -1e-300
-            if t < 0:
-                count += 1
-        return count
-
-    def solve_shifted(self, sigma: float, b: np.ndarray) -> np.ndarray:
-        d, e = self.diagonals(sigma)
-        ab = np.zeros((3, len(d)))
-        ab[0, 1:] = e
-        ab[1, :] = d
-        ab[2, :-1] = e
-        return solve_banded((1, 1), ab, b)
-
-    def eigs_near(self, sigma: float, k: int = 1, tol: float = 1e-11, max_iter: int = 300):
-        """k eigenpairs nearest sigma by inverse iteration with M-orthogonal deflation."""
-        vals, vecs = [], []
-        n = len(self.r)
-        for j in range(k):
-            xi = np.cos(0.37 * (j + 1) * np.arange(n))
-            xi /= math.sqrt(float(np.sum(self.mass * xi * xi)))
-            lam_old = np.inf
-            for _ in range(max_iter):
-                y = self.solve_shifted(sigma, self.mass * xi)
-                for v in vecs:
-                    y -= float(np.sum(self.mass * v * y)) * v
-                nrm = math.sqrt(float(np.sum(self.mass * y * y)))
-                xi = y / nrm
-                lam = self.rayleigh(xi)
-                if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-                    break
-                lam_old = lam
-            vals.append(lam)
-            vecs.append(xi)
-        order = np.argsort(vals)
-        return [vals[i] for i in order], [vecs[i] for i in order]
-
-
-def mode_operator(rad: RadialSolution, m: int, n: int = 4000, r_min_factor: float = 1e-3) -> ModeOperator:
     r_min = max(rad.eps0 * r_min_factor, 1e-14)
     nodes = np.geomspace(r_min, 1.0, n + 1)  # last node is the Dirichlet boundary
     r = nodes[:-1]
@@ -286,7 +207,7 @@ def mode_operator(rad: RadialSolution, m: int, n: int = 4000, r_min_factor: floa
     edges[1:-1] = 0.5 * (nodes[1:-1] + nodes[:-2])
     edges[0] = 0.0
     edges[-1] = 0.5 * (1.0 + nodes[-2])
-    kappa = np.empty(n + 1)
+    kappa = np.empty(n + 1)  # edge conductances
     kappa[0] = 0.0  # zero flux through r = 0 (regularity; m >= 1 is pinned by m^2/r^2)
     kappa[1:-1] = edges[1:-1] / np.diff(r)
     kappa[-1] = edges[-1] / (1.0 - r[-1])
@@ -295,7 +216,23 @@ def mode_operator(rad: RadialSolution, m: int, n: int = 4000, r_min_factor: floa
     lw = (rad.p - 1.0) * np.log1p(rad.w(y) / rad.p)
     V = np.exp(lw) / rad.eps0**2
     pot = (m * m / (r * r) - V) * mass
-    return ModeOperator(m, r, kappa, mass, pot)
+    return kappa[:-1] + kappa[1:] + pot, -kappa[1:-1], mass
+
+
+def pencil_eigenvalues(pencil, select: str = "a", select_range=None) -> np.ndarray:
+    """Eigenvalues of the pencil (d, e, mass) from mode_pencil, chosen as by
+    scipy.linalg.eigvalsh_tridiagonal's select and select_range, ascending.
+
+    LAPACK bisection (dstebz) on the symmetric tridiagonal
+    T = M^(-1/2) K M^(-1/2), whose Sturm counts give the exact inertia.
+    """
+    d, e, mass = pencil
+    # T is graded (|T| ~ 1e30 at p = 80): the default tolerance eps*|T|_1 is absolute
+    # and swamps the O(1) modes, while underflow keeps bisection relatively accurate
+    return eigvalsh_tridiagonal(
+        d / mass, e / np.sqrt(mass[:-1] * mass[1:]), select=select,
+        select_range=select_range, tol=2 * np.finfo(float).tiny,
+    )
 
 
 _LAM_HI = 64.0  # top of the first m = 1 bracket scan, quadrupled until it holds the mode
@@ -438,7 +375,9 @@ class DiskSpectrum:
     """Bottom spectrum of the linearized disk operator, resolved per mode."""
 
     p: float
-    modes: dict  # m -> (eigenvalues list, eigenvectors list, operator or None)
+    # m -> (eigenvalues, eigenvectors, radial grids); the finite-volume modes
+    # m != 1 carry eigenvalues only, with None for the other two
+    modes: dict
     morse_index: int
 
     def eigenvalues_near_zero(self, count: int = 4) -> list[tuple[float, int]]:
@@ -459,9 +398,12 @@ class DiskSpectrum:
 def disk_spectrum(rad: RadialSolution, m_max: int = 3, per_mode: int = 2, n: int = 4000) -> DiskSpectrum:
     """Eigenvalues nearest zero for modes m = 0..m_max and the Morse index.
 
-    m = 0 and m >= 2 use the finite-volume form with Sturm counts (their
-    eigenvalues are cancellation-free on the scale-free geometric grid);
-    m = 1 uses factorized shooting, positive definite on the disk for every p.
+    m = 0 and m >= 2 use the finite-volume pencil (their eigenvalues are
+    cancellation-free on the scale-free geometric grid): its negative
+    eigenvalues give the Morse count, and the lowest of them, the
+    concentrated ground mode, is reported ahead of the per_mode eigenvalues
+    nearest zero.  m = 1 uses factorized shooting, positive definite on the
+    disk for every p.
     """
     modes = {}
     morse = 0
@@ -475,24 +417,16 @@ def disk_spectrum(rad: RadialSolution, m_max: int = 3, per_mode: int = 2, n: int
                 grids.append(rgrid)
             modes[m] = (vals, vecs, grids)
             continue
-        op = mode_operator(rad, m, n=n)
-        neg = op.count_below(0.0)
-        morse += neg * (1 if m == 0 else 2)
-        vals, vecs = op.eigs_near(0.0, k=per_mode)
-        if m == 0 and neg > 0:
-            # pull in the strongly negative ground mode for reporting
-            lo = -1.05 / rad.eps0**2
-            hi = 0.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if op.count_below(mid) >= 1:
-                    hi = mid
-                else:
-                    lo = mid
-            gvals, gvecs = op.eigs_near(0.5 * (lo + hi), k=1)
-            vals = gvals + vals
-            vecs = gvecs + vecs
-        modes[m] = (vals, vecs, op)
+        pencil = mode_pencil(rad, m, n=n)
+        neg = pencil_eigenvalues(pencil, "v", (-np.inf, 0.0))
+        morse += neg.size * (1 if m == 0 else 2)
+        first = max(neg.size - per_mode, 0)
+        window = pencil_eigenvalues(pencil, "i", (first, min(neg.size + per_mode, n) - 1))
+        keep = np.sort(np.argsort(np.abs(window), kind="stable")[:per_mode])
+        vals = window[keep].tolist()
+        if neg.size and first + keep[0] > 0:  # the ground mode, unless already kept
+            vals.insert(0, float(neg[0]))
+        modes[m] = (vals, None, None)
     return DiskSpectrum(rad.p, modes, morse)
 
 
@@ -523,21 +457,3 @@ def mode1_kernel_data(rad: RadialSolution, xi: np.ndarray, r_grid: np.ndarray, R
     integrand = r_grid * upm1 * xi * r_grid  # x_1 = r cos(theta); r dr measure
     B = np.pi * rad.p / rad.eps0 * np.trapezoid(integrand, r_grid)
     return {"b": b, "residual": resid, "B": B, "sup": sup}
-
-
-def mode0_kernel_data(rad: RadialSolution, xi: np.ndarray, r_grid: np.ndarray, R: float = 10.0):
-    """Z0-fit and A coefficient for an m = 0 eigenfunction xi(r)."""
-    sup = float(np.max(np.abs(xi)))
-    xi = xi / sup
-    s = np.linspace(1e-3, R, 400)
-    f = np.interp(s * rad.eps0, r_grid, xi)
-    basis = liouville.Z0(s)
-    wgt = liouville.eU(s) * s
-    a = float(np.sum(wgt * f * basis) / np.sum(wgt * basis * basis))
-    resid = math.sqrt(float(np.sum(wgt * (f - a * basis) ** 2) / np.sum(wgt)))
-    y = r_grid / rad.eps0
-    with np.errstate(divide="ignore"):
-        lw = (rad.p - 1.0) * np.log1p(rad.w(y) / rad.p)  # -inf at u = 0 is fine
-    upm1 = np.exp(lw + (rad.p - 1.0) * math.log(rad.u0))
-    A = 2.0 * np.pi * rad.p * np.trapezoid(r_grid * upm1 * xi, r_grid)
-    return {"a": a, "residual": resid, "A": A, "sup": sup}

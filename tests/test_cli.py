@@ -13,6 +13,22 @@ def test_green_command(capsys):
     assert len(out["grad_R"]) == 2 and len(out["hess_R"]) == 2
 
 
+def test_h_takes_decimals_and_fractions_only(capsys):
+    outs = []
+    for h in ("1/32", "0.03125", "3.125e-2"):
+        assert cli.main(["green", "--h", h, "--source", "0.3,0.0"]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0]["mesh"]["h"] == 0.03125
+    assert outs[0]["R"] == pytest.approx(0.015010326294905195, rel=1e-12)
+    # an expression is a bad value, not code to run
+    expr = "(1).__class__.__mro__[-1].__subclasses__().__len__() and 1/32"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["green", "--h", expr, "--source", "0.3,0.0"])
+    assert exc.value.code == 2
+    assert "--h" in capsys.readouterr().err
+
+
 def test_kr_command(capsys):
     rc = cli.main(["kr", "--domain", "disk,r=1", "--h", "1/32", "--start", "0.3,0.2"])
     assert rc == 0

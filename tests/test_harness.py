@@ -76,6 +76,8 @@ def test_config_rejects_bad_values():
         harness.parse_config_text("tol.newton = -1")
     with pytest.raises(ConfigError):
         harness.parse_config_text("nonsense.key = 3")
+    with pytest.raises(ConfigError, match="unknown config key: tol.linsolve"):
+        harness.parse_config_text("tol.linsolve = 1e-10")
     with pytest.raises(ConfigError):
         harness.parse_config_text("just some words")
 

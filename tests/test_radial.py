@@ -98,17 +98,28 @@ def test_mode1_eigenvalue_scales_like_8_over_p():
     assert lams[0] == pytest.approx(2 * lams[1], rel=0.15)
 
 
+def _negatives(rad, m, n=4000):
+    return radial.pencil_eigenvalues(radial.mode_pencil(rad, m, n=n), "v", (-np.inf, 0.0))
+
+
 def test_mode0_sturm_count(rad20):
-    op = radial.mode_operator(rad20, 0)
-    assert op.count_below(0.0) == 1  # the concentrated ground mode only
-    op2 = radial.mode_operator(rad20, 2)
-    assert op2.count_below(0.0) == 0
+    assert _negatives(rad20, 0).size == 1  # the concentrated ground mode only
+    assert _negatives(rad20, 2).size == 0
 
 
 def test_grid_refinement_stability(rad20):
     s1 = radial.disk_spectrum(rad20, m_max=2, n=3000)
     s2 = radial.disk_spectrum(rad20, m_max=2, n=6000)
     assert s1.margin() == pytest.approx(s2.margin(), rel=1e-4)
+
+
+def test_finite_volume_modes_refine_at_p80(rad80):
+    # every m = 0, 2, 3 eigenvalue, the ground mode near -2.4e18 included
+    s1 = radial.disk_spectrum(rad80, m_max=3, n=4000)
+    s2 = radial.disk_spectrum(rad80, m_max=3, n=8000)
+    for m in (0, 2, 3):
+        assert len(s1.modes[m][0]) == len(s2.modes[m][0])
+        assert s1.modes[m][0] == pytest.approx(s2.modes[m][0], rel=1e-4)
 
 
 def _staged_rk4(rad, t, lams):
@@ -176,14 +187,17 @@ def test_disk_spectrum_shoots_mode1_once(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [0, 2])
-def test_sturm_count_is_exact_inertia(rad20, m):
-    op = radial.mode_operator(rad20, m, n=300)
-    d, e = op.diagonals(0.0)
-    K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    lams = scipy.linalg.eigh(K, np.diag(op.mass), eigvals_only=True)
-    shifts = [lams[0] - 1.0, 0.0] + list(0.5 * (lams[:8] + lams[1:9]))
-    for sigma in shifts:
-        assert op.count_below(sigma) == np.count_nonzero(lams < sigma)
+def test_sturm_count_is_exact_inertia(rad20, rad80, m):
+    # LAPACK bisection on the scaled tridiagonal against dense eigh(K, M): the
+    # lowest eight eigenvalues, the ground mode near -2.4e18 at p = 80 included
+    for rad in (rad20, rad80):
+        pencil = radial.mode_pencil(rad, m, n=300)
+        d, e, mass = pencil
+        K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        lams = scipy.linalg.eigh(K, np.diag(mass), eigvals_only=True)
+        low = radial.pencil_eigenvalues(pencil, "i", (0, 7))
+        assert np.all(np.abs(low - lams[:8]) <= 1e-10 * np.abs(lams[:8]))
+        assert _negatives(rad, m, n=300).size == np.count_nonzero(lams < 0)
 
 
 def test_mode1_step_refinement():
