@@ -112,7 +112,7 @@ def cmd_liouville(args) -> int:
             w = csv.writer(f)
             w.writerow(["r", "w0", "w0_prime"])
             for r, wv, wp in zip(prof.r, prof.w0_values, prof.w0_prime_values):
-                w.writerow([repr(r), repr(wv), repr(wp)])
+                w.writerow([repr(float(v)) for v in (r, wv, wp)])
         print(f"wrote {args.dump_w0}")
     if args.verify or not args.dump_w0:
         rec = liouville.universal_constants(profile=prof)
@@ -122,15 +122,14 @@ def cmd_liouville(args) -> int:
 
 
 def _solve_at(args, p_list):
-    """Continue the branch from its Kirchhoff-Routh point to p_list[-1],
-    recording it at each p of the ascending p_list."""
+    """Solve the branch at its Kirchhoff-Routh point and record it at each p
+    of the ascending p_list."""
     dom = parse_domain(args.domain)
     msh = mesh_mod.build_mesh(dom, args.h)
     cx, cy = dom.center()
     starts = np.array([[cx + 0.1, cy + 0.05]][: args.k])
     cfg = kirchhoff_routh.find_critical_point(msh, starts)
-    branch = lane_emden.continue_in_p(msh, cfg, min(p_list[0], 10.0), p_list[-1],
-                                      record_at=p_list, tol=args.tol)
+    branch = lane_emden.continue_in_p(msh, cfg, min(p_list[0], 10.0), p_list, tol=args.tol)
     return msh, cfg, branch
 
 
@@ -180,10 +179,9 @@ def cmd_pohozaev(args) -> int:
             gb = pohozaev.gradient_balance(e)
             for j, s in enumerate(e.spikes):
                 rep = pohozaev.pohozaev_residuals(msh, e.u, e.p, s.position, 8 * msh.h)
-                w.writerow([e.p, j + 1, rep.theta, repr(rep.q_residuals[0]),
-                            repr(rep.q_residuals[1]), repr(rep.p_residual),
-                            repr(gb.residuals[j][0]), repr(gb.residuals[j][1]),
-                            repr(gb.ratios[j])])
+                w.writerow([e.p, j + 1, rep.theta] + [repr(float(v)) for v in (
+                    rep.q_residuals[0], rep.q_residuals[1], rep.p_residual,
+                    gb.residuals[j][0], gb.residuals[j][1], gb.ratios[j])])
     print(f"wrote {out}")
     return 0
 

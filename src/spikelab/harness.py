@@ -46,9 +46,7 @@ class RunConfig:
     p_start: float = 10.0
     newton_tol: float = 1e-10
     out_dir: str = "out"
-    checks: list = field(default_factory=lambda: ["all"])
     start_points: list | None = None
-    spectrum_enabled: bool = True
 
     def validate(self) -> None:
         if not self.p_list:
@@ -107,14 +105,10 @@ def parse_config_text(text: str) -> RunConfig:
             cfg.p_start = float(value)
         elif key == "run.start_points":
             cfg.start_points = value
-        elif key == "run.spectrum":
-            cfg.spectrum_enabled = bool(value) if isinstance(value, int) else value == "on"
         elif key == "tol.newton":
             cfg.newton_tol = float(value)
         elif key == "out.dir":
             cfg.out_dir = str(value)
-        elif key == "checks.enable":
-            cfg.checks = value if isinstance(value, list) else [str(value)]
         else:
             raise ConfigError(f"unknown config key: {key}")
     if not cfg.domain_params and cfg.domain_kind == "disk":
@@ -291,7 +285,7 @@ BRANCH_COLUMNS = ["p", "j", "x_j", "y_j", "u_max_j", "eps_j", "C_j", "energy", "
 def branch_csv_text(branch: lane_emden.SolutionBranch) -> str:
     lines = [",".join(BRANCH_COLUMNS)]
     for row in branch.csv_rows():
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
+        lines.append(",".join(repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
                               for c in BRANCH_COLUMNS))
     return "\n".join(lines) + "\n"
 
@@ -378,9 +372,7 @@ def run_sweep(cfg: RunConfig) -> dict:
 
     # continuation
     try:
-        branch = lane_emden.continue_in_p(
-            msh, kr_cfg, cfg.p_start, cfg.p_list[-1], record_at=cfg.p_list, tol=cfg.newton_tol
-        )
+        branch = lane_emden.continue_in_p(msh, kr_cfg, cfg.p_start, cfg.p_list, tol=cfg.newton_tol)
     except Exception as exc:  # noqa: BLE001
         records.append(
             VerificationRecord(
@@ -431,7 +423,8 @@ def run_sweep(cfg: RunConfig) -> dict:
             "peak height follows sqrt(e)(1 - log p/(p-1) + (4 pi Psi + 3 log 2 + 2)/p)",
             None,
             {"p": ps.tolist(), "u_max": umax.tolist(), "residual": peak_resid.tolist(),
-             "resolved": [e.spikes[0].resolved for e in branch.entries]},
+             "resolved": [e.spikes[0].resolved for e in branch.entries],
+             "strategy": [e.strategy for e in branch.entries]},
             "informational",
             True,
             notes="2-D grid values; where resolved is false, eps is below the lattice cell",

@@ -218,6 +218,8 @@ class BranchEntry:
     residual: float
     d: float
     mesh: GridMesh = field(repr=False, default=None)
+    # how continue_in_p reached this entry: "ansatz" or "arclength"
+    strategy: str | None = None
 
 
 @dataclass
@@ -264,7 +266,7 @@ def log_eps(p: float, u_max: float) -> float:
 def extract_spikes(mesh: GridMesh, u: np.ndarray, p: float, k: int, d: float) -> list[SpikeData]:
     """Locate the k peaks (biquadratic sub-grid refinement), their heights,
     scales eps_j, and local masses C_j = integral of u^p over B_d by the
-    mesh's ball quadrature (partial cells weighted by covered fraction).
+    mesh's ball quadrature (each dual cell weighted by its area in the ball).
 
     Warns with ``UnderResolvedSpikeWarning`` when a spike is narrower than
     the lattice cell at its peak (``SpikeData.resolved`` is then False).
@@ -321,46 +323,23 @@ def default_spike_radius(mesh: GridMesh, points: np.ndarray) -> float:
     return d
 
 
-def make_entry(mesh: GridMesh, u: np.ndarray, p: float, k: int, d: float, residual: float) -> BranchEntry:
+def make_entry(mesh: GridMesh, u: np.ndarray, p: float, k: int, d: float, residual: float,
+               strategy: str | None = None) -> BranchEntry:
     spikes = extract_spikes(mesh, u, p, k, d)
-    return BranchEntry(p, u, spikes, energy_functional(mesh, u, p), residual, d, mesh)
+    return BranchEntry(p, u, spikes, energy_functional(mesh, u, p), residual, d, mesh, strategy)
 
 
-def _natural_march(mesh, u, p, target, psi1, tol, dp_init=2.0):
-    """Plain p-stepping with the halving/doubling policy; raises on stall."""
-    dp = dp_init
-    floor_hits = 0
-    successes = 0
-    info = None
-    while p < target - 1e-12:
-        p_next = min(p + dp, target)
-        ratio = predicted_umax(p_next, psi1) / predicted_umax(p, psi1)
-        try:
-            u_next, info = newton_solve(mesh, u * ratio, p_next, tol=tol)
-        except (NewtonDivergedError, TrivialSolutionError):
-            successes = 0
-            if dp <= 0.25 + 1e-12:
-                floor_hits += 1
-                if floor_hits >= 3:
-                    raise StalledContinuationError(f"continuation stalled near p={p}")
-            dp = max(dp / 2.0, 0.25)
-            continue
-        floor_hits = 0
-        successes += 1
-        if successes >= 3:
-            dp = min(dp * 2.0, 8.0)
-            successes = 0
-        p, u = p_next, u_next
-    return u, p, info
+ARCLENGTH_DS = 0.5  # first arclength step
+ARCLENGTH_MAX_STEPS = 2000
 
 
-def _arclength_march(mesh, u, p, target, tol, ds_init=0.5, max_steps=2000):
+def _arclength_march(mesh, u, p, target, tol):
     """Pseudo-arclength continuation of (u, p) until a fixed-p solve at
     ``target`` succeeds.
 
     The under-resolved discrete branch folds in p while the peak sharpens
-    grid cell by grid cell, so plain p-stepping hits turning points where no
-    nearby solution exists at the incremented p.  Arclength steps follow the
+    grid cell by grid cell, so the solution at ``target`` may lie beyond
+    turning points where no nearby solution exists.  Arclength steps follow the
     fold cascade; whenever a step crosses the target exponent a plain Newton
     solve is attempted there.  Inner products weight the field by the node
     areas (the discrete L2 product) so the p-component is commensurable.
@@ -385,8 +364,8 @@ def _arclength_march(mesh, u, p, target, tol, ds_init=0.5, max_steps=2000):
 
     tau = solved_tangent(u, p, (np.zeros_like(u), 1.0))
     u_prev, p_prev = None, None
-    ds = ds_init
-    for _ in range(max_steps):
+    ds = ARCLENGTH_DS
+    for _ in range(ARCLENGTH_MAX_STEPS):
         u0, p0 = u, p
         uv = u0 + ds * tau[0]
         pv = p0 + ds * tau[1]
@@ -454,53 +433,36 @@ def continue_in_p(
     mesh: GridMesh,
     cfg: SpikeConfig,
     p_start: float,
-    p_end: float,
-    record_at: list[float] | None = None,
+    p_list: list[float],
     tol: float = 1e-10,
-    dp_init: float = 2.0,
 ) -> SolutionBranch:
-    """March the branch from p_start to p_end and record entries.
+    """Solve the branch at p_start and record it at every p >= p_start of
+    ``p_list`` (p_start itself only if listed).
 
-    Plain p-steps (halving on failure, doubling after 3 successes, with
-    0.25 <= dp <= 8) are used while they work; when they stall at the
-    under-resolution fold cascade the marcher switches to pseudo-arclength
-    until the next recording exponent is reached.  Entries are recorded at
-    every point of ``record_at`` (default: every natural step).
+    For large p only one solution concentrates at a non-degenerate
+    Kirchhoff-Routh point, so each recorded p is Newton-solved from its own
+    spike ansatz (strategy "ansatz").  Where the grid does not resolve the
+    peak the discrete branch folds cell by cell and that solve can fail;
+    pseudo-arclength then follows the branch from the last solution to p
+    (strategy "arclength").
     """
     if p_start < 5:
         raise ValueError("continuation starts at p >= 5")
-    targets = sorted(set(record_at)) if record_at else None
     d = default_spike_radius(mesh, cfg.points)
-    psi1 = float(cfg.psi_parts[0])
-
     branch = SolutionBranch(mesh, cfg.k)
-    u, info = newton_solve(mesh, ansatz(mesh, cfg, p_start), p_start, tol=tol)
     p = p_start
-
-    def record(pv, uv, rv):
-        if targets is None or any(abs(pv - t) < 1e-9 for t in targets):
-            branch.entries.append(make_entry(mesh, uv, pv, cfg.k, d, rv))
-
-    record(p, u, info["residual"])
-    waypoints = [t for t in (targets or [])] or []
-    ahead = [t for t in waypoints if t > p + 1e-9] or []
-    stops = ahead + ([] if (ahead and abs(ahead[-1] - p_end) < 1e-9) else [p_end])
-    for stop in stops:
-        try:
-            u, p, info = _natural_march(mesh, u, p, stop, psi1, tol, dp_init=dp_init)
-            rv = info["residual"] if info else 0.0
-        except StalledContinuationError:
-            # past the under-resolution transition a fresh ansatz lands on
-            # the same branch directly (checked against the fold cascade);
-            # inside the transition it fails and arclength takes over
+    u, info = newton_solve(mesh, ansatz(mesh, cfg, p), p, tol=tol)
+    strategy = "ansatz"
+    for target in sorted(t for t in set(p_list) if t > p_start - 1e-9):
+        if target > p + 1e-9:
             try:
-                u, info = newton_solve(mesh, ansatz(mesh, cfg, stop), stop, tol=tol)
-                p = stop
+                u, info = newton_solve(mesh, ansatz(mesh, cfg, target), target, tol=tol)
+                strategy = "ansatz"
             except (NewtonDivergedError, TrivialSolutionError):
-                u, info = _arclength_march(mesh, u, p, stop, tol)
-                p = stop
-            rv = info["residual"]
-        record(p, u, rv)
+                u, info = _arclength_march(mesh, u, p, target, tol)
+                strategy = "arclength"
+            p = target
+        branch.entries.append(make_entry(mesh, u, p, cfg.k, d, info["residual"], strategy))
     return branch
 
 

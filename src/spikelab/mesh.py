@@ -206,6 +206,21 @@ def _dual_widths(lines: np.ndarray) -> np.ndarray:
     return 0.5 * (np.concatenate([gaps[:1], gaps]) + np.concatenate([gaps, gaps[-1:]]))
 
 
+def _disk_corner_area(x: np.ndarray, y: np.ndarray, r: float) -> np.ndarray:
+    """Signed area of the disk |z| <= r inside the rectangle with corners 0
+    and (x, y), odd in x and in y; the area of a rectangle [x0, x1] x [y0, y1]
+    within the disk is the alternating sum over its four corners."""
+    ax, ay = np.minimum(np.abs(x), r), np.minimum(np.abs(y), r)
+    # below the abscissa where the circle falls under height ay, the strip is
+    # a rectangle of height ay; beyond it, the area under the arc
+    xc = np.minimum(ax, np.sqrt(r * r - ay * ay))
+
+    def under_arc(t):  # integral of sqrt(r^2 - s^2) over [0, t]
+        return 0.5 * (t * np.sqrt(r * r - t * t) + r * r * np.arcsin(t / r))
+
+    return np.sign(x) * np.sign(y) * (ay * xc + under_arc(ax) - under_arc(xc))
+
+
 @dataclass
 class GridMesh:
     """Interior nodes of a tensor-product lattice with per-arm boundary fractions.
@@ -272,26 +287,22 @@ class GridMesh:
     def ball_weights(self, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature of the disk B(center, radius) on node values.
 
-        Each node carries its dual-cell area times the fraction of that cell
-        inside the disk (4x4 sub-samples).  Returns (node indices, weights).
+        Each node carries the exact area of its dual cell (a rectangle)
+        within the disk.  Returns (node indices, weights).
         """
         c = np.asarray(center, dtype=float)
         reach = radius + max(float(np.max(np.diff(self.xs))), float(np.max(np.diff(self.ys))))
         rel = self.coords - c
         near = np.nonzero(np.hypot(rel[:, 0], rel[:, 1]) <= reach)[0]
-        offs = (np.arange(4) + 0.5) / 4.0 - 0.5
-        samples = []
+        lo, hi = [], []
         for axis, lines in ((0, self.xs), (1, self.ys)):
             k = self.ij[near, axis]
-            left = 0.5 * (lines[k] - lines[k - 1])
-            right = 0.5 * (lines[k + 1] - lines[k])
-            # the dual cell is off-centre by half the difference of the arms
-            samples.append(rel[near, axis, None] + 0.5 * (right - left)[:, None]
-                           + offs[None, :] * (left + right)[:, None])
-        inside = np.hypot(samples[0][:, :, None], samples[1][:, None, :]) <= radius
-        frac = inside.reshape(len(near), -1).mean(axis=1)
-        keep = frac > 0
-        return near[keep], frac[keep] * self.node_area[near[keep]]
+            lo.append(rel[near, axis] - 0.5 * (lines[k] - lines[k - 1]))
+            hi.append(rel[near, axis] + 0.5 * (lines[k + 1] - lines[k]))
+        area = (_disk_corner_area(hi[0], hi[1], radius) - _disk_corner_area(lo[0], hi[1], radius)
+                - _disk_corner_area(hi[0], lo[1], radius) + _disk_corner_area(lo[0], lo[1], radius))
+        keep = area > 0
+        return near[keep], area[keep]
 
     # ---- field storage and interpolation -------------------------------
 

@@ -65,8 +65,10 @@ class AcceptanceContext:
     def disk_entry(self, n: int, p: float) -> lane_emden.BranchEntry:
         """Branch entry at (h = 1/n, p) via the mesh ladder.
 
-        The coarsest mesh runs p-continuation (with its arclength fallback
-        through the under-resolution folds); finer meshes Newton-solve from
+        The coarsest mesh (h = 1/64) solves the branch at p = 10, 20 and 40
+        with ``continue_in_p``: a Newton solve from the spike ansatz at each
+        p, and pseudo-arclength from the previous p only where that solve
+        fails in the under-resolution folds.  Finer meshes Newton-solve from
         the interpolated next-coarser solution.  The ladder lands on the
         same discrete solution as pure p-continuation (checked to 2e-15 at
         h = 1/128, p = 20) at a fraction of the factorization cost.
@@ -75,10 +77,9 @@ class AcceptanceContext:
         if key not in self._cache:
             if n <= 64:
                 branch = self._cache.get("disk-branch-64")
-                if branch is None or not any(abs(q - p) < 1e-9 for q in branch.p_values):
+                if branch is None:
                     branch = lane_emden.continue_in_p(
-                        self.disk_mesh(64), self.disk_kr(64), 10.0, max(40.0, p),
-                        record_at=[10.0, 20.0, 40.0],
+                        self.disk_mesh(64), self.disk_kr(64), 10.0, [10.0, 20.0, 40.0]
                     )
                     self._cache["disk-branch-64"] = branch
                 self._cache[key] = branch.at_p(p)
@@ -132,9 +133,7 @@ class AcceptanceContext:
                 if branch is None:
                     msh = self.ellipse_mesh(64)
                     cfg = kirchhoff_routh.find_critical_point(msh, [(0.25, 0.12)])
-                    branch = lane_emden.continue_in_p(
-                        msh, cfg, 10.0, 80.0, record_at=[20.0, 40.0, 80.0]
-                    )
+                    branch = lane_emden.continue_in_p(msh, cfg, 10.0, [20.0, 40.0, 80.0])
                     self._cache["ellipse-branch-64"] = branch
                 self._cache[key] = branch.at_p(p)
             else:

@@ -45,6 +45,9 @@ def test_liouville_command(capsys, tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0] == "r,w0,w0_prime"
     assert len(lines) > 1000
+    for line in lines[1:]:
+        for cell in line.split(","):
+            float(cell)
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{"):])
     assert payload["mass"]["rel_err"] < 1e-10
@@ -70,6 +73,9 @@ def test_sweep_and_pohozaev_commands(tmp_path, capsys):
     rows = (tmp_path / "poho.csv").read_text().splitlines()
     assert rows[0].startswith("p,j,theta,q1_residual")
     assert len(rows) == 3
+    for line in rows[1:] + branch.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            float(cell)
 
 
 def test_domain_parse_errors():

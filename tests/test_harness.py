@@ -57,7 +57,6 @@ run.h_list = 1/64, 1/128
 run.p_list = 10, 20, 40
 tol.newton = 1e-9
 out.dir = results
-checks.enable = all
 """
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -78,6 +77,10 @@ def test_config_rejects_bad_values():
         harness.parse_config_text("nonsense.key = 3")
     with pytest.raises(ConfigError, match="unknown config key: tol.linsolve"):
         harness.parse_config_text("tol.linsolve = 1e-10")
+    with pytest.raises(ConfigError, match="unknown config key: run.spectrum"):
+        harness.parse_config_text("run.spectrum = on")
+    with pytest.raises(ConfigError, match="unknown config key: checks.enable"):
+        harness.parse_config_text("checks.enable = all")
     with pytest.raises(ConfigError):
         harness.parse_config_text("just some words")
 
@@ -129,12 +132,15 @@ def test_branch_csv_columns():
 
 @pytest.mark.slow
 def test_run_sweep_deterministic(tmp_path):
-    cfg = RunConfig(h_list=[1.0 / 32], p_list=[8.0, 10.0], p_start=8.0, spectrum_enabled=False)
+    cfg = RunConfig(h_list=[1.0 / 32], p_list=[8.0, 10.0], p_start=8.0)
     out1 = harness.run_sweep(cfg)
     out2 = harness.run_sweep(cfg)
     csv1 = harness.branch_csv_text(out1["branch"])
     csv2 = harness.branch_csv_text(out2["branch"])
     assert csv1 == csv2
+    for line in csv1.splitlines()[1:]:
+        for cell in line.split(","):
+            float(cell)
     r1 = json.dumps([r.to_dict() for r in out1["records"]], sort_keys=True)
     r2 = json.dumps([r.to_dict() for r in out2["records"]], sort_keys=True)
     assert r1 == r2

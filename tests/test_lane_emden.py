@@ -152,8 +152,9 @@ def test_peak_mass_approaches_limit(disk64, solved_p10):
 
 @pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
 def test_continuation_records_targets(disk64, kr_disk):
-    br = le.continue_in_p(disk64, kr_disk, 10.0, 14.0, record_at=[10.0, 12.0, 14.0])
+    br = le.continue_in_p(disk64, kr_disk, 10.0, [10.0, 12.0, 14.0])
     assert br.p_values == [10.0, 12.0, 14.0]
+    assert [e.strategy for e in br.entries] == ["ansatz", "ansatz", "arclength"]
     umax = [e.spikes[0].u_max for e in br.entries]
     assert umax[0] > umax[-1] or umax[0] < 2.0
     rows = br.csv_rows()

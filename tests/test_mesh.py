@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.optimize import bisect
 
 from spikelab import greens, linsolve
@@ -341,7 +342,34 @@ def test_graded_mesh_refine_stationary(graded):
 def test_graded_ball_weights_measure_area(graded, center):
     theta = 0.125
     area = _ball_sum(graded, np.ones(graded.n_nodes), center, theta)
-    assert abs(area - np.pi * theta**2) < 1e-4
+    assert abs(area - np.pi * theta**2) < 1e-12 * np.pi * theta**2
+
+
+def test_ball_weights_are_cut_cell_areas(graded):
+    # every corner sum telescopes to the disk's area, so the total alone does
+    # not test the corner formula; check each cut cell against a 1-D quadrature
+    c, r = np.array([0.013, -0.02]), 0.125
+    idx, wts = graded.ball_weights(c, r)
+    checked = 0
+    for n, w in zip(idx, wts):
+        i, j = graded.ij[n]
+        x0, x1 = 0.5 * (graded.xs[i - 1:i + 1] + graded.xs[i:i + 2]) - c[0]
+        y0, y1 = 0.5 * (graded.ys[j - 1:j + 1] + graded.ys[j:j + 2]) - c[1]
+        if max(x0 * x0, x1 * x1) + max(y0 * y0, y1 * y1) <= r * r:
+            assert w == pytest.approx((x1 - x0) * (y1 - y0), rel=1e-12)
+            continue
+
+        def chord(x):
+            s = np.sqrt(max(r * r - x * x, 0.0))
+            return max(0.0, min(y1, s) - max(y0, -s))
+
+        kinks = [x for yy in (y0, y1) if yy * yy < r * r
+                 for x in (np.sqrt(r * r - yy * yy), -np.sqrt(r * r - yy * yy))
+                 if max(x0, -r) < x < min(x1, r)]
+        ref = quad(chord, max(x0, -r), min(x1, r), points=kinks or None, epsabs=0.0, epsrel=1e-13)[0]
+        assert abs(w - ref) <= 1e-11 * (x1 - x0) * (y1 - y0)
+        checked += 1
+    assert checked > 50
 
 
 def test_lines_must_enclose_domain():
