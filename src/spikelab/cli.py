@@ -85,8 +85,6 @@ def cmd_kr(args) -> int:
     else:
         cx, cy = dom.center()
         starts = np.array([[cx + 0.1, cy + 0.05]])
-    if len(starts) != args.k:
-        raise SystemExit(f"need {args.k} start points, got {len(starts)}")
     cfg = kirchhoff_routh.find_critical_point(msh, starts)
     _emit(
         {
@@ -122,12 +120,12 @@ def cmd_liouville(args) -> int:
 
 
 def _solve_at(args, p_list):
-    """Solve the branch at its Kirchhoff-Routh point and record it at each p
-    of the ascending p_list."""
+    """Solve the one-spike branch at its Kirchhoff-Routh point and record it at
+    each p of the ascending p_list."""
     dom = parse_domain(args.domain)
     msh = mesh_mod.build_mesh(dom, args.h)
     cx, cy = dom.center()
-    starts = np.array([[cx + 0.1, cy + 0.05]][: args.k])
+    starts = np.array([[cx + 0.1, cy + 0.05]])
     cfg = kirchhoff_routh.find_critical_point(msh, starts)
     branch = lane_emden.continue_in_p(msh, cfg, min(p_list[0], 10.0), p_list, tol=args.tol)
     return msh, cfg, branch
@@ -239,7 +237,6 @@ def main(argv=None) -> int:
             sp.add_argument("--domain", default="disk,r=1")
         sp.add_argument("--h", type=parse_h, default=1.0 / 64,
                         help="grid spacing (fractions like 1/128 accepted)")
-        sp.add_argument("--k", type=int, default=1)
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--out", default=None)
 
@@ -250,7 +247,8 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("kr", help="Kirchhoff-Routh critical point search")
     common(sp)
-    sp.add_argument("--start", default=None, help="x,y[;x,y...]")
+    sp.add_argument("--start", default=None,
+                    help="x,y[;x,y...]: one start point per spike, k = their number")
     sp.set_defaults(func=cmd_kr)
 
     sp = sub.add_parser("liouville", help="bubble constants and w0 table")

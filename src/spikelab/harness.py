@@ -70,7 +70,7 @@ def _parse_value(text: str):
         try:
             num, den = text.split("/")
             return float(num) / float(den)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     for cast in (int, float):
         try:
@@ -78,6 +78,15 @@ def _parse_value(text: str):
         except ValueError:
             continue
     return text
+
+
+def _number(key: str, value, cast=float):
+    """cast(value), or a ConfigError naming the key when the value is no number
+    (text such as '1/0' or '1/64/2' that _parse_value left unparsed)."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: not a number: {value!r}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -96,17 +105,17 @@ def parse_config_text(text: str) -> RunConfig:
         elif key.startswith("domain."):
             cfg.domain_params[key.split(".", 1)[1]] = value
         elif key == "run.k":
-            cfg.k = int(value)
+            cfg.k = _number(key, value, int)
         elif key == "run.h_list":
-            cfg.h_list = [float(v) for v in (value if isinstance(value, list) else [value])]
+            cfg.h_list = [_number(key, v) for v in (value if isinstance(value, list) else [value])]
         elif key == "run.p_list":
-            cfg.p_list = [float(v) for v in (value if isinstance(value, list) else [value])]
+            cfg.p_list = [_number(key, v) for v in (value if isinstance(value, list) else [value])]
         elif key == "run.p_start":
-            cfg.p_start = float(value)
+            cfg.p_start = _number(key, value)
         elif key == "run.start_points":
             cfg.start_points = value
         elif key == "tol.newton":
-            cfg.newton_tol = float(value)
+            cfg.newton_tol = _number(key, value)
         elif key == "out.dir":
             cfg.out_dir = str(value)
         else:

@@ -1,14 +1,15 @@
 """Kirchhoff-Routh function of spike configurations: evaluation, damped-Newton
 critical point search, and Hessian-based non-degeneracy certification.
 
-Psi_k(a) = sum_j [ R(a_j) - sum_{m != j} G(a_j, a_m) ];  derivatives are taken
-by nested finite differences over Green re-solves (the mesh Laplacian is
-factorized once, so each re-solve is a cheap triangular solve).
+Psi_k(a) = sum_j [ R(a_j) - sum_{m != j} G(a_j, a_m) ];  its gradient and
+Hessian come from ``greens.central_differences`` over Green re-solves (the
+mesh Laplacian is factorized once, so each re-solve is a cheap triangular
+solve).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from . import greens
 from .mesh import GridMesh
 
 MIN_SEPARATION_FACTOR = 4.0  # in units of h; G interpolation degrades closer
-HESSIAN_SINGULAR_MARGIN = 1e-6
 
 
 class CoincidentPointsError(ValueError):
@@ -44,8 +44,6 @@ class SpikeConfig:
     nondeg_margin: float | None = None
     eigenvalues: np.ndarray | None = None
     classification: str | None = None
-    hessian_singular: bool = False
-    history: list = field(default_factory=list)
 
 
 def _check_points(mesh: GridMesh, points: np.ndarray) -> None:
@@ -85,89 +83,54 @@ def _psi_total(mesh: GridMesh, flat: np.ndarray) -> float:
     return psi_eval(mesh, flat.reshape(-1, 2)).psi_total
 
 
-def _fd_gradient(f, x0: np.ndarray, delta: float) -> np.ndarray:
-    g = np.empty(x0.size)
-    for i in range(x0.size):
-        e = np.zeros(x0.size)
-        e[i] = delta
-        g[i] = (f(x0 + e) - f(x0 - e)) / (2 * delta)
-    return g
-
-
-def _fd_hessian(f, x0: np.ndarray, delta: float, f0: float | None = None) -> np.ndarray:
-    d = x0.size
-    if f0 is None:
-        f0 = f(x0)
-    H = np.empty((d, d))
-    fp = np.empty(d)
-    fm = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = delta
-        fp[i] = f(x0 + e)
-        fm[i] = f(x0 - e)
-        H[i, i] = (fp[i] - 2 * f0 + fm[i]) / delta**2
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = delta
-            ej[j] = delta
-            H[i, j] = H[j, i] = (
-                f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)
-            ) / (4 * delta**2)
-    return H
-
-
 def find_critical_point(
     mesh: GridMesh,
     initial,
     tol: float = 1e-7,
     max_iter: int = 40,
-    delta: float | None = None,
 ) -> SpikeConfig:
     """Damped Newton on grad Psi_k.  Steps are halved (down to 1/8) until the
     gradient norm decreases; the returned configuration carries gradient,
-    Hessian and the non-degeneracy margin at the critical point."""
-    x = np.atleast_2d(np.asarray(initial, dtype=float)).reshape(-1).copy()
-    if delta is None:
-        delta = 2.0 * mesh.h
+    Hessian and the non-degeneracy margin at the critical point.
+
+    Gradient and Hessian come from one central-difference stencil of step 2h
+    at the start and at each trial point, so no stencil point is solved twice.
+    """
+    delta = 2.0 * mesh.h
     f = lambda flat: _psi_total(mesh, flat)
-    history = []
-    grad = _fd_gradient(f, x, delta)
-    for it in range(max_iter):
-        gnorm = float(np.linalg.norm(grad))
-        history.append({"iter": it, "points": x.reshape(-1, 2).tolist(), "grad_norm": gnorm})
+
+    def stencil(flat: np.ndarray) -> SpikeConfig:
+        cfg = psi_eval(mesh, flat.reshape(-1, 2))
+        cfg.grad, cfg.hess = greens.central_differences(f, flat, delta, cfg.psi_total)
+        return cfg
+
+    cfg = stencil(np.asarray(initial, dtype=float).reshape(-1))
+    for _ in range(max_iter):
+        gnorm = float(np.linalg.norm(cfg.grad))
         if gnorm <= tol:
             break
-        hess = _fd_hessian(f, x, delta)
+        x = cfg.points.reshape(-1)
         try:
-            step = np.linalg.solve(hess, -grad)
+            step = np.linalg.solve(cfg.hess, -cfg.grad)
         except np.linalg.LinAlgError:
-            step = -grad
-        accepted = False
+            step = -cfg.grad
         for alpha in (1.0, 0.5, 0.25, 0.125):
             trial = x + alpha * step
             try:
                 _check_points(mesh, trial.reshape(-1, 2))
             except (CoincidentPointsError, PointNearBoundaryError):
                 continue
-            trial_grad = _fd_gradient(f, trial, delta)
-            if np.linalg.norm(trial_grad) < gnorm:
-                x, grad = trial, trial_grad
-                accepted = True
+            trial_cfg = stencil(trial)
+            if np.linalg.norm(trial_cfg.grad) < gnorm:
+                cfg = trial_cfg
                 break
-        if not accepted:
+        else:
             raise NewtonDivergedError(
                 f"no damping step reduced |grad Psi| (stuck at {gnorm:.3e})"
             )
     else:
         raise NewtonDivergedError(f"Newton did not reach tol={tol} in {max_iter} iterations")
 
-    cfg = psi_eval(mesh, x.reshape(-1, 2))
-    cfg.grad = grad
-    cfg.hess = _fd_hessian(f, x, delta)
-    cfg.history = history
     _fill_nondegeneracy(cfg)
     return cfg
 
@@ -177,19 +140,9 @@ def _fill_nondegeneracy(cfg: SpikeConfig) -> None:
     eigs = np.linalg.eigvalsh(sym)
     cfg.eigenvalues = eigs
     cfg.nondeg_margin = float(np.min(np.abs(eigs)))
-    cfg.hessian_singular = cfg.nondeg_margin < HESSIAN_SINGULAR_MARGIN
     if np.all(eigs > 0):
         cfg.classification = "minimum"
     elif np.all(eigs < 0):
         cfg.classification = "maximum"
     else:
         cfg.classification = "saddle"
-
-
-def nondegeneracy_check(cfg: SpikeConfig) -> tuple[float, np.ndarray, str]:
-    """Margin (min |eigenvalue|), eigenvalue list, and min/max/saddle class of
-    the 2k x 2k Hessian at a critical point."""
-    if cfg.hess is None:
-        raise ValueError("configuration has no Hessian; run find_critical_point")
-    _fill_nondegeneracy(cfg)
-    return cfg.nondeg_margin, cfg.eigenvalues, cfg.classification

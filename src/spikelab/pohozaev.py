@@ -247,7 +247,7 @@ class GradientBalance:
     eps_p: float
 
 
-def gradient_balance(entry: BranchEntry, delta: float | None = None) -> GradientBalance:
+def gradient_balance(entry: BranchEntry) -> GradientBalance:
     """Left side of the spike force balance, per spike j and component i:
 
         C_j dR(x_j)/dx_i - 2 sum_{m != j} C_m D_{x_i} G(x_m, x_j)
@@ -258,7 +258,7 @@ def gradient_balance(entry: BranchEntry, delta: float | None = None) -> Gradient
     pts = [s.position for s in entry.spikes]
     grads = []
     for s in entry.spikes:
-        g, _ = greens.robin_derivatives(mesh, s.position, delta)
+        g, _ = greens.robin_derivatives(mesh, s.position)
         grads.append(g)
     gds = [greens.regular_part(mesh, a) for a in pts]
     residuals = []

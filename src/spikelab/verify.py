@@ -133,7 +133,7 @@ class AcceptanceContext:
                 if branch is None:
                     msh = self.ellipse_mesh(64)
                     cfg = kirchhoff_routh.find_critical_point(msh, [(0.25, 0.12)])
-                    branch = lane_emden.continue_in_p(msh, cfg, 10.0, [20.0, 40.0, 80.0])
+                    branch = lane_emden.continue_in_p(msh, cfg, 20.0, [20.0, 40.0, 80.0])
                     self._cache["ellipse-branch-64"] = branch
                 self._cache[key] = branch.at_p(p)
             else:

@@ -38,6 +38,17 @@ def test_kr_command(capsys):
     assert out["nondeg_margin"] == pytest.approx(0.3183, rel=0.1)
 
 
+def test_kr_takes_k_from_start_points(capsys):
+    rc = cli.main(["kr", "--domain", "annulus,r_in=0.4,r_out=1", "--h", "1/24",
+                   "--start", "0.68,0;-0.68,0"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["k"] == 2
+    assert len(out["points"]) == 2 and len(out["hess"]) == 4
+    with pytest.raises(SystemExit):
+        cli.main(["solve", "--k", "2", "--p", "10"])
+
+
 def test_liouville_command(capsys, tmp_path):
     dump = tmp_path / "w0.csv"
     rc = cli.main(["liouville", "--verify", "--dump-w0", str(dump)])

@@ -83,6 +83,10 @@ def test_config_rejects_bad_values():
         harness.parse_config_text("checks.enable = all")
     with pytest.raises(ConfigError):
         harness.parse_config_text("just some words")
+    with pytest.raises(ConfigError, match="run.h_list"):
+        harness.parse_config_text("run.h_list = 1/0")
+    with pytest.raises(ConfigError, match="run.h_list"):
+        harness.parse_config_text("run.h_list = 1/64/2")
 
 
 def test_empty_p_list_invalid():

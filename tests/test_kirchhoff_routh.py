@@ -66,6 +66,27 @@ def test_find_critical_point_ellipse():
     assert cfg.nondeg_margin > 0
 
 
+def test_search_solves_each_stencil_point_once(monkeypatch):
+    m = build_mesh(make_domain("disk", r=1.0), 1.0 / 32)
+    sources = []
+    solve = greens.regular_part
+
+    def counted(mesh, x0, *args, **kwargs):
+        sources.append(tuple(np.asarray(x0, dtype=float)))
+        return solve(mesh, x0, *args, **kwargs)
+
+    monkeypatch.setattr(greens, "regular_part", counted)
+    cfg = kr.find_critical_point(m, [(0.3, 0.2)])
+    monkeypatch.undo()
+    assert len(sources) == len(set(sources))
+    # one Newton step's stencil per accepted trial, plus the start's
+    assert len(sources) % 9 == 0 and len(sources) >= 18
+    f = lambda flat: kr._psi_total(m, flat)
+    grad, hess = greens.central_differences(f, cfg.points.reshape(-1), 2 * m.h)
+    assert np.array_equal(cfg.grad, grad)
+    assert np.array_equal(cfg.hess, hess)
+
+
 def test_symmetric_k2_iterates_stay_symmetric():
     m = build_mesh(make_domain("annulus", r_in=0.4, r_out=1.0), 1.0 / 24)
     t = 0.68
@@ -73,8 +94,7 @@ def test_symmetric_k2_iterates_stay_symmetric():
     x = np.array([t, 0.0, -t, 0.0])
     delta = 2 * m.h
     for _ in range(3):
-        grad = kr._fd_gradient(f, x, delta)
-        hess = kr._fd_hessian(f, x, delta)
+        grad, hess = greens.central_differences(f, x, delta)
         x = x + np.linalg.solve(hess, -grad)
         assert x[0] == pytest.approx(-x[2], abs=1e-7)
         assert x[1] == pytest.approx(-x[3], abs=1e-7)
@@ -84,8 +104,8 @@ def test_fd_gradient_matches_difference_quotient(disk48):
     pt = np.array([0.25, 0.1])
     f = lambda flat: kr._psi_total(disk48, flat)
     d1, d2 = 2 * disk48.h, 4 * disk48.h
-    g1 = kr._fd_gradient(f, pt, d1)
-    g2 = kr._fd_gradient(f, pt, d2)
+    g1, _ = greens.central_differences(f, pt, d1)
+    g2, _ = greens.central_differences(f, pt, d2)
     exact = greens.unit_disk_grad_R(pt)
     # both approximate the closed form at second order in delta
     assert np.linalg.norm(g1 - exact) < np.linalg.norm(g2 - exact) + 5e-5
@@ -94,7 +114,7 @@ def test_fd_gradient_matches_difference_quotient(disk48):
 
 def test_nondegeneracy_margin_invariances(disk48):
     cfg = kr.find_critical_point(disk48, [(0.25, 0.15)])
-    margin, eigs, cls = kr.nondegeneracy_check(cfg)
+    margin, eigs, cls = cfg.nondeg_margin, cfg.eigenvalues, cfg.classification
     # reflection conjugation leaves the spectrum unchanged
     refl = np.diag([-1.0, 1.0])
     hess_r = refl @ cfg.hess @ refl
@@ -108,7 +128,7 @@ def test_relabeling_leaves_margin(disk48):
     pts = np.array([[0.45, 0.0], [-0.45, 0.0]])
     cfg = kr.psi_eval(disk48, pts)
     f = lambda flat: kr._psi_total(disk48, flat)
-    hess = kr._fd_hessian(f, pts.reshape(-1), 2 * disk48.h)
+    _, hess = greens.central_differences(f, pts.reshape(-1), 2 * disk48.h)
     perm = np.zeros((4, 4))
     perm[0, 2] = perm[1, 3] = perm[2, 0] = perm[3, 1] = 1.0
     hess_p = perm @ hess @ perm.T
