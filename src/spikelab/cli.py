@@ -63,7 +63,7 @@ def cmd_green(args) -> int:
     msh = mesh_mod.build_mesh(dom, args.h)
     x0 = np.array([float(t) for t in args.source.split(",")])
     gd = greens.regular_part(msh, x0)
-    grad, hess = greens.robin_derivatives(msh, x0)
+    grad, hess = greens.robin_derivatives(msh, x0, gd.R_value)
     _emit(
         {
             "source": x0.tolist(),

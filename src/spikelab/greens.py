@@ -120,9 +120,9 @@ def central_differences(f, x0: np.ndarray, delta: float, f0: float | None = None
     return grad, hess
 
 
-def robin_derivatives(mesh: GridMesh, x0) -> tuple[np.ndarray, np.ndarray]:
+def robin_derivatives(mesh: GridMesh, x0, R0: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the Robin function at x0: central differences
-    of step 2h over 9 solves of the regular part."""
+    of step 2h over 9 solves of the regular part (8 when R0 = R(x0) is given)."""
     x0 = np.asarray(x0, dtype=float)
     delta = 2.0 * mesh.h
     for s in product((-1, 0, 1), repeat=2):
@@ -130,7 +130,7 @@ def robin_derivatives(mesh: GridMesh, x0) -> tuple[np.ndarray, np.ndarray]:
         if s != (0, 0) and (mesh.boundary_distance(p[0], p[1]) < 3.0 * mesh.h
                             or not bool(mesh.domain.inside(*p))):
             raise StencilLeavesDomainError(f"Robin FD stencil point {p} leaves the domain")
-    return central_differences(lambda x: regular_part(mesh, x).R_value, x0, delta)
+    return central_differences(lambda x: regular_part(mesh, x).R_value, x0, delta, R0)
 
 
 def green_eval(gd: GreenData, y) -> tuple[float, np.ndarray]:

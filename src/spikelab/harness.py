@@ -433,7 +433,8 @@ def run_sweep(cfg: RunConfig) -> dict:
             None,
             {"p": ps.tolist(), "u_max": umax.tolist(), "residual": peak_resid.tolist(),
              "resolved": [e.spikes[0].resolved for e in branch.entries],
-             "strategy": [e.strategy for e in branch.entries]},
+             "strategy": [e.strategy for e in branch.entries],
+             **{key: [e.march[key] for e in branch.entries] for key in lane_emden.MARCH_COUNTS}},
             "informational",
             True,
             notes="2-D grid values; where resolved is false, eps is below the lattice cell",

@@ -63,12 +63,22 @@ def _check_points(mesh: GridMesh, points: np.ndarray) -> None:
             raise PointNearBoundaryError(f"point {points[j]} too close to the boundary")
 
 
-def psi_eval(mesh: GridMesh, points) -> SpikeConfig:
-    """Evaluate Psi_{k,j} and Psi_k at the given interior points (values only)."""
+def psi_eval(mesh: GridMesh, points, *, _solved: dict | None = None) -> SpikeConfig:
+    """Evaluate Psi_{k,j} and Psi_k at the given interior points (values only).
+
+    ``_solved`` maps a source (as a tuple) to its regular part; a search
+    shares one such dict across a stencil so that each source is solved once.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_points(mesh, points)
     k = points.shape[0]
-    gds = [greens.regular_part(mesh, points[j]) for j in range(k)]
+    solved = {} if _solved is None else _solved
+    gds = []
+    for a in points:
+        key = tuple(a)
+        if key not in solved:
+            solved[key] = greens.regular_part(mesh, a)
+        gds.append(solved[key])
     parts = np.empty(k)
     for j in range(k):
         interaction = 0.0
@@ -95,13 +105,16 @@ def find_critical_point(
 
     Gradient and Hessian come from one central-difference stencil of step 2h
     at the start and at each trial point, so no stencil point is solved twice.
+    A stencil point moves one or two spikes and leaves the others where they
+    are, so within one stencil each source's regular part is solved once.
     """
     delta = 2.0 * mesh.h
-    f = lambda flat: _psi_total(mesh, flat)
 
     def stencil(flat: np.ndarray) -> SpikeConfig:
-        cfg = psi_eval(mesh, flat.reshape(-1, 2))
-        cfg.grad, cfg.hess = greens.central_differences(f, flat, delta, cfg.psi_total)
+        solved = {}
+        psi = lambda x: psi_eval(mesh, x.reshape(-1, 2), _solved=solved).psi_total
+        cfg = psi_eval(mesh, flat.reshape(-1, 2), _solved=solved)
+        cfg.grad, cfg.hess = greens.central_differences(psi, flat, delta, cfg.psi_total)
         return cfg
 
     cfg = stencil(np.asarray(initial, dtype=float).reshape(-1))

@@ -218,8 +218,10 @@ class BranchEntry:
     residual: float
     d: float
     mesh: GridMesh = field(repr=False, default=None)
-    # how continue_in_p reached this entry: "ansatz" or "arclength"
+    # how continue_in_p reached this entry: "ansatz" or "arclength", and what
+    # the arclength march cost (MARCH_COUNTS; all zero for an ansatz entry)
     strategy: str | None = None
+    march: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -324,13 +326,15 @@ def default_spike_radius(mesh: GridMesh, points: np.ndarray) -> float:
 
 
 def make_entry(mesh: GridMesh, u: np.ndarray, p: float, k: int, d: float, residual: float,
-               strategy: str | None = None) -> BranchEntry:
+               strategy: str | None = None, march: dict | None = None) -> BranchEntry:
     spikes = extract_spikes(mesh, u, p, k, d)
-    return BranchEntry(p, u, spikes, energy_functional(mesh, u, p), residual, d, mesh, strategy)
+    return BranchEntry(p, u, spikes, energy_functional(mesh, u, p), residual, d, mesh, strategy,
+                       march or {})
 
 
 ARCLENGTH_DS = 0.5  # first arclength step
 ARCLENGTH_MAX_STEPS = 2000
+MARCH_COUNTS = ("accepted_steps", "rejected_steps", "factorizations")
 
 
 def _arclength_march(mesh, u, p, target, tol):
@@ -343,41 +347,45 @@ def _arclength_march(mesh, u, p, target, tol):
     fold cascade; whenever a step crosses the target exponent a plain Newton
     solve is attempted there.  Inner products weight the field by the node
     areas (the discrete L2 product) so the p-component is commensurable.
+
+    The corrector is a chord iteration on one Jacobian factor, with step
+    control after Allgower & Georg (2003, section 6.1): a step is rejected
+    (and ds halved) as soon as the corrector residual is non-finite or grows,
+    or when contraction is slow (the residual falls by less than half) a
+    second time; the first slow iteration refreshes the factor at the current
+    iterate instead.  The tangent solve at the start and each accepted step
+    hand their factor on to the next step's chord iteration (dF/dp is taken at
+    the new predictor); a rejected step's retry factorizes afresh at its
+    predictor.  The returned Newton info gains the march's accepted steps,
+    rejected steps and factorizations (those of the landing Newton solve are
+    its ``iterations``).
     """
     problem = LaneEmdenProblem(mesh)
     area = mesh.node_area
+    counts = dict.fromkeys(MARCH_COUNTS, 0)
 
     def dot(a, b):
         return float((area * a) @ b)
 
-    def jac_parts(uv, pv):
-        return problem.jacobian(uv, pv).factorized(), problem.d_dp(uv, pv)
+    def factorized(uv, pv):
+        counts["factorizations"] += 1
+        return problem.jacobian(uv, pv).factorized()
 
-    def solved_tangent(uv, pv, prev):
-        lu, fp = jac_parts(uv, pv)
-        y = lu.solve(-fp)
-        nrm = math.sqrt(dot(y, y) + 1.0)
-        tu, tp = y / nrm, 1.0 / nrm
-        if prev is not None and (dot(prev[0], tu) + prev[1] * tp) < 0.0:
-            tu, tp = -tu, -tp
-        return tu, tp
-
-    tau = solved_tangent(u, p, (np.zeros_like(u), 1.0))
+    lu = factorized(u, p)  # the chord factor
+    y = lu.solve(-problem.d_dp(u, p))
+    nrm = math.sqrt(dot(y, y) + 1.0)
+    tau = (y / nrm, 1.0 / nrm)
     u_prev, p_prev = None, None
     ds = ARCLENGTH_DS
     for _ in range(ARCLENGTH_MAX_STEPS):
         u0, p0 = u, p
         uv = u0 + ds * tau[0]
         pv = p0 + ds * tau[1]
-        # modified-Newton corrector: the Jacobian is factorized at the
-        # predictor and reused; near folds (slow contraction) it is refreshed
-        # at the current iterate, restoring the full Newton corrector.  A
-        # factor is dropped before the next one is built, so only one is resident
-        lu, fp = jac_parts(uv, pv)
-        b = lu.solve(fp)
+        if lu is None:
+            lu = factorized(uv, pv)
+        b = lu.solve(problem.d_dp(uv, pv))
         denom = tau[1] - dot(tau[0], b)
-        ok = False
-        refreshes = 0
+        ok = refreshed = False
         rn_prev = np.inf
         it = 0
         while it < 24 and denom != 0.0 and np.isfinite(denom):
@@ -389,12 +397,16 @@ def _arclength_march(mesh, u, p, target, tol):
             if rn <= tol and abs(nres) <= 1e-10 * max(1.0, ds):
                 ok = True
                 break
-            if rn > 0.5 * rn_prev and refreshes < 3 and np.isfinite(rn):
+            if not (np.isfinite(rn) and rn <= rn_prev) or (rn > 0.5 * rn_prev and refreshed):
+                break  # diverging, or still slow on a fresh factor
+            if rn > 0.5 * rn_prev:
+                # drop the old factor before the new one is built, so only
+                # one is resident
                 lu = None
-                lu, fp = jac_parts(uv, pv)
-                b = lu.solve(fp)
+                lu = factorized(uv, pv)
+                b = lu.solve(problem.d_dp(uv, pv))
                 denom = tau[1] - dot(tau[0], b)
-                refreshes += 1
+                refreshed = True
                 if denom == 0.0 or not np.isfinite(denom):
                     break
             rn_prev = rn
@@ -404,20 +416,23 @@ def _arclength_march(mesh, u, p, target, tol):
             pv = pv + dp
             if not np.isfinite(pv) or pv <= 1.0:
                 break
-        lu = None
         if not ok:
+            lu = None
+            counts["rejected_steps"] += 1
             ds *= 0.5
             if ds < 1e-5:
                 raise StalledContinuationError(f"arclength continuation stalled near p={p0:.3f}")
             continue
+        counts["accepted_steps"] += 1
         u_prev, p_prev = u0, p0
         u, p = uv, pv
         if (p0 - target) * (p - target) <= 0.0:
             # the step straddles the target exponent: try to land exactly
+            lu = None  # Newton builds its own factors
             w = 0.0 if p == p0 else (target - p0) / (p - p0)
             try:
                 ut, info = newton_solve(mesh, u0 + w * (u - u0), target, tol=tol)
-                return ut, info
+                return ut, {**info, **counts}
             except (NewtonDivergedError, TrivialSolutionError):
                 pass  # fold tangency; keep following the curve
         # secant tangent is one factorization cheaper than the solve-based one
@@ -444,7 +459,8 @@ def continue_in_p(
     spike ansatz (strategy "ansatz").  Where the grid does not resolve the
     peak the discrete branch folds cell by cell and that solve can fail;
     pseudo-arclength then follows the branch from the last solution to p
-    (strategy "arclength").
+    (strategy "arclength").  Each entry's ``march`` holds that march's
+    accepted steps, rejected steps and factorizations (zeros for "ansatz").
     """
     if p_start < 5:
         raise ValueError("continuation starts at p >= 5")
@@ -462,7 +478,8 @@ def continue_in_p(
                 u, info = _arclength_march(mesh, u, p, target, tol)
                 strategy = "arclength"
             p = target
-        branch.entries.append(make_entry(mesh, u, p, cfg.k, d, info["residual"], strategy))
+        march = {key: info.get(key, 0) for key in MARCH_COUNTS}
+        branch.entries.append(make_entry(mesh, u, p, cfg.k, d, info["residual"], strategy, march))
     return branch
 
 

@@ -255,12 +255,8 @@ def gradient_balance(entry: BranchEntry) -> GradientBalance:
     which the asymptotics drive to O(eps_p / p^(2-delta)).
     """
     mesh = entry.mesh
-    pts = [s.position for s in entry.spikes]
-    grads = []
-    for s in entry.spikes:
-        g, _ = greens.robin_derivatives(mesh, s.position)
-        grads.append(g)
-    gds = [greens.regular_part(mesh, a) for a in pts]
+    gds = [greens.regular_part(mesh, s.position) for s in entry.spikes]
+    grads = [greens.robin_derivatives(mesh, gd.source, gd.R_value)[0] for gd in gds]
     residuals = []
     for j, sj in enumerate(entry.spikes):
         bal = sj.C * grads[j].copy()

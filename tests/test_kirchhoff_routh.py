@@ -87,6 +87,28 @@ def test_search_solves_each_stencil_point_once(monkeypatch):
     assert np.array_equal(cfg.hess, hess)
 
 
+def test_k2_search_solves_each_source_once(monkeypatch):
+    m = build_mesh(make_domain("annulus", r_in=0.4, r_out=1.0), 1.0 / 24)
+    sources = []
+    solve = greens.regular_part
+
+    def counted(mesh, x0, *args, **kwargs):
+        sources.append(tuple(np.asarray(x0, dtype=float)))
+        return solve(mesh, x0, *args, **kwargs)
+
+    monkeypatch.setattr(greens, "regular_part", counted)
+    cfg = kr.find_critical_point(m, [(0.68, 0.0), (-0.68, 0.0)])
+    monkeypatch.undo()
+    # a k = 2 stencil moves one or two spikes at a time, so its 33 points
+    # need only 9 positions of each spike
+    assert len(sources) == len(set(sources))
+    assert len(sources) % 18 == 0 and len(sources) >= 36
+    f = lambda flat: kr._psi_total(m, flat)
+    grad, hess = greens.central_differences(f, cfg.points.reshape(-1), 2 * m.h)
+    assert np.array_equal(cfg.grad, grad)
+    assert np.array_equal(cfg.hess, hess)
+
+
 def test_symmetric_k2_iterates_stay_symmetric():
     m = build_mesh(make_domain("annulus", r_in=0.4, r_out=1.0), 1.0 / 24)
     t = 0.68

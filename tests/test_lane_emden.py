@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spikelab import greens, kirchhoff_routh as kr, lane_emden as le, liouville
+from spikelab.linsolve import SparseOperator
 from spikelab.mesh import build_mesh, make_domain
 
 
@@ -159,6 +160,33 @@ def test_continuation_records_targets(disk64, kr_disk):
     assert umax[0] > umax[-1] or umax[0] < 2.0
     rows = br.csv_rows()
     assert {r["p"] for r in rows} == {10.0, 12.0, 14.0}
+
+
+def test_arclength_march_carries_its_factor(monkeypatch):
+    m = build_mesh(make_domain("disk", r=1.0), 1.0 / 32)
+    cfg = kr.psi_eval(m, [(0.0, 0.0)])
+    calls = []
+    factorized = SparseOperator.factorized
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n)
+        return factorized(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseOperator, "factorized", counted)
+    br = le.continue_in_p(m, cfg, 8.0, [8.0, 10.0])
+    monkeypatch.undo()
+    # a corrector that refactorizes every step, and up to 3 more times in
+    # steps it then rejects, makes 115 factorizations here
+    assert len(calls) <= 75
+    assert [e.strategy for e in br.entries] == ["ansatz", "arclength"]
+    assert br.entries[0].march == dict.fromkeys(le.MARCH_COUNTS, 0)
+    march = br.entries[1].march
+    assert 0 < march["rejected_steps"] < march["accepted_steps"]
+    # accepted steps hand their factor on, so there are fewer factors than steps
+    assert march["factorizations"] < march["accepted_steps"] + march["rejected_steps"]
+    e = br.entries[1]
+    assert e.residual <= 1e-10
+    assert len(e.spikes) == 1 and np.hypot(*e.spikes[0].position) < m.h
 
 
 def test_rescale_profile_gauge(disk64, kr_disk, solved_p10):
