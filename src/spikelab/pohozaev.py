@@ -5,21 +5,22 @@ balance of spike configurations.
 P(u,v) = -2 theta * int <grad u, nu><grad v, nu> + theta * int <grad u, grad v>
 Q_i(u,v) = -int (dv/dnu du/dx_i + du/dnu dv/dx_i) + int <grad u, grad v> nu_i
 
-with all integrals over the circle of radius theta (arc measure).  Fields are
-anything exposing values(pts) and gradients(pts); node fields interpolate the
-mesh (gradients by central differences then bilinear interpolation), Green
+with all integrals over the circle of radius theta (arc measure).
+``circle_forms`` returns the pair (P, Q) for one circle, Q as the 2-vector
+(Q_1, Q_2); every identity here is built on it.  Fields are anything
+exposing values(pts) and gradients(pts); node fields interpolate the mesh
+(gradients by central differences then bilinear interpolation), Green
 fields combine the analytic singular part with the interpolated regular part.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import greens
-from .lane_emden import BranchEntry, log_eps
+from .lane_emden import BranchEntry
 from .mesh import GridMesh
 
 
@@ -49,31 +50,6 @@ class GreenField:
 
     def gradients(self, pts):
         return self.gd.green_gradients(pts)
-
-
-@dataclass
-class SourceDerivativeField:
-    """Central difference of G(x0, .) in the source: approximates the field
-    y -> dG/dx0_h (x0, y)."""
-
-    mesh: GridMesh
-    x0: np.ndarray
-    h_index: int  # 0 or 1
-    delta: float
-
-    def __post_init__(self):
-        e = np.zeros(2)
-        e[self.h_index] = self.delta
-        self._plus = greens.regular_part(self.mesh, np.asarray(self.x0) + e)
-        self._minus = greens.regular_part(self.mesh, np.asarray(self.x0) - e)
-
-    def values(self, pts):
-        return (self._plus.green_values(pts) - self._minus.green_values(pts)) / (2 * self.delta)
-
-    def gradients(self, pts):
-        return (self._plus.green_gradients(pts) - self._minus.green_gradients(pts)) / (
-            2 * self.delta
-        )
 
 
 @dataclass
@@ -108,30 +84,22 @@ class CircleProbe:
         return float(np.mean(samples) * 2 * np.pi * self.theta)
 
 
-def p_form(u, v, center, theta: float, n_theta: int = 256, mesh: GridMesh | None = None) -> float:
+def circle_forms(u, v, center, theta: float, n_theta: int = 256,
+                 mesh: GridMesh | None = None) -> tuple[float, np.ndarray]:
+    """(P(u,v), (Q_1(u,v), Q_2(u,v))) on one probe circle.  Each field's
+    gradients are sampled once, and only once in total when ``v is u``."""
     probe = CircleProbe(center, theta, n_theta)
     if mesh is not None:
         probe.check_inside(mesh)
     gu = u.gradients(probe.points)
-    gv = v.gradients(probe.points)
+    gv = gu if v is u else v.gradients(probe.points)
     gun = np.sum(gu * probe.normals, axis=1)
     gvn = np.sum(gv * probe.normals, axis=1)
     dot = np.sum(gu * gv, axis=1)
-    return -2.0 * theta * probe.integrate(gun * gvn) + theta * probe.integrate(dot)
-
-
-def q_form(u, v, center, theta: float, i: int, n_theta: int = 256, mesh: GridMesh | None = None) -> float:
-    """i is the coordinate index (1 or 2)."""
-    probe = CircleProbe(center, theta, n_theta)
-    if mesh is not None:
-        probe.check_inside(mesh)
-    gu = u.gradients(probe.points)
-    gv = v.gradients(probe.points)
-    gun = np.sum(gu * probe.normals, axis=1)
-    gvn = np.sum(gv * probe.normals, axis=1)
-    dot = np.sum(gu * gv, axis=1)
-    ii = i - 1
-    return probe.integrate(-gvn * gu[:, ii] - gun * gv[:, ii] + dot * probe.normals[:, ii])
+    P = -2.0 * theta * probe.integrate(gun * gvn) + theta * probe.integrate(dot)
+    Q = np.array([probe.integrate(-gvn * gu[:, i] - gun * gv[:, i] + dot * probe.normals[:, i])
+                  for i in (0, 1)])
+    return P, Q
 
 
 def theta_independence(u, v, center, thetas, mesh: GridMesh | None = None, tol: float = 1e-6) -> dict:
@@ -141,9 +109,10 @@ def theta_independence(u, v, center, thetas, mesh: GridMesh | None = None, tol: 
     annulus is checked and a warning string is attached if it fails.
     """
     thetas = list(thetas)
-    ps = [p_form(u, v, center, t, mesh=mesh) for t in thetas]
-    q1 = [q_form(u, v, center, t, 1, mesh=mesh) for t in thetas]
-    q2 = [q_form(u, v, center, t, 2, mesh=mesh) for t in thetas]
+    forms = [circle_forms(u, v, center, t, mesh=mesh) for t in thetas]
+    ps = [P for P, _ in forms]
+    q1 = [float(Q[0]) for _, Q in forms]
+    q2 = [float(Q[1]) for _, Q in forms]
     out = {
         "p_values": ps,
         "q1_values": q1,
@@ -173,8 +142,6 @@ class PohozaevReport:
     theta: float
     q_residuals: np.ndarray  # per coordinate, Eq. Q(u,u) identity
     p_residual: float
-    q_values: np.ndarray
-    p_value: float
     rhs_scale: float
 
 
@@ -191,18 +158,11 @@ def pohozaev_residuals(mesh: GridMesh, u: np.ndarray, p: float, center, theta: f
     P(u,u)   = 2 theta/(p+1) * circle integral of u^(p+1) - 4/(p+1) * ball integral
     """
     f = NodeField(mesh, u)
+    p_lhs, q_lhs = circle_forms(f, f, center, theta, n_theta, mesh=mesh)
     probe = CircleProbe(center, theta, n_theta)
-    probe.check_inside(mesh)
-    uvals = np.maximum(f.values(probe.points), 0.0)
-    upp = uvals ** (p + 1.0)
-    q_res = np.empty(2)
-    q_vals = np.empty(2)
-    for i in (1, 2):
-        lhs = q_form(f, f, center, theta, i, n_theta, mesh=mesh)
-        rhs = 2.0 / (p + 1.0) * probe.integrate(upp * probe.normals[:, i - 1])
-        q_vals[i - 1] = lhs
-        q_res[i - 1] = lhs - rhs
-    p_lhs = p_form(f, f, center, theta, n_theta, mesh=mesh)
+    upp = np.maximum(f.values(probe.points), 0.0) ** (p + 1.0)
+    q_res = q_lhs - np.array([2.0 / (p + 1.0) * probe.integrate(upp * probe.normals[:, i])
+                              for i in (0, 1)])
     ball = _ball_sum(mesh, np.maximum(u, 0.0) ** (p + 1.0), center, theta)
     p_rhs = 2.0 * theta / (p + 1.0) * probe.integrate(upp) - 4.0 / (p + 1.0) * ball
     return PohozaevReport(
@@ -210,8 +170,6 @@ def pohozaev_residuals(mesh: GridMesh, u: np.ndarray, p: float, center, theta: f
         theta,
         q_res,
         p_lhs - p_rhs,
-        q_vals,
-        p_lhs,
         abs(p_rhs) + float(np.max(np.abs(q_res))) + 1e-300,
     )
 
@@ -224,19 +182,13 @@ def linearized_residuals(mesh: GridMesh, u: np.ndarray, p: float, xi: np.ndarray
     """
     fu = NodeField(mesh, u)
     fxi = NodeField(mesh, xi)
+    p_lhs, q_lhs = circle_forms(fxi, fu, center, theta, n_theta, mesh=mesh)
     probe = CircleProbe(center, theta, n_theta)
-    probe.check_inside(mesh)
-    uvals = np.maximum(fu.values(probe.points), 0.0)
-    xivals = fxi.values(probe.points)
-    out = {}
-    for i in (1, 2):
-        lhs = q_form(fxi, fu, center, theta, i, n_theta, mesh=mesh)
-        rhs = probe.integrate(uvals**p * xivals * probe.normals[:, i - 1])
-        out[f"q{i}_residual"] = lhs - rhs
-    lhs = p_form(fxi, fu, center, theta, n_theta, mesh=mesh)
+    upxi = np.maximum(fu.values(probe.points), 0.0) ** p * fxi.values(probe.points)
+    out = {f"q{i + 1}_residual": q_lhs[i] - probe.integrate(upxi * probe.normals[:, i])
+           for i in (0, 1)}
     ball = _ball_sum(mesh, np.maximum(u, 0.0) ** p * xi, center, theta)
-    rhs = theta * probe.integrate(uvals**p * xivals) - 2.0 * ball
-    out["p_residual"] = lhs - rhs
+    out["p_residual"] = p_lhs - (theta * probe.integrate(upxi) - 2.0 * ball)
     return out
 
 

@@ -348,7 +348,7 @@ def criterion_9_pohozaev(ctx: AcceptanceContext, deep: bool = True) -> list[Veri
     gd = greens.regular_part(msh, (0.0, 0.0))
     G = pohozaev.GreenField(gd)
     h = msh.h
-    vals = [pohozaev.p_form(G, G, (0.0, 0.0), t, mesh=msh) for t in (8 * h, 16 * h)]
+    vals = [pohozaev.circle_forms(G, G, (0.0, 0.0), t, mesh=msh)[0] for t in (8 * h, 16 * h)]
     err = max(abs(v + 1.0 / (2 * np.pi)) for v in vals)
     spread = abs(vals[0] - vals[1])
     out.append(
@@ -505,18 +505,12 @@ def criterion_12_property_suites(ctx: AcceptanceContext) -> list[VerificationRec
     a, b = 1.3, -0.7
     combo = pohozaev.NodeField(msh, a * f1.node_values + b * f2.node_values, fill=None)
     c, t = (0.05, 0.0), 0.2
-    lin_err = abs(
-        pohozaev.p_form(combo, f1, c, t)
-        - a * pohozaev.p_form(f1, f1, c, t)
-        - b * pohozaev.p_form(f2, f1, c, t)
-    ) + abs(
-        pohozaev.q_form(f1, combo, c, t, 1)
-        - a * pohozaev.q_form(f1, f1, c, t, 1)
-        - b * pohozaev.q_form(f1, f2, c, t, 1)
-    )
-    sym_err = abs(pohozaev.p_form(f1, f2, c, t) - pohozaev.p_form(f2, f1, c, t)) + abs(
-        pohozaev.q_form(f1, f2, c, t, 2) - pohozaev.q_form(f2, f1, c, t, 2)
-    )
+    p_c1, q_c1 = pohozaev.circle_forms(combo, f1, c, t)
+    p_11, q_11 = pohozaev.circle_forms(f1, f1, c, t)
+    p_21, q_21 = pohozaev.circle_forms(f2, f1, c, t)
+    p_12, q_12 = pohozaev.circle_forms(f1, f2, c, t)
+    lin_err = float(abs(p_c1 - a * p_11 - b * p_21) + abs(q_c1[0] - a * q_11[0] - b * q_21[0]))
+    sym_err = float(abs(p_12 - p_21) + abs(q_12[1] - q_21[1]))
     out.append(
         _rec(
             "C12-forms", "P and Q are bilinear and symmetric to round-off",

@@ -3,9 +3,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikelab import greens, kirchhoff_routh as kr, lane_emden as le, pohozaev as pz
-from spikelab.mesh import build_mesh, make_domain
+from spikelab.mesh import GridMesh, build_mesh, make_domain
 
 INV_2PI = 1.0 / (2 * np.pi)
+
+
+class SourceDerivativeField:
+    """Central difference of G(x0, .) in the source: approximates the field
+    y -> dG/dx0_h (x0, y)."""
+
+    def __init__(self, mesh, x0, h_index, delta):
+        e = np.zeros(2)
+        e[h_index] = delta
+        self._plus = greens.regular_part(mesh, np.asarray(x0) + e)
+        self._minus = greens.regular_part(mesh, np.asarray(x0) - e)
+        self.delta = delta
+
+    def values(self, pts):
+        return (self._plus.green_values(pts) - self._minus.green_values(pts)) / (2 * self.delta)
+
+    def gradients(self, pts):
+        return (self._plus.green_gradients(pts) - self._minus.green_gradients(pts)) / (
+            2 * self.delta
+        )
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +47,8 @@ def solved_p8(disk96):
 
 def test_p_form_green_diagonal(disk96, green_center):
     h = disk96.h
-    vals = [pz.p_form(green_center, green_center, (0, 0), t, mesh=disk96) for t in (8 * h, 16 * h)]
+    vals = [pz.circle_forms(green_center, green_center, (0, 0), t, mesh=disk96)[0]
+            for t in (8 * h, 16 * h)]
     for v in vals:
         assert v == pytest.approx(-INV_2PI, abs=1e-3)
     assert abs(vals[0] - vals[1]) < 1e-3
@@ -35,7 +56,7 @@ def test_p_form_green_diagonal(disk96, green_center):
 
 def test_p_form_affine_cancellation(disk96):
     f = pz.NodeField(disk96, 0.7 * disk96.coords[:, 0] - 0.2 * disk96.coords[:, 1] + 0.3, fill=None)
-    assert abs(pz.p_form(f, f, (0.1, 0.0), 0.2, mesh=disk96)) < 1e-10
+    assert abs(pz.circle_forms(f, f, (0.1, 0.0), 0.2, mesh=disk96)[0]) < 1e-10
 
 
 def test_p_form_green_source_derivative(disk96):
@@ -45,21 +66,21 @@ def test_p_form_green_source_derivative(disk96):
     # it prints); the magnitude |dR/dh|/2 is common to both conventions
     x0 = np.array([0.3, 0.0])
     G = pz.GreenField(greens.regular_part(disk96, x0))
-    dG = pz.SourceDerivativeField(disk96, x0, 0, 2 * disk96.h)
-    val = pz.p_form(G, dG, x0, 8 * disk96.h, mesh=disk96)
+    dG = SourceDerivativeField(disk96, x0, 0, 2 * disk96.h)
+    val = pz.circle_forms(G, dG, x0, 8 * disk96.h, mesh=disk96)[0]
     target = -0.5 * greens.unit_disk_grad_R(x0)[0]
     assert val == pytest.approx(target, rel=2e-3)
 
 
 def test_q_form_green_diagonal_center(disk96, green_center):
-    for i in (1, 2):
-        assert abs(pz.q_form(green_center, green_center, (0, 0), 8 * disk96.h, i, mesh=disk96)) < 1e-8
+    q = pz.circle_forms(green_center, green_center, (0, 0), 8 * disk96.h, mesh=disk96)[1]
+    assert np.all(np.abs(q) < 1e-8)
 
 
 def test_q_form_green_diagonal_off_center(disk96):
     x0 = np.array([0.3, 0.0])
     G = pz.GreenField(greens.regular_part(disk96, x0))
-    got = pz.q_form(G, G, x0, 8 * disk96.h, 1, mesh=disk96)
+    got = pz.circle_forms(G, G, x0, 8 * disk96.h, mesh=disk96)[1][0]
     assert got == pytest.approx(-greens.unit_disk_grad_R(x0)[0], rel=3e-3)
 
 
@@ -67,9 +88,8 @@ def test_q_form_green_source_derivative(disk96):
     # verified closed-form value: -(1/2) d2R/dx_i dx_h (-(1/2pi) delta at 0)
     x0 = np.array([0.0, 0.0])
     G = pz.GreenField(greens.regular_part(disk96, x0))
-    dG = pz.SourceDerivativeField(disk96, x0, 0, 2 * disk96.h)
-    q11 = pz.q_form(G, dG, x0, 8 * disk96.h, 1, mesh=disk96)
-    q21 = pz.q_form(G, dG, x0, 8 * disk96.h, 2, mesh=disk96)
+    dG = SourceDerivativeField(disk96, x0, 0, 2 * disk96.h)
+    q11, q21 = pz.circle_forms(G, dG, x0, 8 * disk96.h, mesh=disk96)[1]
     assert q11 == pytest.approx(-0.5 / np.pi, rel=3e-3)  # -(1/2) * (1/pi)
     assert abs(q21) < 1e-6
 
@@ -80,9 +100,9 @@ def test_q_form_two_sources(disk96):
     Gj = pz.GreenField(greens.regular_part(disk96, x0))
     Gm = pz.GreenField(greens.regular_part(disk96, x1))
     dg = greens.unit_disk_grad_G(x1, x0)
-    for i in (1, 2):
-        got = pz.q_form(Gm, Gj, x0, 8 * disk96.h, i, mesh=disk96)
-        assert got == pytest.approx(dg[i - 1], abs=3e-4)
+    got = pz.circle_forms(Gm, Gj, x0, 8 * disk96.h, mesh=disk96)[1]
+    for i in (0, 1):
+        assert got[i] == pytest.approx(dg[i], abs=3e-4)
 
 
 def test_zero_cases_vanish_with_theta(disk96):
@@ -91,7 +111,7 @@ def test_zero_cases_vanish_with_theta(disk96):
     c = np.array([0.35, -0.2])
     Gm = pz.GreenField(greens.regular_part(disk96, x1))
     h = disk96.h
-    vals = [abs(pz.p_form(Gm, Gm, c, t, mesh=disk96)) for t in (16 * h, 8 * h, 4 * h)]
+    vals = [abs(pz.circle_forms(Gm, Gm, c, t, mesh=disk96)[0]) for t in (16 * h, 8 * h, 4 * h)]
     assert vals[2] < vals[0] + 1e-6
     assert vals[2] < 2e-3
 
@@ -127,34 +147,34 @@ def test_bilinearity(a, b):
     f1 = pz.NodeField(m, m.coords[:, 0] ** 2 - m.coords[:, 1] ** 2, fill=None)
     f2 = pz.NodeField(m, m.coords[:, 0] * m.coords[:, 1], fill=None)
     combo = pz.NodeField(m, a * f1.node_values + b * f2.node_values, fill=None)
-    lhs = pz.p_form(combo, f1, c, 0.2)
-    rhs = a * pz.p_form(f1, f1, c, 0.2) + b * pz.p_form(f2, f1, c, 0.2)
-    assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(a) + abs(b)))
-    lq = pz.q_form(f1, combo, c, 0.2, 1)
-    rq = a * pz.q_form(f1, f1, c, 0.2, 1) + b * pz.q_form(f1, f2, c, 0.2, 1)
-    assert lq == pytest.approx(rq, abs=1e-9 * (1 + abs(a) + abs(b)))
+    tol = 1e-9 * (1 + abs(a) + abs(b))
+    p_c, q_c = pz.circle_forms(combo, f1, c, 0.2)
+    p_1, q_1 = pz.circle_forms(f1, f1, c, 0.2)
+    p_2, q_2 = pz.circle_forms(f2, f1, c, 0.2)
+    assert p_c == pytest.approx(a * p_1 + b * p_2, abs=tol)
+    assert q_c == pytest.approx(a * q_1 + b * q_2, abs=tol)
+    q_c2 = pz.circle_forms(f1, combo, c, 0.2)[1]  # linear in the second slot too
+    assert q_c2 == pytest.approx(a * q_1 + b * pz.circle_forms(f1, f2, c, 0.2)[1], abs=tol)
 
 
 def test_symmetry_in_arguments(disk96, green_center):
     f = pz.NodeField(disk96, disk96.coords[:, 0] ** 2 - disk96.coords[:, 1] ** 2, fill=None)
     c, t = (0.0, 0.0), 0.25
-    assert pz.p_form(f, green_center, c, t) == pytest.approx(
-        pz.p_form(green_center, f, c, t), rel=1e-12
-    )
-    assert pz.q_form(f, green_center, c, t, 1) == pytest.approx(
-        pz.q_form(green_center, f, c, t, 1), rel=1e-12
-    )
+    p_fg, q_fg = pz.circle_forms(f, green_center, c, t)
+    p_gf, q_gf = pz.circle_forms(green_center, f, c, t)
+    assert p_fg == pytest.approx(p_gf, rel=1e-12)
+    assert q_fg == pytest.approx(q_gf, rel=1e-12)
 
 
 def test_quadrature_convergence_in_angles(disk96, green_center):
-    v1 = pz.p_form(green_center, green_center, (0, 0), 0.1, n_theta=128)
-    v2 = pz.p_form(green_center, green_center, (0, 0), 0.1, n_theta=256)
+    v1 = pz.circle_forms(green_center, green_center, (0, 0), 0.1, n_theta=128)[0]
+    v2 = pz.circle_forms(green_center, green_center, (0, 0), 0.1, n_theta=256)[0]
     assert abs(v1 - v2) < 1e-10
 
 
 def test_circle_hits_boundary(disk96, green_center):
     with pytest.raises(pz.CircleHitsBoundaryError):
-        pz.p_form(green_center, green_center, (0.9, 0.0), 0.3, mesh=disk96)
+        pz.circle_forms(green_center, green_center, (0.9, 0.0), 0.3, mesh=disk96)
 
 
 def test_pohozaev_residuals_decrease_with_h(solved_p8):
@@ -191,6 +211,24 @@ def test_linearized_residuals_small(disk96, solved_p8):
     # eigenvalue; the identity residual is of that size, not zero
     lam = pairs.eigenvalues[0]
     assert abs(out["p_residual"]) < 0.5 * abs(lam) + 0.05
+
+
+def test_one_gradient_interpolation_per_field(monkeypatch, disk96, solved_p8):
+    calls = []
+    interp_gradient = GridMesh.interp_gradient
+
+    def counted(self, *args, **kw):
+        calls.append(1)
+        return interp_gradient(self, *args, **kw)
+
+    monkeypatch.setattr(GridMesh, "interp_gradient", counted)
+    x = solved_p8.spikes[0].position
+    pz.pohozaev_residuals(disk96, solved_p8.u, 8.0, x, 0.125)
+    assert len(calls) == 1
+    calls.clear()
+    xi = solved_p8.u * disk96.coords[:, 0]
+    pz.linearized_residuals(disk96, solved_p8.u, 8.0, xi, x, 0.125)
+    assert len(calls) == 2
 
 
 def test_gradient_balance_disk_symmetric(disk96, solved_p8):
