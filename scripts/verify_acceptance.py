@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the acceptance suite and write checks.json; exit 0 iff all pass.
 
---quick skips the finest-grid 2-D sweeps (criteria that pin h = 1/256)."""
+--quick skips the finest-grid 2-D sweeps (criteria that pin h = 1/256).
+The summary line gives the wall time and the process's peak resident set."""
 
 import argparse
+import resource
 import sys
 import time
 
@@ -26,8 +28,10 @@ def main():
         print(f"[{state}] {r.identifier}: {r.description}")
         if not r.passed and r.notes:
             print(f"       note: {r.notes}")
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"\n{len(records) - failed}/{len(records)} checks passed in "
-          f"{time.time() - t0:.0f}s; records in {args.out}/checks.json")
+          f"{time.time() - t0:.0f}s, peak RSS {peak_mb:.0f} MB; records in {args.out}/checks.json")
     return 1 if failed else 0
 
 

@@ -22,6 +22,9 @@ from .radial import RadialSolution, solve_radial
 
 SQRT_E = math.sqrt(math.e)
 EIGHT_PI = 8.0 * math.pi
+# a chord step, on a factor of an earlier iterate, must shrink the residual at
+# least by this factor (newton_solve and the arclength corrector alike)
+CHORD_CONTRACTION = 0.5
 
 
 class TrivialSolutionError(RuntimeError):
@@ -148,8 +151,17 @@ def newton_solve(
 ) -> tuple[np.ndarray, dict]:
     """Damped Newton on F(u) = -Δ_h u - (u_+)^p; returns (u, info).
 
-    info carries the residual history (the tail exhibits the quadratic
-    contraction of Newton) and the final scaled residual.
+    A full (undamped) Newton step keeps its Jacobian factor, and the next
+    iteration first tries an undamped chord step on it (the chord method of
+    Kelley 1995; Deuflhard 2004's simplified Newton).  The chord step is taken
+    only if it leaves F finite and shrinks ||F|| by at least
+    CHORD_CONTRACTION; otherwise the factor is dropped, the Jacobian is
+    factorized at the current iterate and a damped Newton step follows.  A
+    damped step drops its factor.  Chord steps count as iterations.
+
+    info carries the residual history (quadratic contraction on Newton
+    steps, at least CHORD_CONTRACTION on chord steps), the final scaled
+    residual, the iterations and the Jacobian factorizations.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -164,35 +176,55 @@ def newton_solve(
         merit = mesh.norm(res)
     rn = _residual_norm(mesh, res, mesh.norm(upow))
     history = [rn]
-    for _ in range(max_iter):
-        if not np.isfinite(rn):
-            raise NewtonDivergedError("non-finite residual in Newton iteration")
-        if rn <= tol:
-            break
-        lu = problem.jacobian(u, p).factorized()
-        step = lu.solve(-res)
-        del lu  # free the factor before the next one is built
-        accepted = False
-        for alpha in tuple(0.5**i for i in range(11)):
-            trial = u + alpha * step
-            t_res, t_upow = problem.residual(trial, p)
-            with np.errstate(over="ignore"):
-                t_merit = mesh.norm(t_res)
-            if np.isfinite(t_merit) and t_merit < merit:
-                u, upow, res, merit = trial, t_upow, t_res, t_merit
-                rn = _residual_norm(mesh, res, mesh.norm(upow))
-                accepted = True
+    factorizations = 0
+    lu = None  # the factor of the last full Newton step
+    try:
+        for _ in range(max_iter):
+            if not np.isfinite(rn):
+                raise NewtonDivergedError("non-finite residual in Newton iteration")
+            if rn <= tol:
                 break
-        if not accepted:
-            raise NewtonDivergedError(f"damping failed at residual {rn:.3e}")
-        history.append(rn)
-    else:
-        raise NewtonDivergedError(f"Newton did not reach tol={tol:.1e} (at {rn:.3e})")
+            if lu is not None:
+                trial = u + lu.solve(-res)
+                t_res, t_upow = problem.residual(trial, p)
+                with np.errstate(over="ignore"):
+                    t_merit = mesh.norm(t_res)
+                if np.isfinite(t_merit) and t_merit <= CHORD_CONTRACTION * merit:
+                    u, upow, res, merit = trial, t_upow, t_res, t_merit
+                    rn = _residual_norm(mesh, res, mesh.norm(upow))
+                    history.append(rn)
+                    continue
+                lu = None  # free the stale factor before the next one is built
+            lu = problem.jacobian(u, p).factorized()
+            factorizations += 1
+            step = lu.solve(-res)
+            accepted = False
+            for alpha in tuple(0.5**i for i in range(11)):
+                trial = u + alpha * step
+                t_res, t_upow = problem.residual(trial, p)
+                with np.errstate(over="ignore"):
+                    t_merit = mesh.norm(t_res)
+                if np.isfinite(t_merit) and t_merit < merit:
+                    u, upow, res, merit = trial, t_upow, t_res, t_merit
+                    rn = _residual_norm(mesh, res, mesh.norm(upow))
+                    accepted = True
+                    break
+            if not accepted:
+                raise NewtonDivergedError(f"damping failed at residual {rn:.3e}")
+            if alpha < 1.0:
+                lu = None
+            history.append(rn)
+        else:
+            raise NewtonDivergedError(f"Newton did not reach tol={tol:.1e} (at {rn:.3e})")
+    finally:
+        # a caught exception's traceback keeps this frame, and with it any
+        # factor, alive for as long as the handler runs
+        lu = None
 
     if float(np.max(u)) < 0.5:
         raise TrivialSolutionError("Newton collapsed to the zero solution")
     return u, {"residual_history": history, "residual": rn, "iterations": len(history) - 1,
-               "min_value": float(np.min(u))}
+               "factorizations": factorizations, "min_value": float(np.min(u))}
 
 
 @dataclass
@@ -356,9 +388,9 @@ def _arclength_march(mesh, u, p, target, tol):
     iterate instead.  The tangent solve at the start and each accepted step
     hand their factor on to the next step's chord iteration (dF/dp is taken at
     the new predictor); a rejected step's retry factorizes afresh at its
-    predictor.  The returned Newton info gains the march's accepted steps,
-    rejected steps and factorizations (those of the landing Newton solve are
-    its ``iterations``).
+    predictor.  Returns the landing Newton solve's (u, info) and the march's
+    own counts: accepted steps, rejected steps and factorizations
+    (MARCH_COUNTS; the landing solve's factorizations are in its info).
     """
     problem = LaneEmdenProblem(mesh)
     area = mesh.node_area
@@ -397,9 +429,10 @@ def _arclength_march(mesh, u, p, target, tol):
             if rn <= tol and abs(nres) <= 1e-10 * max(1.0, ds):
                 ok = True
                 break
-            if not (np.isfinite(rn) and rn <= rn_prev) or (rn > 0.5 * rn_prev and refreshed):
+            slow = rn > CHORD_CONTRACTION * rn_prev
+            if not (np.isfinite(rn) and rn <= rn_prev) or (slow and refreshed):
                 break  # diverging, or still slow on a fresh factor
-            if rn > 0.5 * rn_prev:
+            if slow:
                 # drop the old factor before the new one is built, so only
                 # one is resident
                 lu = None
@@ -432,7 +465,7 @@ def _arclength_march(mesh, u, p, target, tol):
             w = 0.0 if p == p0 else (target - p0) / (p - p0)
             try:
                 ut, info = newton_solve(mesh, u0 + w * (u - u0), target, tol=tol)
-                return ut, {**info, **counts}
+                return ut, info, counts
             except (NewtonDivergedError, TrivialSolutionError):
                 pass  # fold tangency; keep following the curve
         # secant tangent is one factorization cheaper than the solve-based one
@@ -468,17 +501,16 @@ def continue_in_p(
     branch = SolutionBranch(mesh, cfg.k)
     p = p_start
     u, info = newton_solve(mesh, ansatz(mesh, cfg, p), p, tol=tol)
-    strategy = "ansatz"
+    strategy, march = "ansatz", dict.fromkeys(MARCH_COUNTS, 0)
     for target in sorted(t for t in set(p_list) if t > p_start - 1e-9):
         if target > p + 1e-9:
             try:
                 u, info = newton_solve(mesh, ansatz(mesh, cfg, target), target, tol=tol)
-                strategy = "ansatz"
+                strategy, march = "ansatz", dict.fromkeys(MARCH_COUNTS, 0)
             except (NewtonDivergedError, TrivialSolutionError):
-                u, info = _arclength_march(mesh, u, p, target, tol)
+                u, info, march = _arclength_march(mesh, u, p, target, tol)
                 strategy = "arclength"
             p = target
-        march = {key: info.get(key, 0) for key in MARCH_COUNTS}
         branch.entries.append(make_entry(mesh, u, p, cfg.k, d, info["residual"], strategy, march))
     return branch
 

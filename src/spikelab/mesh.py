@@ -390,28 +390,33 @@ class GridMesh:
         pt = np.array([self.xs[i0] + xi * bx, self.ys[j0] + eta * by])
         return pt, float(_quad_weights(rx, xi) @ block @ _quad_weights(ry, eta))
 
-    def nodal_gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def nodal_gradient(self, values: np.ndarray, nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Per-node gradient: three-point differences exact on quadratics
-        (the plain central difference on equal arms), one-sided at cut arms."""
-        gx = np.empty(self.n_nodes)
-        gy = np.empty(self.n_nodes)
+        (the plain central difference on equal arms), one-sided at cut arms.
+
+        With ``nodes`` only those nodes' gradients, bit for bit as in the
+        whole field."""
+        sel = slice(None) if nodes is None else np.asarray(nodes, dtype=int)
         v = values
+        v_sel = v[sel]
+        gx = np.empty(len(v_sel))
+        gy = np.empty(len(v_sel))
         for d_pos, d_neg, g in ((0, 1, gx), (2, 3, gy)):
-            ip = self.nbr[:, d_pos]
-            im = self.nbr[:, d_neg]
-            a_p = self.arms[:, d_pos]
-            a_m = self.arms[:, d_neg]
+            ip = self.nbr[sel, d_pos]
+            im = self.nbr[sel, d_neg]
+            a_p = self.arms[sel, d_pos]
+            a_m = self.arms[sel, d_neg]
             both = (ip >= 0) & (im >= 0)
-            vp, vm, v0 = v[ip[both]], v[im[both]], v[both]
+            vp, vm, v0 = v[ip[both]], v[im[both]], v_sel[both]
             ap, am = a_p[both], a_m[both]
             # secant plus the curvature term that unequal arms leave behind
             g[both] = (vp - vm) / (ap + am) + (am - ap) * (am * (vp - v0) - ap * (v0 - vm)) / (
                 ap * am * (ap + am)
             )
             only_p = (ip >= 0) & (im < 0)
-            g[only_p] = (v[ip[only_p]] - v[only_p]) / a_p[only_p]
+            g[only_p] = (v[ip[only_p]] - v_sel[only_p]) / a_p[only_p]
             only_m = (ip < 0) & (im >= 0)
-            g[only_m] = (v[only_m] - v[im[only_m]]) / a_m[only_m]
+            g[only_m] = (v_sel[only_m] - v[im[only_m]]) / a_m[only_m]
             none = (ip < 0) & (im < 0)
             g[none] = 0.0
         return gx, gy
@@ -426,19 +431,25 @@ class GridMesh:
         return gx_arr, gy_arr
 
     def interp_gradient(self, values: np.ndarray, pts: np.ndarray, fill: float | None = None) -> np.ndarray:
-        """Bilinear interpolation of the nodal gradient field."""
+        """Bilinear interpolation of the nodal gradient field.
+
+        The gradient is taken only at the corners of the cells holding
+        ``pts``; ``fill`` stands for exterior corners, and with ``fill=None``
+        an exterior corner raises."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         i = _cell_of(self.xs, pts[:, 0])
         j = _cell_of(self.ys, pts[:, 1])
         tx = (pts[:, 0] - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
         ty = (pts[:, 1] - self.ys[j]) / (self.ys[j + 1] - self.ys[j])
+        corners = _blocks(self.node_of, i, j, 2)
+        inside = corners >= 0
+        if fill is None and not inside.all():
+            x, y = pts[np.nonzero(~inside.all(axis=(1, 2)))[0][0]]
+            raise ValueError(f"bilinear stencil at ({x:.4g},{y:.4g}) touches the exterior")
         out = np.empty((pts.shape[0], 2))
-        for col, arr in enumerate(self.gradient_arrays(values, fill=fill)):
-            c = _blocks(arr, i, j, 2)
-            bad = np.nonzero(np.isnan(c).any(axis=(1, 2)))[0]
-            if len(bad):
-                x, y = pts[bad[0]]
-                raise ValueError(f"bilinear stencil at ({x:.4g},{y:.4g}) touches the exterior")
+        for col, g in enumerate(self.nodal_gradient(values, corners[inside])):
+            c = np.full(corners.shape, fill, dtype=float)
+            c[inside] = g
             out[:, col] = (c[:, 0, 0] * (1 - tx) * (1 - ty) + c[:, 1, 0] * tx * (1 - ty)
                            + c[:, 0, 1] * (1 - tx) * ty + c[:, 1, 1] * tx * ty)
         return out

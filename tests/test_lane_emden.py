@@ -1,12 +1,13 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from spikelab import greens, kirchhoff_routh as kr, lane_emden as le, liouville
+from spikelab import greens, kirchhoff_routh as kr, lane_emden as le, liouville, radial
 from spikelab.linsolve import SparseOperator
-from spikelab.mesh import build_mesh, make_domain
+from spikelab.mesh import build_graded_mesh, build_mesh, make_domain
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,69 @@ def test_newton_converges_quadratically(solved_p10):
     # quadratic tail: the last contraction is much stronger than quadratic
     # would need to be for a linear method
     assert h[-1] <= 10 * h[-2] ** 2 / max(h[-3], 1e-30) or h[-1] < 1e-13
+
+
+def _count_factorizations(monkeypatch) -> list[int]:
+    calls = []
+    factorized = SparseOperator.factorized
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n)
+        return factorized(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseOperator, "factorized", counted)
+    return calls
+
+
+def test_newton_reuses_its_factor(disk64, kr_disk, solved_p10, monkeypatch):
+    u0 = le.ansatz(disk64, kr_disk, 10.0)
+    calls = _count_factorizations(monkeypatch)
+    u, info = le.newton_solve(disk64, u0, 10.0)
+    assert np.array_equal(u, solved_p10[0])
+    assert len(calls) == info["factorizations"] < info["iterations"]
+
+
+def test_graded_ladder_level_takes_one_factorization(monkeypatch):
+    # the C9 ladder at p = 20: the h = 1/32 solution interpolated to h = 1/64
+    # lies close enough that the first factor serves the whole solve
+    p = 20.0
+    eps = radial.solve_radial(p).eps0
+    disk = make_domain("disk", r=1.0)
+    coarse = build_graded_mesh(disk, 1.0 / 32, (0.0, 0.0), eps)
+    uc, _ = le.newton_solve(coarse, le.ansatz(coarse, kr.psi_eval(coarse, [(0.0, 0.0)]), p), p)
+    fine = build_graded_mesh(disk, 1.0 / 64, (0.0, 0.0), eps)
+    guess = coarse.interp(uc, fine.coords, fill=0.0)
+    calls = _count_factorizations(monkeypatch)
+    _, info = le.newton_solve(fine, guess, p)
+    # a fresh factor every iteration made 4 here
+    assert len(calls) == info["factorizations"] == 1
+    assert info["residual"] <= 1e-10
+
+
+def test_newton_frees_its_factor_when_it_fails(disk64, kr_disk, monkeypatch):
+    alive = []
+    factorized = SparseOperator.factorized
+
+    class Tracked:
+        """A SuperLU object cannot be weakly referenced; this stand-in can."""
+
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def tracked(self, *args, **kwargs):
+        lu = Tracked(factorized(self, *args, **kwargs))
+        alive.append(weakref.ref(lu))
+        return lu
+
+    u0 = le.ansatz(disk64, kr_disk, 14.0)
+    monkeypatch.setattr(SparseOperator, "factorized", tracked)
+    # on the uniform h = 1/64 grid p = 14 lies beyond a fold of the discrete
+    # branch, so the ansatz solve fails (continue_in_p then marches there)
+    with pytest.raises(le.NewtonDivergedError) as caught:
+        le.newton_solve(disk64, u0, 14.0)
+    # the kept exception's traceback holds newton_solve's frame
+    assert caught.value.__traceback__ is not None
+    assert alive and all(ref() is None for ref in alive)
 
 
 def test_newton_positive_interior(solved_p10):

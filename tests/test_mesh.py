@@ -454,3 +454,25 @@ def test_bulk_interp_gradient_matches_point_by_point(disk_field):
     assert np.max(np.abs(msh.interp_gradient(u, inner) - want)) <= 1e-14 * scale
     with pytest.raises(ValueError, match="touches the exterior"):
         msh.interp_gradient(u, pts)
+
+
+def test_interp_gradient_is_the_whole_mesh_path_bit_for_bit(graded):
+    x, y = graded.coords.T
+    u = np.cos(3.0 * x) * np.exp(y) * (1.0 - x * x - y * y)
+    rng = np.random.default_rng(6)
+    r = np.r_[0.01 * np.sqrt(rng.random(200)), 0.95 * np.sqrt(rng.random(200)),
+              rng.uniform(0.95, 0.999, 200)]
+    a = 2 * np.pi * rng.random(600)
+    pts = np.column_stack([r * np.cos(a), r * np.sin(a)])
+    for fill, sample in ((0.0, pts), (None, pts[:400]), (-2.5, pts)):
+        got = graded.interp_gradient(u, sample, fill=fill)
+        i = np.clip(np.searchsorted(graded.xs, sample[:, 0], side="right") - 1, 0, len(graded.xs) - 2)
+        j = np.clip(np.searchsorted(graded.ys, sample[:, 1], side="right") - 1, 0, len(graded.ys) - 2)
+        tx = (sample[:, 0] - graded.xs[i]) / (graded.xs[i + 1] - graded.xs[i])
+        ty = (sample[:, 1] - graded.ys[j]) / (graded.ys[j + 1] - graded.ys[j])
+        for col, arr in enumerate(graded.gradient_arrays(u, fill=fill)):
+            want = (arr[i, j] * (1 - tx) * (1 - ty) + arr[i + 1, j] * tx * (1 - ty)
+                    + arr[i, j + 1] * (1 - tx) * ty + arr[i + 1, j + 1] * tx * ty)
+            assert np.array_equal(got[:, col], want)
+    with pytest.raises(ValueError, match="touches the exterior"):
+        graded.interp_gradient(u, pts)
