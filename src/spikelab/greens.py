@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linsolve import SparseOperator
+from .linsolve import factorize
 from .mesh import GridMesh, assemble_laplacian, dirichlet_rhs
 
 TWO_PI = 2.0 * np.pi
@@ -37,7 +38,7 @@ def fundamental(x0: np.ndarray, x, y):
     return -np.log(np.hypot(x - x0[0], y - x0[1])) / TWO_PI
 
 
-def laplacian_operator(mesh: GridMesh) -> SparseOperator:
+def laplacian_operator(mesh: GridMesh) -> sp.csr_matrix:
     """Shortley-Weller -Δ for the mesh, assembled once and cached on it."""
     op = mesh.__dict__.get("_lap_op")
     if op is None:
@@ -50,7 +51,7 @@ def laplacian_factorization(mesh: GridMesh):
     """Cached sparse LU of the mesh Laplacian (one factorization, many sources)."""
     lu = mesh.__dict__.get("_lap_lu")
     if lu is None:
-        lu = laplacian_operator(mesh).factorized()
+        lu = factorize(laplacian_operator(mesh))
         mesh.__dict__["_lap_lu"] = lu
     return lu
 

@@ -1,5 +1,5 @@
 """Newton solves and p-continuation for -Δu = u^p with zero Dirichlet data,
-spike extraction, peak rescaling, and the radial oracle for the unit disk.
+spike extraction and peak rescaling.
 
 Solutions are represented on the Shortley-Weller mesh; the nonlinearity is
 evaluated on the positive part u_+ so the Jacobian -Δ - p u_+^(p-1) keeps its
@@ -13,12 +13,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import greens, liouville
 from .kirchhoff_routh import NewtonDivergedError, SpikeConfig
-from .linsolve import SparseOperator
+from .linsolve import factorize
 from .mesh import GridMesh
-from .radial import RadialSolution, solve_radial
+from .radial import solve_radial
 
 SQRT_E = math.sqrt(math.e)
 EIGHT_PI = 8.0 * math.pi
@@ -113,13 +114,12 @@ class LaneEmdenProblem:
 
     def __init__(self, mesh: GridMesh):
         self.A = greens.laplacian_operator(mesh)
-        self.Asp = self.A.to_scipy()
 
     def residual(self, u: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
         """(F(u, p), u_+^p); an overflowing power reads inf."""
         with np.errstate(over="ignore"):
             upow = np.maximum(u, 0.0) ** p
-        return self.Asp @ u - upow, upow
+        return self.A @ u - upow, upow
 
     @staticmethod
     def potential(u: np.ndarray, p: float) -> np.ndarray:
@@ -127,9 +127,9 @@ class LaneEmdenProblem:
         with np.errstate(over="ignore"):
             return p * np.maximum(u, 0.0) ** (p - 1.0)
 
-    def jacobian(self, u: np.ndarray, p: float) -> SparseOperator:
+    def jacobian(self, u: np.ndarray, p: float) -> sp.csr_matrix:
         """dF/du = -Δ_h - diag(p u_+^(p-1))."""
-        return self.A.plus_diagonal(-self.potential(u, p))
+        return self.A + sp.diags(-self.potential(u, p))
 
     def d_dp(self, u: np.ndarray, p: float) -> np.ndarray:
         """dF/dp = -u_+^p log u_+, zero where u <= 0."""
@@ -195,7 +195,7 @@ def newton_solve(
                     history.append(rn)
                     continue
                 lu = None  # free the stale factor before the next one is built
-            lu = problem.jacobian(u, p).factorized()
+            lu = factorize(problem.jacobian(u, p))
             factorizations += 1
             step = lu.solve(-res)
             accepted = False
@@ -399,11 +399,11 @@ def _arclength_march(mesh, u, p, target, tol):
     def dot(a, b):
         return float((area * a) @ b)
 
-    def factorized(uv, pv):
+    def factorize_at(uv, pv):
         counts["factorizations"] += 1
-        return problem.jacobian(uv, pv).factorized()
+        return factorize(problem.jacobian(uv, pv))
 
-    lu = factorized(u, p)  # the chord factor
+    lu = factorize_at(u, p)  # the chord factor
     y = lu.solve(-problem.d_dp(u, p))
     nrm = math.sqrt(dot(y, y) + 1.0)
     tau = (y / nrm, 1.0 / nrm)
@@ -414,7 +414,7 @@ def _arclength_march(mesh, u, p, target, tol):
         uv = u0 + ds * tau[0]
         pv = p0 + ds * tau[1]
         if lu is None:
-            lu = factorized(uv, pv)
+            lu = factorize_at(uv, pv)
         b = lu.solve(problem.d_dp(uv, pv))
         denom = tau[1] - dot(tau[0], b)
         ok = refreshed = False
@@ -436,7 +436,7 @@ def _arclength_march(mesh, u, p, target, tol):
                 # drop the old factor before the new one is built, so only
                 # one is resident
                 lu = None
-                lu = factorized(uv, pv)
+                lu = factorize_at(uv, pv)
                 b = lu.solve(problem.d_dp(uv, pv))
                 denom = tau[1] - dot(tau[0], b)
                 refreshed = True
@@ -556,8 +556,3 @@ def rescale_profile(
     if w0_profile is not None:
         kk = entry.p * (v - w0_profile.w0(radii)[:, None])
     return RescaledProfile(j, radii, angles, w, v, kk)
-
-
-def radial_oracle(p: float, tol: float = 1e-12) -> RadialSolution:
-    """Independent unit-disk oracle (rescaled shooting; see radial module)."""
-    return solve_radial(p, tol=tol)

@@ -1,5 +1,5 @@
-"""Sparse CSR operators and the few eigenpairs nearest a target by ARPACK
-shift-invert on the operator's one sparse LU."""
+"""The one sparse LU of a scipy matrix (``factorize``, which holds the pivot
+rule) and the few eigenpairs nearest a target by ARPACK shift-invert on it."""
 
 from __future__ import annotations
 
@@ -56,56 +56,35 @@ class ShiftBreakdownError(SolverError):
     """The shift is numerically indistinguishable from an eigenvalue."""
 
 
-@dataclass
-class SparseOperator:
-    """Row-compressed sparse matrix with an explicit diagonal on every row."""
+class SparseOperator(sp.csr_matrix):
+    """A plain ``scipy.sparse.csr_matrix``; the mesh Laplacian is built as one.
 
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, vals) -> "SparseOperator":
-        rows = np.concatenate([np.asarray(rows, dtype=int), np.arange(n)])
-        cols = np.concatenate([np.asarray(cols, dtype=int), np.arange(n)])
-        vals = np.concatenate([np.asarray(vals, dtype=float), np.zeros(n)])
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        m.sum_duplicates()
-        return cls(n, m.indptr, m.indices, m.data)
+    ``to_scipy`` is kept only because the benchmark's checks
+    (``perfbench/test_checks.py``) call it on ``greens.laplacian_operator``.
+    """
 
     def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+        return self
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ x
 
-    def diagonal(self) -> np.ndarray:
-        return self.to_scipy().diagonal()
+def factorize(A: sp.spmatrix, sigma: float = 0.0) -> spla.SuperLU:
+    """Sparse LU of (A - sigma I); the one place a SuperLU factor is made.
 
-    def plus_diagonal(self, d: np.ndarray) -> "SparseOperator":
-        m = self.to_scipy() + sp.diags(np.asarray(d, dtype=float))
-        m = m.tocsr()
-        return SparseOperator(self.n, m.indptr, m.indices, m.data)
-
-    def factorized(self, sigma: float = 0.0):
-        """Sparse LU of (A - sigma I); returns an object with .solve(b).
-
-        Every operator here has the symmetric sparsity of a five-point
-        stencil, so the columns are ordered by minimum degree on A^T + A.
-        SuperLU's symmetric mode keeps that ordering on the rows too and
-        takes the diagonal as pivot whenever |a_jj| >= DIAG_PIVOT_THRESH
-        times the largest entry of its column, pivoting as usual otherwise.
-        Row swaps on the diagonally dominant spike rows of a Lane-Emden
-        Jacobian would spoil the predicted fill: on the graded p = 20
-        Jacobian at 30,533 nodes partial pivoting needs 2.9M LU nonzeros,
-        this rule 1.42M (X. S. Li, ACM TOMS 31, 2005).
-        """
-        m = self.to_scipy().tocsc()
-        if sigma != 0.0:
-            m = (m - sigma * sp.identity(self.n, format="csc")).tocsc()
-        return spla.splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                         options=dict(SymmetricMode=True))
+    Every operator here has the symmetric sparsity of a five-point
+    stencil, so the columns are ordered by minimum degree on A^T + A.
+    SuperLU's symmetric mode keeps that ordering on the rows too and
+    takes the diagonal as pivot whenever |a_jj| >= DIAG_PIVOT_THRESH
+    times the largest entry of its column, pivoting as usual otherwise.
+    Row swaps on the diagonally dominant spike rows of a Lane-Emden
+    Jacobian would spoil the predicted fill: on the graded p = 20
+    Jacobian at 30,533 nodes partial pivoting needs 2.9M LU nonzeros,
+    this rule 1.42M (X. S. Li, ACM TOMS 31, 2005).
+    """
+    m = A.tocsc()
+    if sigma != 0.0:
+        m = (m - sigma * sp.identity(m.shape[0], format="csc")).tocsc()
+    return spla.splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                     options=dict(SymmetricMode=True))
 
 
 @dataclass
@@ -121,14 +100,14 @@ class EigenPairs:
 
 
 def smallest_eigenpairs(
-    A: SparseOperator,
+    A: sp.spmatrix,
     m: int = 1,
     sigma: float = 0.0,
     tol: float = 1e-8,
 ) -> EigenPairs:
     """m eigenpairs nearest sigma by ARPACK shift-invert (scipy ``eigs``).
 
-    (A - sigma I) is factorized once by ``SparseOperator.factorized``; when
+    (A - sigma I) is factorized once by ``factorize``; when
     sigma is exactly an eigenvalue the shift is nudged.  The operator may be
     mildly nonsymmetric (cut-cell Laplacians), so the Arnoldi variant runs.
     ARPACK needs m < n - 1; above that the dense eigenproblem is solved.
@@ -136,10 +115,10 @@ def smallest_eigenpairs(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    m = min(m, A.n)
-    Asp = A.to_scipy()
-    if m >= A.n - 1:
-        vals, vecs = la.eig(Asp.toarray())
+    n = A.shape[0]
+    m = min(m, n)
+    if m >= n - 1:
+        vals, vecs = la.eig(A.toarray())
         keep = np.argsort(np.abs(vals - sigma))[:m]
         vals, vecs = vals[keep], vecs[:, keep]
     else:
@@ -147,16 +126,16 @@ def smallest_eigenpairs(
         shift = sigma
         for attempt in range(4):
             try:
-                lu = A.factorized(shift)
+                lu = factorize(A, shift)
                 break
             except RuntimeError:
                 scale = max(abs(sigma), float(np.max(np.abs(A.diagonal()))), 1.0)
                 shift = sigma + (10.0 ** (attempt - 8)) * scale
         if lu is None:
             raise ShiftBreakdownError(f"factorization of (A - {sigma} I) failed")
-        OPinv = spla.LinearOperator((A.n, A.n), matvec=lu.solve, dtype=float)
-        v0 = np.random.default_rng(0).standard_normal(A.n)
-        vals, vecs = spla.eigs(Asp, k=m, sigma=shift, OPinv=OPinv, v0=v0, tol=0.0)
+        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(n)
+        vals, vecs = spla.eigs(A, k=m, sigma=shift, OPinv=OPinv, v0=v0, tol=0.0)
 
     order = np.argsort(vals.real)
     vals, vecs = vals.real[order], vecs[:, order]
@@ -172,7 +151,7 @@ def smallest_eigenpairs(
             if i - start > 1:
                 vecs[:, start:i] = np.linalg.qr(vecs[:, start:i])[0]
             start = i
-    resid = np.linalg.norm(Asp @ vecs - vecs * vals, axis=0) / np.maximum(1.0, np.abs(vals))
+    resid = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.maximum(1.0, np.abs(vals))
     worst = float(np.max(resid))
     if not worst <= tol:
         raise NoConvergenceError(f"eigenpairs near sigma={sigma:.3e} missed tol={tol:.1e}", worst)

@@ -606,9 +606,8 @@ def assemble_laplacian(mesh: GridMesh) -> SparseOperator:
         rows.append(np.nonzero(mask)[0])
         cols.append(mesh.nbr[mask, d])
         vals.append(coef[mask])
-    return SparseOperator.from_coo(
-        n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    return SparseOperator((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n))
 
 
 def dirichlet_rhs(mesh: GridMesh, data: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:

@@ -93,9 +93,6 @@ class RadialSolution:
         y = r / self.eps0
         return self.u0 * self.w_prime(np.minimum(y, self.y_boundary)) / (self.p * self.eps0)
 
-    def u_max(self) -> float:
-        return self.u0
-
     def mass(self, y_upper: float | None = None) -> float:
         """2 pi * integral of (1 + w/p)^p y dy up to y_upper (default: all)."""
         if y_upper is None or y_upper >= self.y_far:

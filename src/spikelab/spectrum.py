@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import liouville
 from .lane_emden import BranchEntry, LaneEmdenProblem, SpikeData
-from .linsolve import SparseOperator, smallest_eigenpairs
+from .linsolve import factorize, smallest_eigenpairs
 from .mesh import GridMesh
 
 
@@ -35,7 +36,7 @@ class SpectrumReport:
     eigenvectors: np.ndarray | None = field(default=None, repr=False)  # columns, as eigenvalues
 
 
-def assemble_Lp(mesh: GridMesh, u_p: np.ndarray, p: float) -> SparseOperator:
+def assemble_Lp(mesh: GridMesh, u_p: np.ndarray, p: float) -> sp.csr_matrix:
     """Discrete -Δ minus the diagonal p u_+^(p-1): the Jacobian of the
     Lane-Emden residual at u_p."""
     if p <= 1:
@@ -43,15 +44,14 @@ def assemble_Lp(mesh: GridMesh, u_p: np.ndarray, p: float) -> SparseOperator:
     return LaneEmdenProblem(mesh).jacobian(u_p, p)
 
 
-def _rayleigh_iterate(Lp: SparseOperator, v0: np.ndarray, iters: int = 6) -> float:
+def _rayleigh_iterate(Lp: sp.csr_matrix, v0: np.ndarray, iters: int = 6) -> float:
     """Rayleigh-quotient iteration from a concentrated seed; converges to the
     eigenvalue whose eigenvector the seed overlaps most (the giant)."""
-    Asp = Lp.to_scipy()
     v = v0 / np.linalg.norm(v0)
-    sigma = float(v @ (Asp @ v))
+    sigma = float(v @ (Lp @ v))
     for _ in range(iters):
         try:
-            lu = Lp.factorized(sigma * (1.0 + 1e-12))
+            lu = factorize(Lp, sigma * (1.0 + 1e-12))
         except RuntimeError:
             break
         w = lu.solve(v)
@@ -59,7 +59,7 @@ def _rayleigh_iterate(Lp: SparseOperator, v0: np.ndarray, iters: int = 6) -> flo
         if not np.isfinite(nw) or nw == 0.0:
             break
         v = w / nw
-        new_sigma = float(v @ (Asp @ v))
+        new_sigma = float(v @ (Lp @ v))
         if abs(new_sigma - sigma) <= 1e-12 * max(1.0, abs(new_sigma)):
             sigma = new_sigma
             break
@@ -68,7 +68,7 @@ def _rayleigh_iterate(Lp: SparseOperator, v0: np.ndarray, iters: int = 6) -> flo
 
 
 def bottom_spectrum(
-    Lp: SparseOperator,
+    Lp: sp.csr_matrix,
     m: int = 4,
     tol: float = 1e-8,
     mesh: GridMesh | None = None,

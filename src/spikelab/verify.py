@@ -84,12 +84,8 @@ class AcceptanceContext:
                     self._cache["disk-branch-64"] = branch
                 self._cache[key] = branch.at_p(p)
             else:
-                coarse = self.disk_entry(n // 2, p)
-                msh = self.disk_mesh(n)
-                guess = coarse.mesh.interp(coarse.u, msh.coords, fill=0.0)
-                u, info = lane_emden.newton_solve(msh, guess, p)
-                d = lane_emden.default_spike_radius(msh, np.zeros((1, 2)))
-                self._cache[key] = lane_emden.make_entry(msh, u, p, 1, d, info["residual"])
+                self._cache[key] = _refine(self.disk_entry(n // 2, p), self.disk_mesh(n), p,
+                                           np.zeros((1, 2)))
         return self._cache[key]
 
     def disk_graded_entry(self, n: int, p: float) -> lane_emden.BranchEntry:
@@ -109,12 +105,12 @@ class AcceptanceContext:
             )
             if n <= 64:
                 guess = lane_emden.ansatz(msh, kirchhoff_routh.psi_eval(msh, [center]), p)
+                u, info = lane_emden.newton_solve(msh, guess, p)
+                d = lane_emden.default_spike_radius(msh, center[None, :])
+                self._cache[key] = lane_emden.make_entry(msh, u, p, 1, d, info["residual"])
             else:
-                coarse = self.disk_graded_entry(n // 2, p)
-                guess = coarse.mesh.interp(coarse.u, msh.coords, fill=0.0)
-            u, info = lane_emden.newton_solve(msh, guess, p)
-            d = lane_emden.default_spike_radius(msh, center[None, :])
-            self._cache[key] = lane_emden.make_entry(msh, u, p, 1, d, info["residual"])
+                self._cache[key] = _refine(self.disk_graded_entry(n // 2, p), msh, p,
+                                           center[None, :])
         return self._cache[key]
 
     def ellipse_mesh(self, n: int) -> mesh_mod.GridMesh:
@@ -138,13 +134,19 @@ class AcceptanceContext:
                 self._cache[key] = branch.at_p(p)
             else:
                 coarse = self.ellipse_entry(n // 2, p)
-                msh = self.ellipse_mesh(n)
-                guess = coarse.mesh.interp(coarse.u, msh.coords, fill=0.0)
-                u, info = lane_emden.newton_solve(msh, guess, p)
-                pts = np.array([s.position for s in coarse.spikes])
-                d = lane_emden.default_spike_radius(msh, pts)
-                self._cache[key] = lane_emden.make_entry(msh, u, p, 1, d, info["residual"])
+                self._cache[key] = _refine(coarse, self.ellipse_mesh(n), p,
+                                           np.array([s.position for s in coarse.spikes]))
         return self._cache[key]
+
+
+def _refine(coarse: lane_emden.BranchEntry, msh: mesh_mod.GridMesh, p: float,
+            points: np.ndarray) -> lane_emden.BranchEntry:
+    """One ladder level: Newton on msh from the next-coarser entry
+    interpolated onto it; the spike radius is taken at points."""
+    guess = coarse.mesh.interp(coarse.u, msh.coords, fill=0.0)
+    u, info = lane_emden.newton_solve(msh, guess, p)
+    d = lane_emden.default_spike_radius(msh, points)
+    return lane_emden.make_entry(msh, u, p, 1, d, info["residual"])
 
 
 def _rec(identifier, description, target, measured, tolerance, passed,

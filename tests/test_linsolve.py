@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from spikelab import kirchhoff_routh, lane_emden, linsolve
-from spikelab.linsolve import NoConvergenceError, SparseOperator
+from spikelab.linsolve import NoConvergenceError, SparseOperator, factorize
 from spikelab.mesh import assemble_laplacian, build_graded_mesh, build_mesh, make_domain
 
 
@@ -29,12 +30,15 @@ def square_interior_laplacian(n):
                     rows.append(idx(i, j))
                     cols.append(idx(ii, jj))
                     vals.append(-1.0 / h**2)
-    return SparseOperator.from_coo(n * n, rows, cols, vals)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
 
 
 def test_duplicate_entries_are_summed():
-    A = SparseOperator.from_coo(2, [0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0])
+    # the mesh Laplacian is built from COO triplets this way
+    A = SparseOperator(([1.0, 2.0, 5.0], ([0, 0, 1], [0, 0, 1])), shape=(2, 2))
     assert np.allclose(A.diagonal(), [3.0, 5.0])
+    assert A.has_canonical_format and A.nnz == 2
+    assert A.to_scipy() is A
 
 
 @settings(max_examples=20, deadline=None)
@@ -50,7 +54,7 @@ def test_matvec_linearity(n, alpha, beta):
 
 
 def test_diagonal_matrix_eigenpairs():
-    A = SparseOperator.from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    A = sp.diags([1.0, 2.0, 3.0], format="csr")
     ep = linsolve.smallest_eigenpairs(A, m=2, sigma=0.0, tol=1e-12)
     assert np.allclose(ep.eigenvalues, [1.0, 2.0])
     for k, col in enumerate(ep.eigenvectors.T):
@@ -75,7 +79,7 @@ def test_deflation_orthogonality_symmetric():
 
 
 def test_shift_retry_on_exact_eigenvalue():
-    A = SparseOperator.from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    A = sp.diags([1.0, 2.0, 3.0], format="csr")
     ep = linsolve.smallest_eigenpairs(A, m=1, sigma=1.0, tol=1e-10)
     assert ep.eigenvalues[0] == pytest.approx(1.0)
 
@@ -98,10 +102,9 @@ def test_tiny_diagonal_is_not_taken_as_pivot():
     # 0) gives a backward error near 2e-5, so the threshold must act here
     n = 400
     i = np.arange(n - 1)
-    A = SparseOperator.from_coo(n, np.r_[i, i + 1, np.arange(n)], np.r_[i + 1, i, np.arange(n)],
-                                np.r_[np.ones(2 * n - 2), np.full(n, 1e-13)])
+    A = sp.diags([np.ones(n - 1), np.full(n, 1e-13), np.ones(n - 1)], [-1, 0, 1], format="csr")
     b = np.random.default_rng(0).standard_normal(n)
-    assert backward_error(A.to_scipy(), A.factorized().solve(b), b) <= 1e-12
+    assert backward_error(A, factorize(A).solve(b), b) <= 1e-12
 
 
 def test_spike_jacobian_keeps_predicted_fill():
@@ -111,11 +114,10 @@ def test_spike_jacobian_keeps_predicted_fill():
     msh = build_graded_mesh(make_domain("disk", r=1.0), 1.0 / 64, (0.0, 0.0), eps20)
     u = lane_emden.ansatz(msh, kirchhoff_routh.psi_eval(msh, [(0.0, 0.0)]), 20.0)
     J = lane_emden.LaneEmdenProblem(msh).jacobian(u, 20.0)
-    M = J.to_scipy().tocsc()
-    b = np.random.default_rng(1).standard_normal(J.n)
-    lu = J.factorized()
-    assert backward_error(M, lu.solve(b), b) <= 1e-10
-    assert lu.nnz < spla.splu(M, permc_spec="MMD_AT_PLUS_A").nnz
+    b = np.random.default_rng(1).standard_normal(J.shape[0])
+    lu = factorize(J)
+    assert backward_error(J, lu.solve(b), b) <= 1e-10
+    assert lu.nnz < spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
 
 
 _FREED_BLOCK_RSS = """

@@ -130,7 +130,7 @@ def test_arm_crossings_lie_on_zero_set(kind, h):
 
 def test_full_stencil_weights():
     m = build_mesh(make_domain("disk", r=1.0), 0.25)
-    A = assemble_laplacian(m).to_scipy()
+    A = assemble_laplacian(m)
     k = int(m.node_of[m.nearest_lattice(0.0, 0.0)])
     row = A.getrow(k)
     h2 = 0.25**2
