@@ -7,7 +7,9 @@ import csv
 import fractions
 import json
 import os
+import resource
 import sys
+import time
 
 import numpy as np
 
@@ -80,11 +82,7 @@ def cmd_green(args) -> int:
 def cmd_kr(args) -> int:
     dom = parse_domain(args.domain)
     msh = mesh_mod.build_mesh(dom, args.h)
-    if args.start:
-        starts = parse_points(args.start)
-    else:
-        cx, cy = dom.center()
-        starts = np.array([[cx + 0.1, cy + 0.05]])
+    starts = parse_points(args.start) if args.start else kirchhoff_routh.default_start(dom)
     cfg = kirchhoff_routh.find_critical_point(msh, starts)
     _emit(
         {
@@ -124,9 +122,7 @@ def _solve_at(args, p_list):
     each p of the ascending p_list."""
     dom = parse_domain(args.domain)
     msh = mesh_mod.build_mesh(dom, args.h)
-    cx, cy = dom.center()
-    starts = np.array([[cx + 0.1, cy + 0.05]])
-    cfg = kirchhoff_routh.find_critical_point(msh, starts)
+    cfg = kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.default_start(dom))
     branch = lane_emden.continue_in_p(msh, cfg, min(p_list[0], 10.0), p_list, tol=args.tol)
     return msh, cfg, branch
 
@@ -209,6 +205,7 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
+    t0 = time.time()
     cfg = harness.load_config(args.config) if args.config else harness.RunConfig()
     out_dir = args.out or cfg.out_dir
     records = verify.acceptance_records(full=not args.quick)
@@ -223,7 +220,13 @@ def cmd_verify(args) -> int:
     failed = [r for r in records if not r.passed]
     for r in records:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.identifier}: {r.description}")
-    print(f"{len(records) - len(failed)}/{len(records)} checks passed; reports in {out_dir}/")
+        if not r.passed and r.notes:
+            print(f"       note: {r.notes}")
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"\n{len(records) - len(failed)}/{len(records)} checks passed in "
+          f"{time.time() - t0:.0f}s, peak RSS {peak_mb:.0f} MB; "
+          f"records in {os.path.join(out_dir, 'checks.json')}")
     return 0 if not failed else 1
 
 
@@ -232,21 +235,21 @@ def main(argv=None) -> int:
                                  description="Lane-Emden spike asymptotics laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, domain=True):
-        if domain:
-            sp.add_argument("--domain", default="disk,r=1")
+    def common(sp, solves=True):
+        sp.add_argument("--domain", default="disk,r=1")
         sp.add_argument("--h", type=parse_h, default=1.0 / 64,
                         help="grid spacing (fractions like 1/128 accepted)")
-        sp.add_argument("--tol", type=float, default=1e-10)
+        if solves:
+            sp.add_argument("--tol", type=float, default=1e-10, help="Newton tolerance")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("green", help="Robin data at a source point")
-    common(sp)
+    common(sp, solves=False)
     sp.add_argument("--source", required=True, help="x,y")
     sp.set_defaults(func=cmd_green)
 
     sp = sub.add_parser("kr", help="Kirchhoff-Routh critical point search")
-    common(sp)
+    common(sp, solves=False)
     sp.add_argument("--start", default=None,
                     help="x,y[;x,y...]: one start point per spike, k = their number")
     sp.set_defaults(func=cmd_kr)

@@ -19,6 +19,9 @@ from .linsolve import factorize
 from .mesh import GridMesh, assemble_laplacian, dirichlet_rhs
 
 TWO_PI = 2.0 * np.pi
+# least depth of a source inside the domain, in units of h: closer, the log
+# data on the boundary is no longer smooth on the mesh
+MIN_DEPTH = 3.0
 
 
 class SourceNearBoundaryError(ValueError):
@@ -77,19 +80,16 @@ class GreenData:
         return grad_S - self.mesh.interp_gradient(self.H_field, pts)
 
 
-def regular_part(mesh: GridMesh, x0, min_depth_factor: float = 3.0) -> GreenData:
+def regular_part(mesh: GridMesh, x0) -> GreenData:
     """Solve ΔH = 0 with H = S(x0, .) on the boundary; fill R(x0) by interpolation.
 
-    The source must sit at least ``min_depth_factor * h`` inside the domain so
-    the log data on the boundary stays smooth.
+    The source must sit at least MIN_DEPTH h inside the domain.
     """
     x0 = np.asarray(x0, dtype=float)
     if not bool(mesh.domain.inside(x0[0], x0[1])):
         raise SourceNearBoundaryError(f"source {x0} is not inside the domain")
-    if mesh.boundary_distance(x0[0], x0[1]) < min_depth_factor * mesh.h:
-        raise SourceNearBoundaryError(
-            f"source {x0} is closer than {min_depth_factor}h to the boundary"
-        )
+    if mesh.boundary_distance(x0[0], x0[1]) < MIN_DEPTH * mesh.h:
+        raise SourceNearBoundaryError(f"source {x0} is closer than {MIN_DEPTH}h to the boundary")
     b = dirichlet_rhs(mesh, lambda x, y: fundamental(x0, x, y))
     H = laplacian_factorization(mesh).solve(b)
     R = float(mesh.interp(H, x0[None, :])[0])
@@ -128,7 +128,7 @@ def robin_derivatives(mesh: GridMesh, x0, R0: float | None = None) -> tuple[np.n
     delta = 2.0 * mesh.h
     for s in product((-1, 0, 1), repeat=2):
         p = x0 + delta * np.array(s)
-        if s != (0, 0) and (mesh.boundary_distance(p[0], p[1]) < 3.0 * mesh.h
+        if s != (0, 0) and (mesh.boundary_distance(p[0], p[1]) < MIN_DEPTH * mesh.h
                             or not bool(mesh.domain.inside(*p))):
             raise StencilLeavesDomainError(f"Robin FD stencil point {p} leaves the domain")
     return central_differences(lambda x: regular_part(mesh, x).R_value, x0, delta, R0)

@@ -53,8 +53,8 @@ class RunConfig:
             raise ConfigError("p list must not be empty")
         if sorted(self.p_list) != list(self.p_list):
             raise ConfigError("p list must be ascending")
-        if sorted(self.h_list, reverse=True) != list(self.h_list):
-            raise ConfigError("h list must be descending")
+        if len(self.h_list) != 1:
+            raise ConfigError("h list must hold exactly one h: the sweep solves on one mesh")
         if self.newton_tol <= 0:
             raise ConfigError("newton_tol must be positive")
 
@@ -342,8 +342,7 @@ def run_sweep(cfg: RunConfig) -> dict:
     cfg.validate()
     records: list[VerificationRecord] = []
     dom = cfg.domain()
-    h = cfg.h_list[-1] if cfg.h_list else 1.0 / 64
-    msh = mesh_mod.build_mesh(dom, h)
+    msh = mesh_mod.build_mesh(dom, cfg.h_list[0])
 
     # Kirchhoff-Routh critical point
     if cfg.start_points:
@@ -351,8 +350,7 @@ def run_sweep(cfg: RunConfig) -> dict:
     else:
         if cfg.k != 1:
             raise ConfigError("k >= 2 sweeps need explicit run.start_points")
-        cx, cy = dom.center()
-        starts = np.array([[cx + 0.12, cy + 0.07]])
+        starts = kirchhoff_routh.default_start(dom)
     try:
         kr_cfg = kirchhoff_routh.find_critical_point(msh, starts)
         records.append(

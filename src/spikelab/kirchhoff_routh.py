@@ -56,7 +56,8 @@ def _check_points(mesh: GridMesh, points: np.ndarray) -> None:
                 )
     for j in range(k):
         try:
-            depth_ok = mesh.boundary_distance(points[j, 0], points[j, 1]) >= 3.0 * mesh.h
+            depth = mesh.boundary_distance(points[j, 0], points[j, 1])
+            depth_ok = depth >= greens.MIN_DEPTH * mesh.h
         except ValueError:
             depth_ok = False
         if not (bool(mesh.domain.inside(points[j, 0], points[j, 1])) and depth_ok):
@@ -87,6 +88,13 @@ def psi_eval(mesh: GridMesh, points, *, _solved: dict | None = None) -> SpikeCon
                 interaction += float(gds[j].green_values(points[m][None, :])[0])
         parts[j] = gds[j].R_value - interaction
     return SpikeConfig(k=k, points=points, psi_parts=parts, psi_total=float(parts.sum()))
+
+
+def default_start(domain) -> np.ndarray:
+    """The one-spike search start, (1, 2): the domain's centre moved by
+    (0.12, 0.07), off the symmetry axes of the disk and the ellipse."""
+    cx, cy = domain.center()
+    return np.array([[cx + 0.12, cy + 0.07]])
 
 
 def _psi_total(mesh: GridMesh, flat: np.ndarray) -> float:

@@ -348,12 +348,12 @@ class GridMesh:
                         return ii, jj
         raise ValueError(f"interpolation stencil at ({pt[0]:.4g},{pt[1]:.4g}) touches the exterior")
 
-    def refine_stationary(self, values: np.ndarray, start, max_shift: float | None = None):
+    def refine_stationary(self, values: np.ndarray, start):
         """Stationary point of the local biquadratic patch around ``start``.
 
         Newton on the interpolant of the 3x3 block of the nearest node;
-        the shift is clamped (default: half the arm on each side) so the
-        patch stays the one the plain ``interp`` would select.  Returns
+        the shift is clamped to half the arm on each side so the patch
+        stays the one the plain ``interp`` would select.  Returns
         (point, value).
         """
         arr = self.grid_array(values)
@@ -366,11 +366,7 @@ class GridMesh:
         # Newton runs in the units of the right and upper arms
         rx, bx, xi = _arm_units(self.xs, i0, x0)
         ry, by, eta = _arm_units(self.ys, j0, y0)
-        if max_shift is None:
-            lim_x, lim_y = (-0.5 * rx, 0.5), (-0.5 * ry, 0.5)
-        else:
-            lim_x = (-max_shift / bx, max_shift / bx)
-            lim_y = (-max_shift / by, max_shift / by)
+        lim_x, lim_y = (-0.5 * rx, 0.5), (-0.5 * ry, 0.5)
         for _ in range(4):
             wx, wy = _quad_weights(rx, xi), _quad_weights(ry, eta)
             dwx, ddwx = _quad_derivatives(rx, xi)

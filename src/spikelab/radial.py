@@ -186,8 +186,11 @@ def solve_radial(p: float, tol: float = 1e-12) -> RadialSolution:
 
 # ---- linearized operator on the disk, per angular Fourier mode -----------
 
+R_MIN_FACTOR = 1e-3  # innermost pencil node, in units of eps0
+PER_MODE = 2  # eigenvalues nearest zero that disk_spectrum reports per mode
 
-def mode_pencil(rad: RadialSolution, m: int, n: int = 4000, r_min_factor: float = 1e-3):
+
+def mode_pencil(rad: RadialSolution, m: int, n: int = 4000):
     """Finite-volume form K xi = lambda M xi of -d2/dr2 - (1/r)d/dr + m^2/r^2 - V(r)
     on (0, 1), on n geometric nodes: (diagonal of K, off-diagonal of K, diagonal of M).
 
@@ -197,7 +200,7 @@ def mode_pencil(rad: RadialSolution, m: int, n: int = 4000, r_min_factor: float 
     eigenvalue is a ~1e-9 relative cancellation at large p, is shot in
     factorized form instead (_Mode1Shooter).
     """
-    r_min = max(rad.eps0 * r_min_factor, 1e-14)
+    r_min = max(rad.eps0 * R_MIN_FACTOR, 1e-14)
     nodes = np.geomspace(r_min, 1.0, n + 1)  # last node is the Dirichlet boundary
     r = nodes[:-1]
     edges = np.empty(n + 1)
@@ -392,13 +395,13 @@ class DiskSpectrum:
         return min(abs(lam) for lam, _ in self.eigenvalues_near_zero(count))
 
 
-def disk_spectrum(rad: RadialSolution, m_max: int = 3, per_mode: int = 2, n: int = 4000) -> DiskSpectrum:
+def disk_spectrum(rad: RadialSolution, m_max: int = 3, n: int = 4000) -> DiskSpectrum:
     """Eigenvalues nearest zero for modes m = 0..m_max and the Morse index.
 
     m = 0 and m >= 2 use the finite-volume pencil (their eigenvalues are
     cancellation-free on the scale-free geometric grid): its negative
     eigenvalues give the Morse count, and the lowest of them, the
-    concentrated ground mode, is reported ahead of the per_mode eigenvalues
+    concentrated ground mode, is reported ahead of the PER_MODE eigenvalues
     nearest zero.  m = 1 uses factorized shooting, positive definite on the
     disk for every p.
     """
@@ -407,7 +410,7 @@ def disk_spectrum(rad: RadialSolution, m_max: int = 3, per_mode: int = 2, n: int
     for m in range(m_max + 1):
         if m == 1:
             vals, vecs, grids = [], [], []
-            for idx in range(1, per_mode + 1):
+            for idx in range(1, PER_MODE + 1):
                 lam, rgrid, xi = mode1_eigenvalue(rad, index=idx)
                 vals.append(lam)
                 vecs.append(xi)
@@ -417,9 +420,9 @@ def disk_spectrum(rad: RadialSolution, m_max: int = 3, per_mode: int = 2, n: int
         pencil = mode_pencil(rad, m, n=n)
         neg = pencil_eigenvalues(pencil, "v", (-np.inf, 0.0))
         morse += neg.size * (1 if m == 0 else 2)
-        first = max(neg.size - per_mode, 0)
-        window = pencil_eigenvalues(pencil, "i", (first, min(neg.size + per_mode, n) - 1))
-        keep = np.sort(np.argsort(np.abs(window), kind="stable")[:per_mode])
+        first = max(neg.size - PER_MODE, 0)
+        window = pencil_eigenvalues(pencil, "i", (first, min(neg.size + PER_MODE, n) - 1))
+        keep = np.sort(np.argsort(np.abs(window), kind="stable")[:PER_MODE])
         vals = window[keep].tolist()
         if neg.size and first + keep[0] > 0:  # the ground mode, unless already kept
             vals.insert(0, float(neg[0]))

@@ -7,6 +7,11 @@ rescaled radial oracle on the disk; the 2-D solver is cross-validated against
 the oracle in the resolved regime and used directly wherever the check names
 it.  A failing record is an honest outcome, not a crash: the suite always
 returns the complete list.
+
+Every 2-D solution comes from one memoized ladder,
+``AcceptanceContext.entry(domain, n, p, graded)``: C4 on the uniform disk,
+C9 on spike-graded disks, C10 on the ellipse and the C11/C12 cross-checks
+at h = 1/96 and 1/64 share it, so no field is solved twice in a run.
 """
 
 from __future__ import annotations
@@ -33,9 +38,16 @@ SQRT_E = math.sqrt(math.e)
 EIGHT_PI_E = 8 * np.pi * np.e
 
 
+# the domains the acceptance suite solves on, by name
+DOMAINS = {"disk": {"r": 1.0}, "ellipse": {"a": 2.0, "b": 1.0}}
+# the first ladder level that Newton-solves from the next-coarser solution;
+# the coarser levels (h = 1/64 and 1/96) solve from the spike ansatz
+FIRST_REFINED_LEVEL = 128
+
+
 @dataclass
 class AcceptanceContext:
-    """Shared lazily-built artifacts (meshes, branches, oracle solutions)."""
+    """Shared lazily-built artifacts (meshes, ladder solutions, oracle solutions)."""
 
     _cache: dict = field(default_factory=dict)
 
@@ -50,103 +62,59 @@ class AcceptanceContext:
             self._cache["w0"] = liouville.solve_w0()
         return self._cache["w0"]
 
-    def disk_mesh(self, n: int) -> mesh_mod.GridMesh:
-        key = ("disk-mesh", n)
+    def mesh(self, domain: str, n: int, eps: float | None = None) -> mesh_mod.GridMesh:
+        """The h = 1/n mesh of a domain in DOMAINS; with eps, its lines are
+        graded toward the domain's Kirchhoff-Routh point down to about
+        16 h eps there."""
+        key = ("mesh", domain, n, eps)
         if key not in self._cache:
-            self._cache[key] = mesh_mod.build_mesh(mesh_mod.make_domain("disk", r=1.0), 1.0 / n)
+            dom = mesh_mod.make_domain(domain, **DOMAINS[domain])
+            if eps is None:
+                msh = mesh_mod.build_mesh(dom, 1.0 / n)
+            else:
+                msh = mesh_mod.build_graded_mesh(dom, 1.0 / n, self.kr_points(domain)[0], eps)
+            self._cache[key] = msh
         return self._cache[key]
 
-    def disk_kr(self, n: int) -> kirchhoff_routh.SpikeConfig:
-        key = ("disk-kr", n)
+    def kr_points(self, domain: str) -> np.ndarray:
+        """The domain's Kirchhoff-Routh point, (1, 2): the disk's centre, and
+        on the ellipse the search result on its h = 1/64 mesh from (0.25, 0.12)."""
+        key = ("kr", domain)
         if key not in self._cache:
-            self._cache[key] = kirchhoff_routh.psi_eval(self.disk_mesh(n), [(0.0, 0.0)])
+            if domain == "disk":
+                self._cache[key] = np.zeros((1, 2))
+            else:
+                self._cache[key] = kirchhoff_routh.find_critical_point(
+                    self.mesh(domain, 64), [(0.25, 0.12)]).points
         return self._cache[key]
 
-    def disk_entry(self, n: int, p: float) -> lane_emden.BranchEntry:
-        """Branch entry at (h = 1/n, p) via the mesh ladder.
+    def entry(self, domain: str, n: int, p: float, graded: bool = False) -> lane_emden.BranchEntry:
+        """The one-spike solution at (h = 1/n, p) on the domain's mesh ladder.
 
-        The coarsest mesh (h = 1/64) solves the branch at p = 10, 20 and 40
-        with ``continue_in_p``: a Newton solve from the spike ansatz at each
-        p, and pseudo-arclength from the previous p only where that solve
-        fails in the under-resolution folds.  Finer meshes Newton-solve from
-        the interpolated next-coarser solution.  The ladder lands on the
+        A level coarser than FIRST_REFINED_LEVEL Newton-solves from the spike
+        ansatz at the Kirchhoff-Routh point; a finer one Newton-solves from
+        the h = 2/n entry interpolated onto its mesh.  The ladder lands on the
         same discrete solution as pure p-continuation (checked to 2e-15 at
-        h = 1/128, p = 20) at a fraction of the factorization cost.
+        h = 1/128, p = 20) at a fraction of the factorization cost.  With
+        ``graded`` every level's mesh is graded toward the point with eps(p)
+        from the radial oracle, so every level resolves the peak.  The spike
+        radius is taken at the Kirchhoff-Routh point on an ansatz level and
+        at the coarser entry's spikes on a refined one.
         """
-        key = ("disk-entry", n, p)
+        key = ("entry", domain, n, p, graded)
         if key not in self._cache:
-            if n <= 64:
-                branch = self._cache.get("disk-branch-64")
-                if branch is None:
-                    branch = lane_emden.continue_in_p(
-                        self.disk_mesh(64), self.disk_kr(64), 10.0, [10.0, 20.0, 40.0]
-                    )
-                    self._cache["disk-branch-64"] = branch
-                self._cache[key] = branch.at_p(p)
+            msh = self.mesh(domain, n, self.oracle(p).eps0 if graded else None)
+            if n < FIRST_REFINED_LEVEL:
+                points = self.kr_points(domain)
+                guess = lane_emden.ansatz(msh, kirchhoff_routh.psi_eval(msh, points), p)
             else:
-                self._cache[key] = _refine(self.disk_entry(n // 2, p), self.disk_mesh(n), p,
-                                           np.zeros((1, 2)))
+                coarse = self.entry(domain, n // 2, p, graded)
+                points = np.array([s.position for s in coarse.spikes])
+                guess = coarse.mesh.interp(coarse.u, msh.coords, fill=0.0)
+            u, info = lane_emden.newton_solve(msh, guess, p)
+            d = lane_emden.default_spike_radius(msh, points)
+            self._cache[key] = lane_emden.make_entry(msh, u, p, 1, d, info["residual"])
         return self._cache[key]
-
-    def disk_graded_entry(self, n: int, p: float) -> lane_emden.BranchEntry:
-        """Branch entry at (h = 1/n, p) on lines graded toward the
-        Kirchhoff-Routh point.
-
-        The spacing falls to about 16 h eps(p) at the point (eps from the
-        radial oracle), so every level resolves the peak.  The coarsest mesh
-        (h = 1/64) Newton-solves from the ansatz; each finer mesh from the
-        interpolated next-coarser solution, as in ``disk_entry``.
-        """
-        key = ("disk-graded-entry", n, p)
-        if key not in self._cache:
-            center = self.disk_kr(64).points[0]
-            msh = mesh_mod.build_graded_mesh(
-                mesh_mod.make_domain("disk", r=1.0), 1.0 / n, center, self.oracle(p).eps0
-            )
-            if n <= 64:
-                guess = lane_emden.ansatz(msh, kirchhoff_routh.psi_eval(msh, [center]), p)
-                u, info = lane_emden.newton_solve(msh, guess, p)
-                d = lane_emden.default_spike_radius(msh, center[None, :])
-                self._cache[key] = lane_emden.make_entry(msh, u, p, 1, d, info["residual"])
-            else:
-                self._cache[key] = _refine(self.disk_graded_entry(n // 2, p), msh, p,
-                                           center[None, :])
-        return self._cache[key]
-
-    def ellipse_mesh(self, n: int) -> mesh_mod.GridMesh:
-        key = ("ellipse-mesh", n)
-        if key not in self._cache:
-            self._cache[key] = mesh_mod.build_mesh(
-                mesh_mod.make_domain("ellipse", a=2.0, b=1.0), 1.0 / n
-            )
-        return self._cache[key]
-
-    def ellipse_entry(self, n: int, p: float) -> lane_emden.BranchEntry:
-        key = ("ellipse-entry", n, p)
-        if key not in self._cache:
-            if n <= 64:
-                branch = self._cache.get("ellipse-branch-64")
-                if branch is None:
-                    msh = self.ellipse_mesh(64)
-                    cfg = kirchhoff_routh.find_critical_point(msh, [(0.25, 0.12)])
-                    branch = lane_emden.continue_in_p(msh, cfg, 20.0, [20.0, 40.0, 80.0])
-                    self._cache["ellipse-branch-64"] = branch
-                self._cache[key] = branch.at_p(p)
-            else:
-                coarse = self.ellipse_entry(n // 2, p)
-                self._cache[key] = _refine(coarse, self.ellipse_mesh(n), p,
-                                           np.array([s.position for s in coarse.spikes]))
-        return self._cache[key]
-
-
-def _refine(coarse: lane_emden.BranchEntry, msh: mesh_mod.GridMesh, p: float,
-            points: np.ndarray) -> lane_emden.BranchEntry:
-    """One ladder level: Newton on msh from the next-coarser entry
-    interpolated onto it; the spike radius is taken at points."""
-    guess = coarse.mesh.interp(coarse.u, msh.coords, fill=0.0)
-    u, info = lane_emden.newton_solve(msh, guess, p)
-    d = lane_emden.default_spike_radius(msh, points)
-    return lane_emden.make_entry(msh, u, p, 1, d, info["residual"])
 
 
 def _rec(identifier, description, target, measured, tolerance, passed,
@@ -185,7 +153,7 @@ def criterion_2_green_oracle(ctx: AcceptanceContext) -> list[VerificationRecord]
            [(0.0, 0.0), (0.5, 0.0), (0.3, 0.2), (-0.45, 0.15), (0.1, -0.55), (0.55, -0.2)]]
     errs = {}
     for n in (64, 128, 256):
-        msh = ctx.disk_mesh(n)
+        msh = ctx.mesh("disk", n)
         errs[n] = max(
             abs(greens.regular_part(msh, q).R_value - greens.unit_disk_R(q)) for q in pts
         )
@@ -205,7 +173,7 @@ def criterion_2_green_oracle(ctx: AcceptanceContext) -> list[VerificationRecord]
 
 
 def criterion_3_kr_certification(ctx: AcceptanceContext) -> list[VerificationRecord]:
-    msh = ctx.disk_mesh(128)
+    msh = ctx.mesh("disk", 128)
     cfg = kirchhoff_routh.find_critical_point(msh, [(0.3, 0.2)])
     dist = float(np.hypot(*cfg.points[0]))
     eigs = cfg.eigenvalues
@@ -227,7 +195,7 @@ def criterion_3_kr_certification(ctx: AcceptanceContext) -> list[VerificationRec
 def criterion_4_solver_vs_oracle(ctx: AcceptanceContext) -> list[VerificationRecord]:
     out = []
     for p in (10.0, 20.0, 40.0):
-        e = ctx.disk_entry(256, p)
+        e = ctx.entry("disk", 256, p)
         orc = ctx.oracle(p)
         rel = abs(e.spikes[0].u_max - orc.u0) / orc.u0
         eps_ratio = e.spikes[0].eps / orc.eps0
@@ -346,7 +314,7 @@ def criterion_8_profile_correction(ctx: AcceptanceContext) -> list[VerificationR
 
 def criterion_9_pohozaev(ctx: AcceptanceContext, deep: bool = True) -> list[VerificationRecord]:
     out = []
-    msh = ctx.disk_mesh(256)
+    msh = ctx.mesh("disk", 256)
     gd = greens.regular_part(msh, (0.0, 0.0))
     G = pohozaev.GreenField(gd)
     h = msh.h
@@ -369,7 +337,7 @@ def criterion_9_pohozaev(ctx: AcceptanceContext, deep: bool = True) -> list[Veri
         u0 = ctx.oracle(20.0).u0
         eps0 = ctx.oracle(20.0).eps0
         for n in (64, 128, 256):
-            e = ctx.disk_graded_entry(n, 20.0)
+            e = ctx.entry("disk", n, 20.0, graded=True)
             rep = pohozaev.pohozaev_residuals(
                 e.mesh, e.u, 20.0, e.spikes[0].position, theta
             )
@@ -396,7 +364,7 @@ def criterion_9_pohozaev(ctx: AcceptanceContext, deep: bool = True) -> list[Veri
 def criterion_10_gradient_balance(ctx: AcceptanceContext) -> list[VerificationRecord]:
     ratios = []
     for p in (20.0, 40.0, 80.0):
-        e = ctx.ellipse_entry(128, p)
+        e = ctx.entry("ellipse", 128, p)
         gb = pohozaev.gradient_balance(e)
         ratios.append(gb.ratios[0])
     monotone = ratios[0] > ratios[1] > ratios[2]
@@ -464,12 +432,9 @@ def criterion_11_spectrum(ctx: AcceptanceContext) -> list[VerificationRecord]:
         )
     )
     # cross-validate the 2-D spectrum machinery in the resolved regime
-    msh = ctx.disk_mesh(96)
-    cfg = kirchhoff_routh.psi_eval(msh, [(0.0, 0.0)])
-    u, info = lane_emden.newton_solve(msh, lane_emden.ansatz(msh, cfg, 6.0), 6.0)
-    entry = lane_emden.make_entry(msh, u, 6.0, 1, 0.25, info["residual"])
+    e = ctx.entry("disk", 96, 6.0)
     rep = spectrum.bottom_spectrum(
-        spectrum.assemble_Lp(msh, u, 6.0), m=4, tol=2e-6, mesh=msh, spikes=entry.spikes
+        spectrum.assemble_Lp(e.mesh, e.u, 6.0), m=4, tol=2e-6, mesh=e.mesh, spikes=e.spikes
     )
     spec1d = radial.disk_spectrum(ctx.oracle(6.0), m_max=3)
     lam1d = np.sort([v for v, _ in spec1d.eigenvalues_near_zero(4)])
@@ -490,7 +455,7 @@ def criterion_11_spectrum(ctx: AcceptanceContext) -> list[VerificationRecord]:
 def criterion_12_property_suites(ctx: AcceptanceContext) -> list[VerificationRecord]:
     out = []
     # discrete maximum principle
-    msh = ctx.disk_mesh(64)
+    msh = ctx.mesh("disk", 64)
     rng = np.random.default_rng(11)
     f = rng.random(msh.n_nodes)
     u = greens.laplacian_factorization(msh).solve(f)
@@ -521,8 +486,7 @@ def criterion_12_property_suites(ctx: AcceptanceContext) -> list[VerificationRec
         )
     )
     # Jacobian against directional finite differences
-    cfg = ctx.disk_kr(64)
-    u10, _ = lane_emden.newton_solve(msh, lane_emden.ansatz(msh, cfg, 10.0), 10.0)
+    u10 = ctx.entry("disk", 64, 10.0).u
     problem = lane_emden.LaneEmdenProblem(msh)
     v = rng.standard_normal(msh.n_nodes)
     v /= np.linalg.norm(v)

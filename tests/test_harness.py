@@ -53,7 +53,7 @@ def test_config_parse_roundtrip(tmp_path):
 domain.kind = disk
 domain.r = 1.0
 run.k = 1
-run.h_list = 1/64, 1/128
+run.h_list = 1/128
 run.p_list = 10, 20, 40
 tol.newton = 1e-9
 out.dir = results
@@ -62,7 +62,7 @@ out.dir = results
     path.write_text(text)
     cfg = harness.load_config(str(path))
     assert cfg.domain_kind == "disk"
-    assert cfg.h_list == [1.0 / 64, 1.0 / 128]
+    assert cfg.h_list == [1.0 / 128]
     assert cfg.p_list == [10.0, 20.0, 40.0]
     assert cfg.newton_tol == 1e-9
     assert cfg.out_dir == "results"
@@ -87,6 +87,9 @@ def test_config_rejects_bad_values():
         harness.parse_config_text("run.h_list = 1/0")
     with pytest.raises(ConfigError, match="run.h_list"):
         harness.parse_config_text("run.h_list = 1/64/2")
+    # the sweep solves on one mesh: a second h would be dropped silently
+    with pytest.raises(ConfigError, match="h list"):
+        harness.parse_config_text("run.h_list = 1/64, 1/128")
 
 
 def test_empty_p_list_invalid():
