@@ -16,14 +16,19 @@ import numpy as np
 from . import greens, harness, kirchhoff_routh, lane_emden, liouville, mesh as mesh_mod, pohozaev, spectrum
 
 
-def parse_domain(text: str) -> mesh_mod.DomainSpec:
-    """Parse 'disk,r=1' / 'ellipse,a=2,b=1' / 'annulus,r_in=0.5,r_out=1'."""
-    parts = [t.strip() for t in text.split(",") if t.strip()]
-    kind = parts[0]
+def _domain_parts(text: str) -> tuple[str, dict]:
+    """'ellipse,a=2,b=1' -> ('ellipse', {'a': 2.0, 'b': 1.0})."""
+    kind, *parts = [t.strip() for t in text.split(",") if t.strip()]
     params = {}
-    for part in parts[1:]:
+    for part in parts:
         k, v = part.split("=", 1)
         params[k.strip()] = float(v)
+    return kind, params
+
+
+def parse_domain(text: str) -> mesh_mod.DomainSpec:
+    """Parse 'disk,r=1' / 'ellipse,a=2,b=1' / 'annulus,r_in=0.5,r_out=1'."""
+    kind, params = _domain_parts(text)
     return mesh_mod.make_domain(kind, **params)
 
 
@@ -117,14 +122,37 @@ def cmd_liouville(args) -> int:
     return 0
 
 
+def _p_start(p_list) -> float:
+    """Where an arclength fallback before the first recorded p starts."""
+    return min(p_list[0], 10.0)
+
+
 def _solve_at(args, p_list):
     """Solve the one-spike branch at its Kirchhoff-Routh point and record it at
     each p of the ascending p_list."""
     dom = parse_domain(args.domain)
     msh = mesh_mod.build_mesh(dom, args.h)
     cfg = kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.default_start(dom))
-    branch = lane_emden.continue_in_p(msh, cfg, min(p_list[0], 10.0), p_list, tol=args.tol)
+    branch = lane_emden.continue_in_p(msh, cfg, _p_start(p_list), p_list, tol=args.tol)
     return msh, cfg, branch
+
+
+def _report(records, out_dir: str, t0: float, branch=None, plots=None) -> int:
+    """Write checks.json (with branch.csv and the plots when given) to out_dir,
+    print a PASS/FAIL line per record, the notes of each failing one and a
+    summary line; 0 iff every record passed."""
+    harness.emit_reports(records, out_dir, branch=branch, plots=plots)
+    failed = [r for r in records if not r.passed]
+    for r in records:
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.identifier}: {r.description}")
+        if not r.passed and r.notes:
+            print(f"       note: {r.notes}")
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"\n{len(records) - len(failed)}/{len(records)} checks passed in "
+          f"{time.time() - t0:.0f}s, peak RSS {peak_mb:.0f} MB; "
+          f"records in {os.path.join(out_dir, 'checks.json')}")
+    return 0 if not failed else 1
 
 
 def cmd_solve(args) -> int:
@@ -148,12 +176,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _, _, branch = _solve_at(args, parse_p_range(args.p))
-    out = args.out or "branch.csv"
-    with open(out, "w") as f:
-        f.write(harness.branch_csv_text(branch))
-    print(f"wrote {out} ({len(branch.entries)} entries)")
-    return 0
+    t0 = time.time()
+    kind, params = _domain_parts(args.domain)
+    p_list = parse_p_range(args.p)
+    cfg = harness.RunConfig(
+        domain_kind=kind, domain_params=params, h_list=[args.h], p_list=p_list,
+        p_start=_p_start(p_list), newton_tol=args.tol,
+        start_points=parse_points(args.start).tolist() if args.start else None,
+    )
+    sweep = harness.run_sweep(cfg)
+    return _report(sweep["records"], args.out, t0, branch=sweep["branch"], plots=sweep["plots"])
 
 
 def _read_branch_ps(path: str) -> list[float]:
@@ -206,28 +238,7 @@ def cmd_verify(args) -> int:
     from . import verify
 
     t0 = time.time()
-    cfg = harness.load_config(args.config) if args.config else harness.RunConfig()
-    out_dir = args.out or cfg.out_dir
-    records = verify.acceptance_records(full=not args.quick)
-    plots = {}
-    branch = None
-    if not args.no_sweep:
-        sweep = harness.run_sweep(cfg)
-        records.extend(sweep["records"])
-        plots = sweep["plots"]
-        branch = sweep["branch"]
-    harness.emit_reports(records, out_dir, branch=branch, plots=plots)
-    failed = [r for r in records if not r.passed]
-    for r in records:
-        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.identifier}: {r.description}")
-        if not r.passed and r.notes:
-            print(f"       note: {r.notes}")
-    # ru_maxrss is in KiB on Linux
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"\n{len(records) - len(failed)}/{len(records)} checks passed in "
-          f"{time.time() - t0:.0f}s, peak RSS {peak_mb:.0f} MB; "
-          f"records in {os.path.join(out_dir, 'checks.json')}")
-    return 0 if not failed else 1
+    return _report(verify.acceptance_records(full=not args.quick), args.out, t0)
 
 
 def main(argv=None) -> int:
@@ -235,13 +246,15 @@ def main(argv=None) -> int:
                                  description="Lane-Emden spike asymptotics laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, solves=True):
+    def common(sp, solves=True, out=None):
         sp.add_argument("--domain", default="disk,r=1")
         sp.add_argument("--h", type=parse_h, default=1.0 / 64,
                         help="grid spacing (fractions like 1/128 accepted)")
         if solves:
             sp.add_argument("--tol", type=float, default=1e-10, help="Newton tolerance")
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--out", default=out)
+
+    start_help = "x,y[;x,y...]: one start point per spike, k = their number (default: one spike)"
 
     sp = sub.add_parser("green", help="Robin data at a source point")
     common(sp, solves=False)
@@ -250,8 +263,7 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("kr", help="Kirchhoff-Routh critical point search")
     common(sp, solves=False)
-    sp.add_argument("--start", default=None,
-                    help="x,y[;x,y...]: one start point per spike, k = their number")
+    sp.add_argument("--start", default=None, help=start_help)
     sp.set_defaults(func=cmd_kr)
 
     sp = sub.add_parser("liouville", help="bubble constants and w0 table")
@@ -265,9 +277,11 @@ def main(argv=None) -> int:
     sp.add_argument("--p", type=float, required=True)
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("sweep", help="continuation sweep, writes branch.csv")
-    common(sp)
+    sp = sub.add_parser("sweep", help="branch sweep with diagnostics: writes checks.json, "
+                                      "branch.csv and SVG plots to --out")
+    common(sp, out="out")
     sp.add_argument("--p", default="10:80", help="range a:b or comma list")
+    sp.add_argument("--start", default=None, help=start_help)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("pohozaev", help="identity residuals along a branch")
@@ -283,11 +297,9 @@ def main(argv=None) -> int:
     sp.add_argument("--eigen-tol", type=float, default=2e-6)
     sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("verify", help="run the acceptance suite")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--out", default=None)
+    sp = sub.add_parser("verify", help="run the acceptance suite, writes checks.json to --out")
+    sp.add_argument("--out", default="out")
     sp.add_argument("--quick", action="store_true", help="skip the slowest criteria")
-    sp.add_argument("--no-sweep", action="store_true", help="acceptance records only")
     sp.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)

@@ -1,9 +1,8 @@
 """Run configuration, sweep orchestration, rate fitting, and report emission.
 
-Configs are flat key=value text with dotted sections (diff-friendly, no
-parser dependencies); reports are a JSON list of verification records, a
-branch CSV with fixed columns, and self-contained SVG plots assembled by
-string, so a browser is the only viewer needed.
+Reports are a JSON list of verification records, a branch CSV with fixed
+columns, and self-contained SVG plots assembled by string, so a browser is
+the only viewer needed.
 """
 
 from __future__ import annotations
@@ -40,12 +39,10 @@ DEFAULT_P_LIST = [10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 80.0]
 class RunConfig:
     domain_kind: str = "disk"
     domain_params: dict = field(default_factory=lambda: {"r": 1.0})
-    k: int = 1
     h_list: list = field(default_factory=lambda: [1.0 / 64])
     p_list: list = field(default_factory=lambda: list(DEFAULT_P_LIST))
     p_start: float = 10.0
     newton_tol: float = 1e-10
-    out_dir: str = "out"
     start_points: list | None = None
 
     def validate(self) -> None:
@@ -60,75 +57,6 @@ class RunConfig:
 
     def domain(self) -> mesh_mod.DomainSpec:
         return mesh_mod.make_domain(self.domain_kind, **self.domain_params)
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    if "," in text:
-        return [_parse_value(t) for t in text.split(",") if t.strip()]
-    if "/" in text:
-        try:
-            num, den = text.split("/")
-            return float(num) / float(den)
-        except (ValueError, ZeroDivisionError):
-            pass
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _number(key: str, value, cast=float):
-    """cast(value), or a ConfigError naming the key when the value is no number
-    (text such as '1/0' or '1/64/2' that _parse_value left unparsed)."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: not a number: {value!r}") from None
-
-
-def parse_config_text(text: str) -> RunConfig:
-    cfg = RunConfig()
-    cfg.domain_params = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        value = _parse_value(val)
-        if key == "domain.kind":
-            cfg.domain_kind = str(value)
-        elif key.startswith("domain."):
-            cfg.domain_params[key.split(".", 1)[1]] = value
-        elif key == "run.k":
-            cfg.k = _number(key, value, int)
-        elif key == "run.h_list":
-            cfg.h_list = [_number(key, v) for v in (value if isinstance(value, list) else [value])]
-        elif key == "run.p_list":
-            cfg.p_list = [_number(key, v) for v in (value if isinstance(value, list) else [value])]
-        elif key == "run.p_start":
-            cfg.p_start = _number(key, value)
-        elif key == "run.start_points":
-            cfg.start_points = value
-        elif key == "tol.newton":
-            cfg.newton_tol = _number(key, value)
-        elif key == "out.dir":
-            cfg.out_dir = str(value)
-        else:
-            raise ConfigError(f"unknown config key: {key}")
-    if not cfg.domain_params and cfg.domain_kind == "disk":
-        cfg.domain_params = {"r": 1.0}
-    cfg.validate()
-    return cfg
-
-
-def load_config(path: str) -> RunConfig:
-    with open(path) as f:
-        return parse_config_text(f.read())
 
 
 @dataclass
@@ -292,10 +220,12 @@ BRANCH_COLUMNS = ["p", "j", "x_j", "y_j", "u_max_j", "eps_j", "C_j", "energy", "
 
 
 def branch_csv_text(branch: lane_emden.SolutionBranch) -> str:
+    """One row per spike j of each entry, in BRANCH_COLUMNS order; floats by repr."""
     lines = [",".join(BRANCH_COLUMNS)]
-    for row in branch.csv_rows():
-        lines.append(",".join(repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
-                              for c in BRANCH_COLUMNS))
+    for e in branch.entries:
+        for j, s in enumerate(e.spikes):
+            row = (e.p, j + 1, *s.position, s.u_max, s.eps, s.C, e.energy, e.residual)
+            lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -344,12 +274,10 @@ def run_sweep(cfg: RunConfig) -> dict:
     dom = cfg.domain()
     msh = mesh_mod.build_mesh(dom, cfg.h_list[0])
 
-    # Kirchhoff-Routh critical point
+    # Kirchhoff-Routh critical point: one spike per start point
     if cfg.start_points:
         starts = np.asarray(cfg.start_points, dtype=float).reshape(-1, 2)
     else:
-        if cfg.k != 1:
-            raise ConfigError("k >= 2 sweeps need explicit run.start_points")
         starts = kirchhoff_routh.default_start(dom)
     try:
         kr_cfg = kirchhoff_routh.find_critical_point(msh, starts)

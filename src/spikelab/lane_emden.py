@@ -272,25 +272,6 @@ class SolutionBranch:
     def p_values(self) -> list[float]:
         return [e.p for e in self.entries]
 
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        for e in self.entries:
-            for j, s in enumerate(e.spikes):
-                rows.append(
-                    {
-                        "p": e.p,
-                        "j": j + 1,
-                        "x_j": s.position[0],
-                        "y_j": s.position[1],
-                        "u_max_j": s.u_max,
-                        "eps_j": s.eps,
-                        "C_j": s.C,
-                        "energy": e.energy,
-                        "residual": e.residual,
-                    }
-                )
-        return rows
-
 
 def log_eps(p: float, u_max: float) -> float:
     """log eps = -(log p + (p-1) log u_max)/2, stable for any p."""
@@ -484,33 +465,35 @@ def continue_in_p(
     p_list: list[float],
     tol: float = 1e-10,
 ) -> SolutionBranch:
-    """Solve the branch at p_start and record it at every p >= p_start of
-    ``p_list`` (p_start itself only if listed).
+    """Record the branch at every p >= p_start of ``p_list``.
 
     For large p only one solution concentrates at a non-degenerate
     Kirchhoff-Routh point, so each recorded p is Newton-solved from its own
     spike ansatz (strategy "ansatz").  Where the grid does not resolve the
     peak the discrete branch folds cell by cell and that solve can fail;
     pseudo-arclength then follows the branch from the last solution to p
-    (strategy "arclength").  Each entry's ``march`` holds that march's
-    accepted steps, rejected steps and factorizations (zeros for "ansatz").
+    (strategy "arclength").  A march to the first recorded p starts from an
+    ansatz solve at p_start, which is made only then.  Each entry's
+    ``march`` holds that march's accepted steps, rejected steps and
+    factorizations (zeros for "ansatz").
     """
     if p_start < 5:
         raise ValueError("continuation starts at p >= 5")
     d = default_spike_radius(mesh, cfg.points)
     branch = SolutionBranch(mesh, cfg.k)
-    p = p_start
-    u, info = newton_solve(mesh, ansatz(mesh, cfg, p), p, tol=tol)
-    strategy, march = "ansatz", dict.fromkeys(MARCH_COUNTS, 0)
+    u, p = None, p_start  # the last solution and its p
     for target in sorted(t for t in set(p_list) if t > p_start - 1e-9):
-        if target > p + 1e-9:
-            try:
-                u, info = newton_solve(mesh, ansatz(mesh, cfg, target), target, tol=tol)
-                strategy, march = "ansatz", dict.fromkeys(MARCH_COUNTS, 0)
-            except (NewtonDivergedError, TrivialSolutionError):
-                u, info, march = _arclength_march(mesh, u, p, target, tol)
-                strategy = "arclength"
-            p = target
+        try:
+            u, info = newton_solve(mesh, ansatz(mesh, cfg, target), target, tol=tol)
+            strategy, march = "ansatz", dict.fromkeys(MARCH_COUNTS, 0)
+        except (NewtonDivergedError, TrivialSolutionError):
+            if target <= p_start + 1e-9:
+                raise  # no branch below p_start to march from
+            if u is None:
+                u, _ = newton_solve(mesh, ansatz(mesh, cfg, p_start), p_start, tol=tol)
+            u, info, march = _arclength_march(mesh, u, p, target, tol)
+            strategy = "arclength"
+        p = target
         branch.entries.append(make_entry(mesh, u, p, cfg.k, d, info["residual"], strategy, march))
     return branch
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
+import numpy as np
 import pytest
 
-from spikelab import cli
+from spikelab import cli, harness, kirchhoff_routh, lane_emden
+from spikelab.mesh import build_mesh
 
 
 def test_green_command(capsys):
@@ -71,11 +75,34 @@ def test_solve_command(capsys):
     assert out["spikes"][0]["u_max"] == pytest.approx(1.857, rel=2e-2)
 
 
-def test_sweep_and_pohozaev_commands(tmp_path, capsys):
-    branch = tmp_path / "branch.csv"
-    rc = cli.main(["sweep", "--domain", "disk,r=1", "--h", "1/48", "--p", "8,10",
-                   "--out", str(branch)])
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory):
+    """`spikelab sweep` at h = 1/48, p 8 and 10: its report directory, exit
+    code and printed lines."""
+    out = tmp_path_factory.mktemp("sweep")
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        rc = cli.main(["sweep", "--domain", "disk,r=1", "--h", "1/48", "--p", "8,10",
+                       "--out", str(out)])
+    return out, rc, printed.getvalue()
+
+
+def test_sweep_writes_the_whole_report(swept):
+    out, rc, printed = swept
     assert rc == 0
+    assert "[PASS] peak-law:" in printed and "checks passed in" in printed
+    # the branch the one-spike solve at the Kirchhoff-Routh point gives
+    dom = cli.parse_domain("disk,r=1")
+    msh = build_mesh(dom, 1.0 / 48)
+    cfg = kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.default_start(dom))
+    branch = lane_emden.continue_in_p(msh, cfg, 8.0, [8.0, 10.0])
+    assert (out / "branch.csv").read_text() == harness.branch_csv_text(branch)
+    ids = [r.identifier for r in harness.load_records(str(out / "checks.json"))]
+    assert ids == ["kr-critical-point", "peak-law", "peak-law-rate", "sweep-diagnostics"]
+    assert (out / "u_max_vs_p.svg").exists() and (out / "profile_correction.svg").exists()
+
+
+def test_sweep_and_pohozaev_commands(swept, tmp_path):
+    branch = swept[0] / "branch.csv"
     header = branch.read_text().splitlines()[0]
     assert header == "p,j,x_j,y_j,u_max_j,eps_j,C_j,energy,residual"
     rc = cli.main(["pohozaev", "--domain", "disk,r=1", "--h", "1/48",
@@ -87,6 +114,27 @@ def test_sweep_and_pohozaev_commands(tmp_path, capsys):
     for line in rows[1:] + branch.read_text().splitlines()[1:]:
         for cell in line.split(","):
             float(cell)
+
+
+def test_sweep_takes_k_from_start_points(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake_sweep(cfg):
+        seen.append(cfg)
+        rec = harness.VerificationRecord("kr-critical-point", "search", None, {}, "completes",
+                                         False, notes="not run")
+        return {"records": [rec], "branch": None, "plots": {}}
+
+    monkeypatch.setattr(harness, "run_sweep", fake_sweep)
+    args = ["sweep", "--domain", "annulus,r_in=0.4,r_out=1", "--h", "1/24", "--p", "10",
+            "--out", str(tmp_path)]
+    assert cli.main(args + ["--start", "0.68,0;-0.68,0"]) == 1
+    assert cli.main(args) == 1
+    assert np.shape(seen[0].start_points) == (2, 2) and seen[1].start_points is None
+    assert seen[0].domain_kind == "annulus" and seen[0].domain_params == {"r_in": 0.4, "r_out": 1.0}
+    printed = capsys.readouterr().out
+    assert "[FAIL] kr-critical-point: search\n       note: not run" in printed
+    assert (tmp_path / "checks.json").exists()
 
 
 def test_domain_parse_errors():

@@ -47,55 +47,20 @@ def test_fit_rate_recovers_synthetic_law(slope, amp):
     assert r2 > 1 - 1e-12
 
 
-def test_config_parse_roundtrip(tmp_path):
-    text = """
-# disk run
-domain.kind = disk
-domain.r = 1.0
-run.k = 1
-run.h_list = 1/128
-run.p_list = 10, 20, 40
-tol.newton = 1e-9
-out.dir = results
-"""
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    cfg = harness.load_config(str(path))
-    assert cfg.domain_kind == "disk"
-    assert cfg.h_list == [1.0 / 128]
-    assert cfg.p_list == [10.0, 20.0, 40.0]
-    assert cfg.newton_tol == 1e-9
-    assert cfg.out_dir == "results"
-
-
-def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        harness.parse_config_text("run.p_list = 40, 20, 10")
-    with pytest.raises(ConfigError):
-        harness.parse_config_text("tol.newton = -1")
-    with pytest.raises(ConfigError):
-        harness.parse_config_text("nonsense.key = 3")
-    with pytest.raises(ConfigError, match="unknown config key: tol.linsolve"):
-        harness.parse_config_text("tol.linsolve = 1e-10")
-    with pytest.raises(ConfigError, match="unknown config key: run.spectrum"):
-        harness.parse_config_text("run.spectrum = on")
-    with pytest.raises(ConfigError, match="unknown config key: checks.enable"):
-        harness.parse_config_text("checks.enable = all")
-    with pytest.raises(ConfigError):
-        harness.parse_config_text("just some words")
-    with pytest.raises(ConfigError, match="run.h_list"):
-        harness.parse_config_text("run.h_list = 1/0")
-    with pytest.raises(ConfigError, match="run.h_list"):
-        harness.parse_config_text("run.h_list = 1/64/2")
-    # the sweep solves on one mesh: a second h would be dropped silently
-    with pytest.raises(ConfigError, match="h list"):
-        harness.parse_config_text("run.h_list = 1/64, 1/128")
-
-
 def test_empty_p_list_invalid():
     cfg = RunConfig(p_list=[])
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_run_config_rejects_bad_values():
+    with pytest.raises(ConfigError, match="ascending"):
+        RunConfig(p_list=[40.0, 20.0, 10.0]).validate()
+    with pytest.raises(ConfigError, match="newton_tol"):
+        RunConfig(newton_tol=-1.0).validate()
+    # the sweep solves on one mesh: a second h would be dropped silently
+    with pytest.raises(ConfigError, match="h list"):
+        RunConfig(h_list=[1.0 / 64, 1.0 / 128]).validate()
 
 
 def test_record_roundtrip(tmp_path):

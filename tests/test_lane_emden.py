@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from spikelab import greens, kirchhoff_routh as kr, lane_emden as le, liouville, radial
+from spikelab import greens, harness, kirchhoff_routh as kr, lane_emden as le, liouville, radial
 from spikelab.linsolve import factorize
 from spikelab.mesh import build_graded_mesh, build_mesh, make_domain
 
@@ -230,8 +230,36 @@ def test_continuation_records_targets(disk64, kr_disk):
     assert [e.strategy for e in br.entries] == ["ansatz", "ansatz", "arclength"]
     umax = [e.spikes[0].u_max for e in br.entries]
     assert umax[0] > umax[-1] or umax[0] < 2.0
-    rows = br.csv_rows()
-    assert {r["p"] for r in rows} == {10.0, 12.0, 14.0}
+    rows = harness.branch_csv_text(br).splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [10.0, 12.0, 14.0]
+
+
+def test_continuation_solves_p_start_only_when_needed(disk64, kr_disk, monkeypatch):
+    # p = 12 lands from its ansatz, so the unlisted p_start = 10 seed is never
+    # needed (solving it first made two calls)
+    calls = []
+    solve = le.newton_solve
+
+    def counted(mesh, u0, p, **kwargs):
+        calls.append(p)
+        return solve(mesh, u0, p, **kwargs)
+
+    monkeypatch.setattr(le, "newton_solve", counted)
+    br = le.continue_in_p(disk64, kr_disk, 10.0, [12.0])
+    assert calls == [12.0]
+    assert br.p_values == [12.0] and br.entries[0].strategy == "ansatz"
+
+
+def test_unlisted_p_start_seeds_the_arclength_march():
+    # on the h = 1/32 disk the p = 10 ansatz solve fails, so the p = 8 seed is
+    # solved then and the march from it is the one a listed p = 8 starts
+    m = build_mesh(make_domain("disk", r=1.0), 1.0 / 32)
+    cfg = kr.psi_eval(m, [(0.0, 0.0)])
+    alone = le.continue_in_p(m, cfg, 8.0, [10.0])
+    listed = le.continue_in_p(m, cfg, 8.0, [8.0, 10.0])
+    assert alone.p_values == [10.0] and alone.entries[0].strategy == "arclength"
+    assert np.array_equal(alone.entries[0].u, listed.entries[1].u)
+    assert alone.entries[0].march == listed.entries[1].march
 
 
 def test_arclength_march_carries_its_factor(monkeypatch):
