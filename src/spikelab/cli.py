@@ -1,4 +1,4 @@
-"""Command-line interface: spikelab {green|kr|liouville|solve|sweep|pohozaev|spectrum|verify}."""
+"""Command-line interface: spikelab {green|kr|liouville|solve|sweep|spectrum|verify}."""
 
 from __future__ import annotations
 
@@ -13,22 +13,16 @@ import time
 
 import numpy as np
 
-from . import greens, harness, kirchhoff_routh, lane_emden, liouville, mesh as mesh_mod, pohozaev, spectrum
+from . import greens, harness, kirchhoff_routh, lane_emden, liouville, mesh as mesh_mod, spectrum
 
 
-def _domain_parts(text: str) -> tuple[str, dict]:
-    """'ellipse,a=2,b=1' -> ('ellipse', {'a': 2.0, 'b': 1.0})."""
+def parse_domain(text: str) -> mesh_mod.DomainSpec:
+    """Parse 'disk,r=1' / 'ellipse,a=2,b=1' / 'annulus,r_in=0.5,r_out=1'."""
     kind, *parts = [t.strip() for t in text.split(",") if t.strip()]
     params = {}
     for part in parts:
         k, v = part.split("=", 1)
         params[k.strip()] = float(v)
-    return kind, params
-
-
-def parse_domain(text: str) -> mesh_mod.DomainSpec:
-    """Parse 'disk,r=1' / 'ellipse,a=2,b=1' / 'annulus,r_in=0.5,r_out=1'."""
-    kind, params = _domain_parts(text)
     return mesh_mod.make_domain(kind, **params)
 
 
@@ -133,7 +127,7 @@ def _solve_at(args, p_list):
     dom = parse_domain(args.domain)
     msh = mesh_mod.build_mesh(dom, args.h)
     cfg = kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.default_start(dom))
-    branch = lane_emden.continue_in_p(msh, cfg, _p_start(p_list), p_list, tol=args.tol)
+    branch = lane_emden.continue_in_p(msh, cfg, _p_start(p_list), p_list)
     return msh, cfg, branch
 
 
@@ -177,46 +171,20 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     t0 = time.time()
-    kind, params = _domain_parts(args.domain)
     p_list = parse_p_range(args.p)
     cfg = harness.RunConfig(
-        domain_kind=kind, domain_params=params, h_list=[args.h], p_list=p_list,
-        p_start=_p_start(p_list), newton_tol=args.tol,
+        domain=parse_domain(args.domain), h_list=[args.h], p_list=p_list, p_start=_p_start(p_list),
         start_points=parse_points(args.start).tolist() if args.start else None,
     )
     sweep = harness.run_sweep(cfg)
     return _report(sweep["records"], args.out, t0, branch=sweep["branch"], plots=sweep["plots"])
 
 
-def _read_branch_ps(path: str) -> list[float]:
-    with open(path) as f:
-        rows = list(csv.DictReader(f))
-    return sorted({float(r["p"]) for r in rows})
-
-
-def cmd_pohozaev(args) -> int:
-    msh, _, branch = _solve_at(args, _read_branch_ps(args.branch))
-    out = args.out or (os.path.splitext(args.branch)[0] + "_pohozaev.csv")
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["p", "j", "theta", "q1_residual", "q2_residual", "p_residual",
-                    "balance_x", "balance_y", "balance_ratio"])
-        for e in branch.entries:
-            gb = pohozaev.gradient_balance(e)
-            for j, s in enumerate(e.spikes):
-                rep = pohozaev.pohozaev_residuals(msh, e.u, e.p, s.position, 8 * msh.h)
-                w.writerow([e.p, j + 1, rep.theta] + [repr(float(v)) for v in (
-                    rep.q_residuals[0], rep.q_residuals[1], rep.p_residual,
-                    gb.residuals[j][0], gb.residuals[j][1], gb.ratios[j])])
-    print(f"wrote {out}")
-    return 0
-
-
 def cmd_spectrum(args) -> int:
-    _, _, branch = _solve_at(args, _read_branch_ps(args.branch) if args.branch else [args.p])
+    _, _, branch = _solve_at(args, sorted(args.p))
     rows = []
     for e in branch.entries:
-        rep = spectrum.analyse_entry(e, m=args.m, tol=args.eigen_tol)
+        rep = spectrum.analyse_entry(e, m=args.m)
         rows.append(
             {
                 "p": e.p,
@@ -246,23 +214,22 @@ def main(argv=None) -> int:
                                  description="Lane-Emden spike asymptotics laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, solves=True, out=None):
+    def common(sp, out=None):
         sp.add_argument("--domain", default="disk,r=1")
         sp.add_argument("--h", type=parse_h, default=1.0 / 64,
                         help="grid spacing (fractions like 1/128 accepted)")
-        if solves:
-            sp.add_argument("--tol", type=float, default=1e-10, help="Newton tolerance")
         sp.add_argument("--out", default=out)
 
     start_help = "x,y[;x,y...]: one start point per spike, k = their number (default: one spike)"
+    p_help = "range a:b or comma list"
 
     sp = sub.add_parser("green", help="Robin data at a source point")
-    common(sp, solves=False)
+    common(sp)
     sp.add_argument("--source", required=True, help="x,y")
     sp.set_defaults(func=cmd_green)
 
     sp = sub.add_parser("kr", help="Kirchhoff-Routh critical point search")
-    common(sp, solves=False)
+    common(sp)
     sp.add_argument("--start", default=None, help=start_help)
     sp.set_defaults(func=cmd_kr)
 
@@ -280,21 +247,14 @@ def main(argv=None) -> int:
     sp = sub.add_parser("sweep", help="branch sweep with diagnostics: writes checks.json, "
                                       "branch.csv and SVG plots to --out")
     common(sp, out="out")
-    sp.add_argument("--p", default="10:80", help="range a:b or comma list")
+    sp.add_argument("--p", default="10:80", help=p_help)
     sp.add_argument("--start", default=None, help=start_help)
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("pohozaev", help="identity residuals along a branch")
+    sp = sub.add_parser("spectrum", help="bottom spectrum of the one-spike solution at each p")
     common(sp)
-    sp.add_argument("--branch", required=True)
-    sp.set_defaults(func=cmd_pohozaev)
-
-    sp = sub.add_parser("spectrum", help="bottom spectrum along a branch")
-    common(sp)
-    sp.add_argument("--branch", default=None)
-    sp.add_argument("--p", type=float, default=10.0)
+    sp.add_argument("--p", type=parse_p_range, default="10", help=p_help)
     sp.add_argument("--m", type=int, default=4)
-    sp.add_argument("--eigen-tol", type=float, default=2e-6)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("verify", help="run the acceptance suite, writes checks.json to --out")

@@ -37,12 +37,10 @@ DEFAULT_P_LIST = [10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 80.0]
 
 @dataclass
 class RunConfig:
-    domain_kind: str = "disk"
-    domain_params: dict = field(default_factory=lambda: {"r": 1.0})
+    domain: mesh_mod.DomainSpec = field(default_factory=lambda: mesh_mod.make_domain("disk", r=1.0))
     h_list: list = field(default_factory=lambda: [1.0 / 64])
     p_list: list = field(default_factory=lambda: list(DEFAULT_P_LIST))
     p_start: float = 10.0
-    newton_tol: float = 1e-10
     start_points: list | None = None
 
     def validate(self) -> None:
@@ -52,11 +50,6 @@ class RunConfig:
             raise ConfigError("p list must be ascending")
         if len(self.h_list) != 1:
             raise ConfigError("h list must hold exactly one h: the sweep solves on one mesh")
-        if self.newton_tol <= 0:
-            raise ConfigError("newton_tol must be positive")
-
-    def domain(self) -> mesh_mod.DomainSpec:
-        return mesh_mod.make_domain(self.domain_kind, **self.domain_params)
 
 
 @dataclass
@@ -271,7 +264,7 @@ def run_sweep(cfg: RunConfig) -> dict:
     """
     cfg.validate()
     records: list[VerificationRecord] = []
-    dom = cfg.domain()
+    dom = cfg.domain
     msh = mesh_mod.build_mesh(dom, cfg.h_list[0])
 
     # Kirchhoff-Routh critical point: one spike per start point
@@ -307,7 +300,7 @@ def run_sweep(cfg: RunConfig) -> dict:
 
     # continuation
     try:
-        branch = lane_emden.continue_in_p(msh, kr_cfg, cfg.p_start, cfg.p_list, tol=cfg.newton_tol)
+        branch = lane_emden.continue_in_p(msh, kr_cfg, cfg.p_start, cfg.p_list)
     except Exception as exc:  # noqa: BLE001
         records.append(
             VerificationRecord(
@@ -317,35 +310,40 @@ def run_sweep(cfg: RunConfig) -> dict:
         )
         return {"records": records, "branch": None, "plots": {}, "kr": kr_cfg}
 
-    # per-entry diagnostics (pure given the entry; safe to thread)
+    # per-entry diagnostics (pure given the entry; safe to thread): one flat
+    # row per spike j, its Pohozaev circle and profile disk inside B_d(x_j)
     prof = liouville.solve_w0()
 
     def diagnose(entry):
-        out = {"p": entry.p}
-        s = entry.spikes[0]
-        theta = 8 * msh.h
-        try:
-            rep = pohozaev.pohozaev_residuals(msh, entry.u, entry.p, s.position, theta)
-            out["pohozaev_q"] = float(np.max(np.abs(rep.q_residuals)))
-            out["pohozaev_p"] = abs(rep.p_residual)
-        except Exception as exc:  # noqa: BLE001
-            out["pohozaev_error"] = f"{type(exc).__name__}: {exc}"
+        theta = float(min(8 * msh.h, entry.d))
+        rows = [{"p": entry.p, "j": j + 1, "theta": theta} for j in range(len(entry.spikes))]
         try:
             gb = pohozaev.gradient_balance(entry)
-            out["gradient_balance"] = [float(np.hypot(*r)) for r in gb.residuals]
-            out["gradient_balance_ratio"] = gb.ratios
+            for row, bal, ratio in zip(rows, gb.residuals, gb.ratios):
+                row["balance"] = bal.tolist()
+                row["balance_ratio"] = ratio
         except Exception as exc:  # noqa: BLE001
-            out["gradient_balance_error"] = f"{type(exc).__name__}: {exc}"
-        try:
-            radius = min(10.0, 0.9 * entry.d / s.eps)
-            rp = lane_emden.rescale_profile(entry, 0, radius, w0_profile=prof)
-            out["sup_v_minus_w0"] = float(np.max(np.abs(rp.v - prof.w0(rp.radii)[:, None])))
-        except Exception as exc:  # noqa: BLE001
-            out["profile_error"] = f"{type(exc).__name__}: {exc}"
-        return out
+            for row in rows:
+                row["gradient_balance_error"] = f"{type(exc).__name__}: {exc}"
+        for j, (row, s) in enumerate(zip(rows, entry.spikes)):
+            try:
+                rep = pohozaev.pohozaev_residuals(msh, entry.u, entry.p, s.position, theta)
+                row["q_residuals"] = rep.q_residuals.tolist()
+                row["p_residual"] = float(rep.p_residual)
+            except Exception as exc:  # noqa: BLE001
+                row["pohozaev_error"] = f"{type(exc).__name__}: {exc}"
+            try:
+                radius = min(10.0, 0.9 * entry.d / s.eps)
+                rp = lane_emden.rescale_profile(entry, j, radius, w0_profile=prof)
+                row["sup_v_minus_w0"] = float(np.max(np.abs(rp.v - prof.w0(rp.radii)[:, None])))
+            except Exception as exc:  # noqa: BLE001
+                row["profile_error"] = f"{type(exc).__name__}: {exc}"
+        return rows
 
     with ThreadPoolExecutor(max_workers=worker_count()) as ex:
-        diags = list(ex.map(diagnose, branch.entries))
+        diags = [row for rows in ex.map(diagnose, branch.entries) for row in rows]
+    diag_errors = [f"p = {d['p']:g}, j = {d['j']}: {k} = {v}"
+                   for d in diags for k, v in d.items() if k.endswith("_error")]
 
     ps = np.array(branch.p_values)
     umax = np.array([e.spikes[0].u_max for e in branch.entries])
@@ -401,16 +399,18 @@ def run_sweep(cfg: RunConfig) -> dict:
             [(ps, eps1, "eps_1")], "spike scale against p", "p", "eps", logy=True,
         ),
     }
-    sup_v = [d.get("sup_v_minus_w0") for d in diags]
-    if all(v is not None for v in sup_v):
+    if all("sup_v_minus_w0" in d for d in diags):
         plots["profile_correction.svg"] = svg_line_plot(
-            [(ps, np.array(sup_v), "sup |v - w0|")],
+            [(ps, np.array([d["sup_v_minus_w0"] for d in diags if d["j"] == j]),
+              f"sup |v - w0|, j = {j}") for j in range(1, kr_cfg.k + 1)],
             "first-order profile correction", "p", "sup |v - w0|", logx=True, logy=True,
         )
     records.append(
         VerificationRecord(
-            "sweep-diagnostics", "per-p diagnostics (Pohozaev, balance, profiles)", None,
-            {"entries": diags}, "informational", True,
+            "sweep-diagnostics",
+            "per-(p, j) diagnostics: Pohozaev residuals, force balance and profile of each spike",
+            None, {"entries": diags}, "every diagnostic completes", not diag_errors,
+            notes="; ".join(diag_errors),
         )
     )
     return {"records": records, "branch": branch, "plots": plots, "kr": kr_cfg}

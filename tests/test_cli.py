@@ -101,19 +101,36 @@ def test_sweep_writes_the_whole_report(swept):
     assert (out / "u_max_vs_p.svg").exists() and (out / "profile_correction.svg").exists()
 
 
-def test_sweep_and_pohozaev_commands(swept, tmp_path):
-    branch = swept[0] / "branch.csv"
-    header = branch.read_text().splitlines()[0]
-    assert header == "p,j,x_j,y_j,u_max_j,eps_j,C_j,energy,residual"
-    rc = cli.main(["pohozaev", "--domain", "disk,r=1", "--h", "1/48",
-                   "--branch", str(branch), "--out", str(tmp_path / "poho.csv")])
-    assert rc == 0
-    rows = (tmp_path / "poho.csv").read_text().splitlines()
-    assert rows[0].startswith("p,j,theta,q1_residual")
-    assert len(rows) == 3
-    for line in rows[1:] + branch.read_text().splitlines()[1:]:
+def test_sweep_records_one_diagnostics_row_per_spike(swept):
+    out = swept[0]
+    branch = (out / "branch.csv").read_text().splitlines()
+    assert branch[0] == "p,j,x_j,y_j,u_max_j,eps_j,C_j,energy,residual"
+    for line in branch[1:]:
         for cell in line.split(","):
             float(cell)
+    rec = {r.identifier: r for r in harness.load_records(str(out / "checks.json"))}["sweep-diagnostics"]
+    rows = rec.measured["entries"]
+    # one spike: one row per p, on the 8h circle (inside d = 0.25)
+    assert [(r["p"], r["j"]) for r in rows] == [(8.0, 1), (10.0, 1)]
+    assert rec.passed and not [k for r in rows for k in r if k.endswith("_error")]
+    for r in rows:
+        assert r["theta"] == 8 / 48
+        assert len(r["q_residuals"]) == 2 and np.all(np.isfinite(r["q_residuals"]))
+        assert np.isfinite(r["p_residual"]) and np.isfinite(r["sup_v_minus_w0"])
+
+
+def test_spectrum_takes_a_p_list_and_the_deleted_options_are_gone(capsys):
+    assert cli.main(["spectrum", "--domain", "disk,r=1", "--h", "1/32", "--p", "8,10"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["p"] for r in rows] == [8.0, 10.0]
+    assert all(len(r["eigenvalues"]) == 4 for r in rows)
+    for argv in (["pohozaev", "--branch", "branch.csv"],
+                 ["solve", "--p", "10", "--tol", "1e-8"],
+                 ["spectrum", "--branch", "branch.csv"],
+                 ["spectrum", "--eigen-tol", "1e-8"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def test_sweep_takes_k_from_start_points(tmp_path, monkeypatch, capsys):
@@ -131,7 +148,7 @@ def test_sweep_takes_k_from_start_points(tmp_path, monkeypatch, capsys):
     assert cli.main(args + ["--start", "0.68,0;-0.68,0"]) == 1
     assert cli.main(args) == 1
     assert np.shape(seen[0].start_points) == (2, 2) and seen[1].start_points is None
-    assert seen[0].domain_kind == "annulus" and seen[0].domain_params == {"r_in": 0.4, "r_out": 1.0}
+    assert seen[0].domain.kind == "annulus" and seen[0].domain.params == {"r_in": 0.4, "r_out": 1.0}
     printed = capsys.readouterr().out
     assert "[FAIL] kr-critical-point: search\n       note: not run" in printed
     assert (tmp_path / "checks.json").exists()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spikelab import harness
 from spikelab.harness import ConfigError, RunConfig, VerificationRecord, fit_rate
+from spikelab.mesh import make_domain
 
 
 def test_fit_rate_exact_quadratic():
@@ -56,8 +57,6 @@ def test_empty_p_list_invalid():
 def test_run_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="ascending"):
         RunConfig(p_list=[40.0, 20.0, 10.0]).validate()
-    with pytest.raises(ConfigError, match="newton_tol"):
-        RunConfig(newton_tol=-1.0).validate()
     # the sweep solves on one mesh: a second h would be dropped silently
     with pytest.raises(ConfigError, match="h list"):
         RunConfig(h_list=[1.0 / 64, 1.0 / 128]).validate()
@@ -121,6 +120,37 @@ def test_run_sweep_deterministic(tmp_path):
     names = {p.split("/")[-1] for p in paths}
     assert "checks.json" in names and "branch.csv" in names
     assert any(n.endswith(".svg") for n in names)
+
+
+def test_sweep_diagnoses_every_spike_on_its_own_ball():
+    """k = 2 on the annulus: the 8h circle would leave the domain, so each
+    spike's Pohozaev circle takes theta = d, and the mirror-symmetric pair
+    gives equal P residuals."""
+    cfg = RunConfig(domain=make_domain("annulus", r_in=0.4, r_out=1.0), h_list=[1.0 / 24],
+                    p_list=[10.0], p_start=10.0, start_points=[[0.68, 0.0], [-0.68, 0.0]])
+    out = harness.run_sweep(cfg)
+    entry = out["branch"].at_p(10.0)
+    rec = {r.identifier: r for r in out["records"]}["sweep-diagnostics"]
+    rows = rec.measured["entries"]
+    assert [(r["p"], r["j"]) for r in rows] == [(10.0, 1), (10.0, 2)]
+    assert entry.d < 8.0 / 24
+    for r in rows:
+        assert r["theta"] == entry.d
+        assert not [k for k in r if k.endswith("_error")]
+        assert np.all(np.isfinite(r["q_residuals"] + r["balance"] + [r["sup_v_minus_w0"]]))
+    assert abs(rows[0]["p_residual"] - rows[1]["p_residual"]) <= 1e-12
+    assert rec.passed
+
+
+def test_sweep_diagnostics_fail_on_a_recorded_error(monkeypatch):
+    def broken(entry):
+        raise RuntimeError("no balance")
+
+    monkeypatch.setattr(harness.pohozaev, "gradient_balance", broken)
+    out = harness.run_sweep(RunConfig(h_list=[1.0 / 32], p_list=[8.0], p_start=8.0))
+    rec = {r.identifier: r for r in out["records"]}["sweep-diagnostics"]
+    assert rec.measured["entries"][0]["gradient_balance_error"] == "RuntimeError: no balance"
+    assert not rec.passed and "no balance" in rec.notes
 
 
 def test_worker_count_env(monkeypatch):
