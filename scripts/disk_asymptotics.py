@@ -47,7 +47,7 @@ def main():
         print(f"\n{'p':>5} {'morse':>6} {'margin':>9}  modes nearest zero (value, m)")
         for p in ps:
             spec = radial.disk_spectrum(radial.solve_radial(p), m_max=3)
-            near = [(round(v, 4), m) for v, m in spec.eigenvalues_near_zero(4)]
+            near = [(round(v, 4), m) for v, m in spec.eigenvalues_near_zero()]
             print(f"{p:5.0f} {spec.morse_index:6d} {spec.margin():9.4f}  {near}")
 
 

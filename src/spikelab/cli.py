@@ -1,4 +1,4 @@
-"""Command-line interface: spikelab {green|kr|liouville|solve|sweep|spectrum|verify}."""
+"""Command-line interface: spikelab {green|kr|liouville|sweep|spectrum|verify}."""
 
 from __future__ import annotations
 
@@ -127,8 +127,7 @@ def _solve_at(args, p_list):
     dom = parse_domain(args.domain)
     msh = mesh_mod.build_mesh(dom, args.h)
     cfg = kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.default_start(dom))
-    branch = lane_emden.continue_in_p(msh, cfg, _p_start(p_list), p_list)
-    return msh, cfg, branch
+    return lane_emden.continue_in_p(msh, cfg, _p_start(p_list), p_list)
 
 
 def _report(records, out_dir: str, t0: float, branch=None, plots=None) -> int:
@@ -149,26 +148,6 @@ def _report(records, out_dir: str, t0: float, branch=None, plots=None) -> int:
     return 0 if not failed else 1
 
 
-def cmd_solve(args) -> int:
-    msh, cfg, branch = _solve_at(args, [args.p])
-    e = branch.at_p(args.p)
-    _emit(
-        {
-            "p": e.p,
-            "spikes": [
-                {"position": s.position.tolist(), "u_max": s.u_max, "eps": s.eps, "C": s.C,
-                 "resolved": s.resolved}
-                for s in e.spikes
-            ],
-            "energy": e.energy,
-            "residual": e.residual,
-            "kr_points": cfg.points.tolist(),
-        },
-        args.out,
-    )
-    return 0
-
-
 def cmd_sweep(args) -> int:
     t0 = time.time()
     p_list = parse_p_range(args.p)
@@ -181,7 +160,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _, _, branch = _solve_at(args, sorted(args.p))
+    branch = _solve_at(args, sorted(args.p))
     rows = []
     for e in branch.entries:
         rep = spectrum.analyse_entry(e, m=args.m)
@@ -238,11 +217,6 @@ def main(argv=None) -> int:
     sp.add_argument("--dump-w0", default=None, metavar="FILE.csv")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_liouville)
-
-    sp = sub.add_parser("solve", help="solve at a single exponent")
-    common(sp)
-    sp.add_argument("--p", type=float, required=True)
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="branch sweep with diagnostics: writes checks.json, "
                                       "branch.csv and SVG plots to --out")

@@ -61,18 +61,19 @@ def laplacian_factorization(mesh: GridMesh):
 
 @dataclass
 class GreenData:
-    """Regular part H(x0, .) as a node field plus Robin data at the source."""
+    """Regular part H(x0, .) as a node field plus Robin data at the source;
+    a field of ``pohozaev.circle_forms`` (values and gradients of G(x0, .))."""
 
     mesh: GridMesh
     source: np.ndarray
     H_field: np.ndarray
     R_value: float
 
-    def green_values(self, pts: np.ndarray) -> np.ndarray:
+    def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return fundamental(self.source, pts[:, 0], pts[:, 1]) - self.mesh.interp(self.H_field, pts)
 
-    def green_gradients(self, pts: np.ndarray) -> np.ndarray:
+    def gradients(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d = pts - self.source
         r2 = np.sum(d * d, axis=1)
@@ -139,8 +140,8 @@ def green_eval(gd: GreenData, y) -> tuple[float, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if np.hypot(*(y - gd.source)) < 1e-12:
         raise QueryAtSourceError("Green function evaluated at its source")
-    val = float(gd.green_values(y[None, :])[0])
-    grad = gd.green_gradients(y[None, :])[0]
+    val = float(gd.values(y[None, :])[0])
+    grad = gd.gradients(y[None, :])[0]
     return val, grad
 
 

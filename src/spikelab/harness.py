@@ -11,7 +11,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,32 +64,8 @@ class VerificationRecord:
     fitted_rate: float | None = None
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "identifier": self.identifier,
-            "description": self.description,
-            "target": self.target,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-            "instrument": self.instrument,
-            "fitted_rate": self.fitted_rate,
-            "notes": self.notes,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationRecord":
-        return cls(
-            identifier=d["identifier"],
-            description=d["description"],
-            target=d["target"],
-            measured=d["measured"],
-            tolerance=d["tolerance"],
-            passed=d["passed"],
-            instrument=d.get("instrument", "2d"),
-            fitted_rate=d.get("fitted_rate"),
-            notes=d.get("notes", ""),
-        )
+    def __post_init__(self):
+        self.passed = bool(self.passed)  # a numpy comparison gives np.bool_
 
 
 def fit_rate(x, y) -> tuple[float, float, float]:
@@ -120,13 +96,17 @@ def _svg_escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+SVG_WIDTH, SVG_HEIGHT = 640, 440  # pixels
+
+
 def svg_line_plot(series, title: str, xlabel: str, ylabel: str,
-                  logx: bool = False, logy: bool = False,
-                  width: int = 640, height: int = 440) -> str:
-    """Self-contained SVG polyline plot (inline styles, no external refs).
+                  logx: bool = False, logy: bool = False) -> str:
+    """Self-contained SVG polyline plot (inline styles, no external refs),
+    SVG_WIDTH by SVG_HEIGHT.
 
     ``series`` is a list of (x array, y array, label).
     """
+    width, height = SVG_WIDTH, SVG_HEIGHT
     ml, mr, mt, mb = 64, 16, 36, 48
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -232,7 +212,7 @@ def emit_reports(records: list[VerificationRecord], out_dir: str,
     paths = []
     checks_path = os.path.join(out_dir, "checks.json")
     with open(checks_path, "w") as f:
-        json.dump([r.to_dict() for r in records], f, indent=2, sort_keys=True)
+        json.dump([asdict(r) for r in records], f, indent=2, sort_keys=True)
         f.write("\n")
     paths.append(checks_path)
     if branch is not None:
@@ -246,11 +226,6 @@ def emit_reports(records: list[VerificationRecord], out_dir: str,
             f.write(svg)
         paths.append(sp)
     return paths
-
-
-def load_records(path: str) -> list[VerificationRecord]:
-    with open(path) as f:
-        return [VerificationRecord.from_dict(d) for d in json.load(f)]
 
 
 # ---------------------------------------------------------------- sweep
@@ -290,10 +265,11 @@ def run_sweep(cfg: RunConfig) -> dict:
             )
         )
     except Exception as exc:  # noqa: BLE001 - failure is itself the record
+        error = f"{type(exc).__name__}: {exc}"
         records.append(
             VerificationRecord(
                 "kr-critical-point", "Kirchhoff-Routh search", None,
-                {"error": f"{type(exc).__name__}: {exc}"}, "completes", False,
+                {"error": error}, "completes", False, notes=error,
             )
         )
         return {"records": records, "branch": None, "plots": {}, "kr": None}
@@ -302,10 +278,11 @@ def run_sweep(cfg: RunConfig) -> dict:
     try:
         branch = lane_emden.continue_in_p(msh, kr_cfg, cfg.p_start, cfg.p_list)
     except Exception as exc:  # noqa: BLE001
+        error = f"{type(exc).__name__}: {exc}"
         records.append(
             VerificationRecord(
                 "continuation", "branch continuation over the p list", None,
-                {"error": f"{type(exc).__name__}: {exc}"}, "completes", False,
+                {"error": error}, "completes", False, notes=error,
             )
         )
         return {"records": records, "branch": None, "plots": {}, "kr": kr_cfg}
@@ -334,7 +311,7 @@ def run_sweep(cfg: RunConfig) -> dict:
                 row["pohozaev_error"] = f"{type(exc).__name__}: {exc}"
             try:
                 radius = min(10.0, 0.9 * entry.d / s.eps)
-                rp = lane_emden.rescale_profile(entry, j, radius, w0_profile=prof)
+                rp = lane_emden.rescale_profile(entry, j, radius)
                 row["sup_v_minus_w0"] = float(np.max(np.abs(rp.v - prof.w0(rp.radii)[:, None])))
             except Exception as exc:  # noqa: BLE001
                 row["profile_error"] = f"{type(exc).__name__}: {exc}"

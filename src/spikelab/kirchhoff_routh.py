@@ -17,6 +17,9 @@ from . import greens
 from .mesh import GridMesh
 
 MIN_SEPARATION_FACTOR = 4.0  # in units of h; G interpolation degrades closer
+# the search stops at |grad Psi_k| <= KR_TOL, within KR_MAX_ITER Newton steps
+KR_TOL = 1e-7
+KR_MAX_ITER = 40
 
 
 class CoincidentPointsError(ValueError):
@@ -85,7 +88,7 @@ def psi_eval(mesh: GridMesh, points, *, _solved: dict | None = None) -> SpikeCon
         interaction = 0.0
         for m in range(k):
             if m != j:
-                interaction += float(gds[j].green_values(points[m][None, :])[0])
+                interaction += float(gds[j].values(points[m][None, :])[0])
         parts[j] = gds[j].R_value - interaction
     return SpikeConfig(k=k, points=points, psi_parts=parts, psi_total=float(parts.sum()))
 
@@ -101,15 +104,11 @@ def _psi_total(mesh: GridMesh, flat: np.ndarray) -> float:
     return psi_eval(mesh, flat.reshape(-1, 2)).psi_total
 
 
-def find_critical_point(
-    mesh: GridMesh,
-    initial,
-    tol: float = 1e-7,
-    max_iter: int = 40,
-) -> SpikeConfig:
-    """Damped Newton on grad Psi_k.  Steps are halved (down to 1/8) until the
-    gradient norm decreases; the returned configuration carries gradient,
-    Hessian and the non-degeneracy margin at the critical point.
+def find_critical_point(mesh: GridMesh, initial) -> SpikeConfig:
+    """Damped Newton on grad Psi_k to KR_TOL.  Steps are halved (down to
+    1/8) until the gradient norm decreases; the returned configuration
+    carries gradient, Hessian and the non-degeneracy margin at the critical
+    point.
 
     Gradient and Hessian come from one central-difference stencil of step 2h
     at the start and at each trial point, so no stencil point is solved twice.
@@ -126,9 +125,9 @@ def find_critical_point(
         return cfg
 
     cfg = stencil(np.asarray(initial, dtype=float).reshape(-1))
-    for _ in range(max_iter):
+    for _ in range(KR_MAX_ITER):
         gnorm = float(np.linalg.norm(cfg.grad))
-        if gnorm <= tol:
+        if gnorm <= KR_TOL:
             break
         x = cfg.points.reshape(-1)
         try:
@@ -150,7 +149,7 @@ def find_critical_point(
                 f"no damping step reduced |grad Psi| (stuck at {gnorm:.3e})"
             )
     else:
-        raise NewtonDivergedError(f"Newton did not reach tol={tol} in {max_iter} iterations")
+        raise NewtonDivergedError(f"Newton did not reach tol={KR_TOL} in {KR_MAX_ITER} iterations")
 
     _fill_nondegeneracy(cfg)
     return cfg

@@ -19,10 +19,14 @@ from . import greens, liouville
 from .kirchhoff_routh import NewtonDivergedError, SpikeConfig
 from .linsolve import factorize
 from .mesh import GridMesh
-from .radial import solve_radial
+from .radial import SPIKE_BALL_RADIUS, solve_radial
 
 SQRT_E = math.sqrt(math.e)
 EIGHT_PI = 8.0 * math.pi
+# Newton's stopping test: the scaled residual ||F|| / (1 + ||u_+^p||), for
+# every solve and the arclength corrector alike
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 60
 # a chord step, on a factor of an earlier iterate, must shrink the residual at
 # least by this factor (newton_solve and the arclength corrector alike)
 CHORD_CONTRACTION = 0.5
@@ -142,14 +146,9 @@ def _residual_norm(mesh: GridMesh, res: np.ndarray, rhs_scale: float) -> float:
     return mesh.norm(res) / (1.0 + rhs_scale)
 
 
-def newton_solve(
-    mesh: GridMesh,
-    u0: np.ndarray,
-    p: float,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-) -> tuple[np.ndarray, dict]:
-    """Damped Newton on F(u) = -Δ_h u - (u_+)^p; returns (u, info).
+def newton_solve(mesh: GridMesh, u0: np.ndarray, p: float) -> tuple[np.ndarray, dict]:
+    """Damped Newton on F(u) = -Δ_h u - (u_+)^p to NEWTON_TOL in at most
+    NEWTON_MAX_ITER iterations; returns (u, info).
 
     A full (undamped) Newton step keeps its Jacobian factor, and the next
     iteration first tries an undamped chord step on it (the chord method of
@@ -179,10 +178,10 @@ def newton_solve(
     factorizations = 0
     lu = None  # the factor of the last full Newton step
     try:
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if not np.isfinite(rn):
                 raise NewtonDivergedError("non-finite residual in Newton iteration")
-            if rn <= tol:
+            if rn <= NEWTON_TOL:
                 break
             if lu is not None:
                 trial = u + lu.solve(-res)
@@ -215,7 +214,7 @@ def newton_solve(
                 lu = None
             history.append(rn)
         else:
-            raise NewtonDivergedError(f"Newton did not reach tol={tol:.1e} (at {rn:.3e})")
+            raise NewtonDivergedError(f"Newton did not reach tol={NEWTON_TOL:.1e} (at {rn:.3e})")
     finally:
         # a caught exception's traceback keeps this frame, and with it any
         # factor, alive for as long as the handler runs
@@ -261,12 +260,6 @@ class SolutionBranch:
     mesh: GridMesh
     k: int
     entries: list[BranchEntry] = field(default_factory=list)
-
-    def at_p(self, p: float) -> BranchEntry:
-        for e in self.entries:
-            if abs(e.p - p) < 1e-9:
-                return e
-        raise KeyError(f"no branch entry at p={p}")
 
     @property
     def p_values(self) -> list[float]:
@@ -328,8 +321,8 @@ def energy_functional(mesh: GridMesh, u: np.ndarray, p: float) -> float:
 
 
 def default_spike_radius(mesh: GridMesh, points: np.ndarray) -> float:
-    """d = min(0.25, separation/3, boundary distance/3)."""
-    d = 0.25
+    """d = min(SPIKE_BALL_RADIUS, separation/3, boundary distance/3)."""
+    d = SPIKE_BALL_RADIUS
     pts = np.atleast_2d(points)
     for j in range(len(pts)):
         d = min(d, mesh.boundary_distance(pts[j, 0], pts[j, 1]) / 3.0)
@@ -350,7 +343,7 @@ ARCLENGTH_MAX_STEPS = 2000
 MARCH_COUNTS = ("accepted_steps", "rejected_steps", "factorizations")
 
 
-def _arclength_march(mesh, u, p, target, tol):
+def _arclength_march(mesh, u, p, target):
     """Pseudo-arclength continuation of (u, p) until a fixed-p solve at
     ``target`` succeeds.
 
@@ -407,7 +400,7 @@ def _arclength_march(mesh, u, p, target, tol):
             with np.errstate(over="ignore"):
                 rn = _residual_norm(mesh, res, mesh.norm(upow))
             nres = dot(tau[0], uv - u0) + tau[1] * (pv - p0) - ds
-            if rn <= tol and abs(nres) <= 1e-10 * max(1.0, ds):
+            if rn <= NEWTON_TOL and abs(nres) <= 1e-10 * max(1.0, ds):
                 ok = True
                 break
             slow = rn > CHORD_CONTRACTION * rn_prev
@@ -445,7 +438,7 @@ def _arclength_march(mesh, u, p, target, tol):
             lu = None  # Newton builds its own factors
             w = 0.0 if p == p0 else (target - p0) / (p - p0)
             try:
-                ut, info = newton_solve(mesh, u0 + w * (u - u0), target, tol=tol)
+                ut, info = newton_solve(mesh, u0 + w * (u - u0), target)
                 return ut, info, counts
             except (NewtonDivergedError, TrivialSolutionError):
                 pass  # fold tangency; keep following the curve
@@ -458,13 +451,8 @@ def _arclength_march(mesh, u, p, target, tol):
     raise StalledContinuationError(f"arclength continuation did not reach p={target}")
 
 
-def continue_in_p(
-    mesh: GridMesh,
-    cfg: SpikeConfig,
-    p_start: float,
-    p_list: list[float],
-    tol: float = 1e-10,
-) -> SolutionBranch:
+def continue_in_p(mesh: GridMesh, cfg: SpikeConfig, p_start: float,
+                  p_list: list[float]) -> SolutionBranch:
     """Record the branch at every p >= p_start of ``p_list``.
 
     For large p only one solution concentrates at a non-degenerate
@@ -484,18 +472,23 @@ def continue_in_p(
     u, p = None, p_start  # the last solution and its p
     for target in sorted(t for t in set(p_list) if t > p_start - 1e-9):
         try:
-            u, info = newton_solve(mesh, ansatz(mesh, cfg, target), target, tol=tol)
+            u, info = newton_solve(mesh, ansatz(mesh, cfg, target), target)
             strategy, march = "ansatz", dict.fromkeys(MARCH_COUNTS, 0)
         except (NewtonDivergedError, TrivialSolutionError):
             if target <= p_start + 1e-9:
                 raise  # no branch below p_start to march from
             if u is None:
-                u, _ = newton_solve(mesh, ansatz(mesh, cfg, p_start), p_start, tol=tol)
-            u, info, march = _arclength_march(mesh, u, p, target, tol)
+                u, _ = newton_solve(mesh, ansatz(mesh, cfg, p_start), p_start)
+            u, info, march = _arclength_march(mesh, u, p, target)
             strategy = "arclength"
         p = target
         branch.entries.append(make_entry(mesh, u, p, cfg.k, d, info["residual"], strategy, march))
     return branch
+
+
+# the polar grid rescale_profile samples
+PROFILE_N_R = 40
+PROFILE_N_THETA = 32
 
 
 @dataclass
@@ -503,31 +496,22 @@ class RescaledProfile:
     j: int
     radii: np.ndarray
     angles: np.ndarray
-    w: np.ndarray  # (n_r, n_theta)
+    w: np.ndarray  # (PROFILE_N_R, PROFILE_N_THETA)
     v: np.ndarray
-    k: np.ndarray | None
 
 
-def rescale_profile(
-    entry: BranchEntry,
-    j: int,
-    radius: float,
-    n_r: int = 40,
-    n_theta: int = 32,
-    w0_profile: liouville.LiouvilleProfile | None = None,
-) -> RescaledProfile:
+def rescale_profile(entry: BranchEntry, j: int, radius: float) -> RescaledProfile:
     """Sample w = p (u(x_j + eps y) - u_max)/u_max on a polar grid of |y| <=
-    radius, with v = p(w - U) and, when a w0 table is supplied,
-    k = p(v - w0)."""
+    radius, with v = p(w - U)."""
     s = entry.spikes[j]
     if radius > entry.d / s.eps:
         raise RadiusExceedsInnerRegionError(
             f"radius {radius} exceeds inner region {entry.d / s.eps:.3g}"
         )
     mesh = entry.mesh
-    radii = np.linspace(0.0, radius, n_r)
-    angles = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-    w = np.empty((n_r, n_theta))
+    radii = np.linspace(0.0, radius, PROFILE_N_R)
+    angles = np.linspace(0.0, 2 * np.pi, PROFILE_N_THETA, endpoint=False)
+    w = np.empty((PROFILE_N_R, PROFILE_N_THETA))
     for it, th in enumerate(angles):
         pts = np.column_stack(
             [s.position[0] + s.eps * radii * math.cos(th), s.position[1] + s.eps * radii * math.sin(th)]
@@ -535,7 +519,4 @@ def rescale_profile(
         uu = mesh.interp(entry.u, pts, fill=0.0)
         w[:, it] = entry.p * (uu - s.u_max) / s.u_max
     v = entry.p * (w - liouville.U(radii)[:, None])
-    kk = None
-    if w0_profile is not None:
-        kk = entry.p * (v - w0_profile.w0(radii)[:, None])
-    return RescaledProfile(j, radii, angles, w, v, kk)
+    return RescaledProfile(j, radii, angles, w, v)

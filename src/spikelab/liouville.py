@@ -21,6 +21,14 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 EIGHT_PI = 8.0 * np.pi
+# radius, in the rescaled variable y, of the disk |y| <= R on which
+# eigenfunctions are fitted against the kernel basis (2-D and radial alike)
+KERNEL_FIT_RADIUS = 10.0
+# the w0 table: RK4 out to W0_R_MAX, where its flux r w0'(r) is read, on steps
+# W0_BASE_STEP + W0_STEP_GROWTH r
+W0_R_MAX = 1e3
+W0_BASE_STEP = 2e-3
+W0_STEP_GROWTH = 4e-3
 
 
 class QuadratureError(RuntimeError):
@@ -81,9 +89,8 @@ def _forcing(r):
 
 @dataclass
 class LiouvilleProfile:
-    """Radial table of w0 with cubic interpolation, plus the bubble functions."""
+    """Radial table of w0 on [r0, W0_R_MAX] with cubic interpolation."""
 
-    R_max: float
     r: np.ndarray
     w0_values: np.ndarray
     w0_prime_values: np.ndarray
@@ -98,17 +105,14 @@ class LiouvilleProfile:
     def w0_prime(self, r):
         return self._w0p(np.asarray(r, dtype=float))
 
-    def flux(self, r: float | None = None) -> float:
-        """r * w0'(r); tends to 12 as r grows."""
-        if r is None:
-            r = self.R_max
-        return float(r * self.w0_prime(r))
+    def flux(self) -> float:
+        """r * w0'(r) at r = W0_R_MAX; tends to 12 as r grows."""
+        return float(W0_R_MAX * self.w0_prime(W0_R_MAX))
 
-    def boundary_flux_integral(self, r: float | None = None) -> float:
-        """Circle integral of the normal derivative, 2 pi r w0'(r) -> 24 pi."""
-        if r is None:
-            r = self.R_max
-        return float(2.0 * np.pi * r * self.w0_prime(r))
+    def boundary_flux_integral(self) -> float:
+        """Circle integral of the normal derivative, 2 pi r w0'(r) -> 24 pi,
+        at r = W0_R_MAX."""
+        return float(2.0 * np.pi * W0_R_MAX * self.w0_prime(W0_R_MAX))
 
     def ode_residual(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -116,21 +120,14 @@ class LiouvilleProfile:
         return wpp + self._w0p(r) / r + eU(r) * self._w0(r) - _forcing(r)
 
 
-def solve_w0(
-    R_max: float = 1e3,
-    base_step: float = 2e-3,
-    step_growth: float = 4e-3,
-    origin_value: float = 0.0,
-) -> LiouvilleProfile:
-    """Integrate the w0 equation outward with RK4 on a graded step.
+def solve_w0(origin_value: float = 0.0) -> LiouvilleProfile:
+    """Integrate the w0 equation outward to W0_R_MAX with RK4 on a graded step.
 
     Steps grow proportionally to r (the solution is logarithmic at infinity),
     capped so the bubble core near r ~ sqrt(8) stays finely resolved.
     ``origin_value`` offsets the value gauge: the solution shifts by
     origin_value * Z0 + O(origin_value * r0^2) (kernel linearity).
     """
-    if R_max < 100.0:
-        raise ValueError("R_max must be at least 100 for the flux to settle")
     r0 = 1e-3
     # series: w = r^6/1152 - 29 r^8/147456 + O(r^10)
     w = r0**6 / 1152.0 - 29.0 * r0**8 / 147456.0 + origin_value
@@ -145,8 +142,8 @@ def solve_w0(
     wps = [wp]
     r = r0
     y = np.array([w, wp])
-    while r < R_max:
-        dr = min(base_step + step_growth * r, R_max - r)
+    while r < W0_R_MAX:
+        dr = min(W0_BASE_STEP + W0_STEP_GROWTH * r, W0_R_MAX - r)
         k1 = rhs(r, y)
         k2 = rhs(r + 0.5 * dr, y + 0.5 * dr * k1)
         k3 = rhs(r + 0.5 * dr, y + 0.5 * dr * k2)
@@ -158,7 +155,7 @@ def solve_w0(
         wps.append(y[1])
     if not np.all(np.isfinite(y)):
         raise AssertionError("w0 integration produced non-finite values")
-    return LiouvilleProfile(R_max, np.array(rs), np.array(ws), np.array(wps))
+    return LiouvilleProfile(np.array(rs), np.array(ws), np.array(wps))
 
 
 def _quad(f, a, b, tol):
@@ -197,17 +194,16 @@ def w0_forcing_rescaled(t):
     return 16.0 * np.log1p(t * t) ** 2 / (1.0 + t * t) ** 2
 
 
-def universal_constants(tol: float = 1e-10, profile: LiouvilleProfile | None = None) -> dict:
+def universal_constants(tol: float = 1e-10, *, profile: LiouvilleProfile) -> dict:
     """Evaluate the bubble constants and return measured/target pairs.
 
     M1 = total bubble mass (8 pi); M2 = log-moment (12 pi log 2);
-    I3 = the rescaled-forcing flux integral (12); w0_flux = r w0'(r) at R_max
-    (12); w0_boundary_integral = 2 pi r w0'(r) (24 pi).
+    I3 = the rescaled-forcing flux integral (12); w0_flux = r w0'(r) at
+    W0_R_MAX (12) and w0_boundary_integral = 2 pi r w0'(r) (24 pi) from the
+    given w0 profile.
     """
     if tol < 1e-14:
         raise ValueError("tol below double-precision quadrature range")
-    if profile is None:
-        profile = solve_w0()
     m1 = _quad(lambda r: 2 * np.pi * r * eU(r), 0.0, np.inf, tol)
     m2 = _quad(lambda r: 2 * np.pi * r * np.log(r) * eU(r), 0.0, np.inf, tol)
     i3 = radial_flux_coefficient(w0_forcing_rescaled, tol)

@@ -60,7 +60,7 @@ def _smooth_min(a, b, k):
 
 def make_domain(kind: str, **params) -> DomainSpec:
     """Build one of the named domains: disk | ellipse | smoothed-rectangle |
-    annulus | dumbbell | custom.
+    annulus | dumbbell.
 
     Raises InvalidParamsError when the shape parameters are geometrically
     inconsistent (non-positive radii, annulus inner >= outer, ...).
@@ -144,11 +144,6 @@ def make_domain(kind: str, **params) -> DomainSpec:
         bbox = (-sep - r - pad, sep + r + pad, -r - pad, r + pad)
         return DomainSpec("dumbbell", levelset, bbox, {"r": r, "sep": sep, "neck": neck})
 
-    if kind == "custom":
-        levelset = params["levelset"]
-        bbox = tuple(params["bbox"])
-        return DomainSpec("custom", levelset, bbox, dict(params))
-
     raise InvalidParamsError(f"unknown domain kind: {kind!r}")
 
 
@@ -230,9 +225,8 @@ class GridMesh:
     lattice, the step of the grading coordinate on a graded one.
     ``nbr[i, d]`` is the node index of the neighbour of node ``i`` in direction
     ``d`` (order E, W, N, S) or -1 when that arm crosses the boundary;
-    ``theta[i, d]`` is the arm fraction in (0, 1] of the lattice spacing in
-    that direction (1 for an uncut arm), and ``arms[i, d]`` the arm length, so
-    a cut arm meets the boundary at ``coords[i] + arms[i, d]*dir``.
+    ``arms[i, d]`` is the arm length (the lattice spacing for an uncut arm),
+    so a cut arm meets the boundary at ``coords[i] + arms[i, d]*dir``.
     """
 
     domain: DomainSpec
@@ -243,7 +237,6 @@ class GridMesh:
     ij: np.ndarray  # (n, 2) lattice indices per node
     coords: np.ndarray  # (n, 2)
     nbr: np.ndarray  # (n, 4) int
-    theta: np.ndarray  # (n, 4) float
     arms: np.ndarray  # (n, 4) float
 
     @property
@@ -417,15 +410,6 @@ class GridMesh:
             g[none] = 0.0
         return gx, gy
 
-    def gradient_arrays(self, values: np.ndarray, fill: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        gx, gy = self.nodal_gradient(values)
-        gx_arr = self.grid_array(gx, fill=np.nan)
-        gy_arr = self.grid_array(gy, fill=np.nan)
-        if fill is not None:
-            gx_arr = np.where(np.isnan(gx_arr), fill, gx_arr)
-            gy_arr = np.where(np.isnan(gy_arr), fill, gy_arr)
-        return gx_arr, gy_arr
-
     def interp_gradient(self, values: np.ndarray, pts: np.ndarray, fill: float | None = None) -> np.ndarray:
         """Bilinear interpolation of the nodal gradient field.
 
@@ -547,10 +531,10 @@ def mesh_on_lines(domain: DomainSpec, xs: np.ndarray, ys: np.ndarray, h: float) 
     ij = np.column_stack([ii, jj])
     coords = np.column_stack([xs[ii], ys[jj]])
     dx, dy = np.diff(xs), np.diff(ys)
-    spacing = np.column_stack([dx[ii], dx[ii - 1], dy[jj], dy[jj - 1]])
+    # the lattice spacing per arm; a cut arm is shortened below to its crossing
+    arms = np.column_stack([dx[ii], dx[ii - 1], dy[jj], dy[jj - 1]])
 
     nbr = np.full((n, 4), -1, dtype=int)
-    theta = np.ones((n, 4))
     for d, (di, dj) in enumerate(DIRS):
         nbr[:, d] = node_of[ii + di, jj + dj]
 
@@ -558,7 +542,7 @@ def mesh_on_lines(domain: DomainSpec, xs: np.ndarray, ys: np.ndarray, h: float) 
     if len(cut_i):
         starts = coords[cut_i]
         dirs = DIRS[cut_d].astype(float)
-        lengths = spacing[cut_i, cut_d]
+        lengths = arms[cut_i, cut_d]
         ends = starts + lengths[:, None] * dirs
         phi_start = domain.levelset(starts[:, 0], starts[:, 1])
         phi_end = domain.levelset(ends[:, 0], ends[:, 1])
@@ -575,9 +559,9 @@ def mesh_on_lines(domain: DomainSpec, xs: np.ndarray, ys: np.ndarray, h: float) 
         fr = np.ones(len(cut_i))
         if np.any(todo):
             fr[todo] = _bisect_arms(domain, starts[todo], dirs[todo], lengths[todo])
-        theta[cut_i, cut_d] = np.maximum(fr, ARM_TOL)
+        arms[cut_i, cut_d] = np.maximum(fr, ARM_TOL) * lengths
 
-    return GridMesh(domain, h, xs, ys, node_of, ij, coords, nbr, theta, theta * spacing)
+    return GridMesh(domain, h, xs, ys, node_of, ij, coords, nbr, arms)
 
 
 def assemble_laplacian(mesh: GridMesh) -> SparseOperator:

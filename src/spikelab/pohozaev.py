@@ -9,8 +9,9 @@ with all integrals over the circle of radius theta (arc measure).
 ``circle_forms`` returns the pair (P, Q) for one circle, Q as the 2-vector
 (Q_1, Q_2); every identity here is built on it.  Fields are anything
 exposing values(pts) and gradients(pts); node fields interpolate the mesh
-(gradients by central differences then bilinear interpolation), Green
-fields combine the analytic singular part with the interpolated regular part.
+(gradients by central differences then bilinear interpolation), and a
+``greens.GreenData`` combines the analytic singular part with the
+interpolated regular part.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ import numpy as np
 from . import greens
 from .lane_emden import BranchEntry
 from .mesh import GridMesh
+
+
+N_THETA = 256  # angular samples on a probe circle
 
 
 class CircleHitsBoundaryError(ValueError):
@@ -42,17 +46,6 @@ class NodeField:
 
 
 @dataclass
-class GreenField:
-    gd: greens.GreenData
-
-    def values(self, pts):
-        return self.gd.green_values(pts)
-
-    def gradients(self, pts):
-        return self.gd.green_gradients(pts)
-
-
-@dataclass
 class CircleProbe:
     """Uniform angular samples on the circle of radius theta about a center.
 
@@ -62,7 +55,7 @@ class CircleProbe:
 
     center: np.ndarray
     theta: float
-    n_theta: int = 256
+    n_theta: int = N_THETA
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -84,7 +77,7 @@ class CircleProbe:
         return float(np.mean(samples) * 2 * np.pi * self.theta)
 
 
-def circle_forms(u, v, center, theta: float, n_theta: int = 256,
+def circle_forms(u, v, center, theta: float, n_theta: int = N_THETA,
                  mesh: GridMesh | None = None) -> tuple[float, np.ndarray]:
     """(P(u,v), (Q_1(u,v), Q_2(u,v))) on one probe circle.  Each field's
     gradients are sampled once, and only once in total when ``v is u``."""
@@ -150,16 +143,16 @@ def _ball_sum(mesh: GridMesh, values: np.ndarray, center, radius: float) -> floa
     return float(wts @ values[idx])
 
 
-def pohozaev_residuals(mesh: GridMesh, u: np.ndarray, p: float, center, theta: float,
-                       n_theta: int = 256) -> PohozaevReport:
+def pohozaev_residuals(mesh: GridMesh, u: np.ndarray, p: float, center,
+                       theta: float) -> PohozaevReport:
     """LHS - RHS of the two local Pohozaev identities for a solved field:
 
     Q_i(u,u) = 2/(p+1) * circle integral of u^(p+1) nu_i
     P(u,u)   = 2 theta/(p+1) * circle integral of u^(p+1) - 4/(p+1) * ball integral
     """
     f = NodeField(mesh, u)
-    p_lhs, q_lhs = circle_forms(f, f, center, theta, n_theta, mesh=mesh)
-    probe = CircleProbe(center, theta, n_theta)
+    p_lhs, q_lhs = circle_forms(f, f, center, theta, mesh=mesh)
+    probe = CircleProbe(center, theta)
     upp = np.maximum(f.values(probe.points), 0.0) ** (p + 1.0)
     q_res = q_lhs - np.array([2.0 / (p + 1.0) * probe.integrate(upp * probe.normals[:, i])
                               for i in (0, 1)])
@@ -175,15 +168,15 @@ def pohozaev_residuals(mesh: GridMesh, u: np.ndarray, p: float, center, theta: f
 
 
 def linearized_residuals(mesh: GridMesh, u: np.ndarray, p: float, xi: np.ndarray,
-                         center, theta: float, n_theta: int = 256) -> dict:
+                         center, theta: float) -> dict:
     """Residuals of the eigenfunction variants:
     Q_i(xi,u) = circle integral of u^p xi nu_i
     P(xi,u)   = theta * circle integral of u^p xi - 2 * ball integral of u^p xi
     """
     fu = NodeField(mesh, u)
     fxi = NodeField(mesh, xi)
-    p_lhs, q_lhs = circle_forms(fxi, fu, center, theta, n_theta, mesh=mesh)
-    probe = CircleProbe(center, theta, n_theta)
+    p_lhs, q_lhs = circle_forms(fxi, fu, center, theta, mesh=mesh)
+    probe = CircleProbe(center, theta)
     upxi = np.maximum(fu.values(probe.points), 0.0) ** p * fxi.values(probe.points)
     out = {f"q{i + 1}_residual": q_lhs[i] - probe.integrate(upxi * probe.normals[:, i])
            for i in (0, 1)}

@@ -36,6 +36,10 @@ class BracketFailureError(RuntimeError):
 
 Y_START = 1e-4
 Y_CAP = 4e6
+RADIAL_TOL = 1e-12  # relative tolerance of the DOP853 integration
+# the spike ball B_d: the mass deficit's radius, and the cap of the 2-D
+# solver's spike radius (lane_emden.default_spike_radius)
+SPIKE_BALL_RADIUS = 0.25
 
 
 @dataclass
@@ -100,10 +104,6 @@ class RadialSolution:
         m = float(self._dense.sol(y_upper)[2])
         return 2.0 * np.pi * m
 
-    def peak_integral(self, d: float = 0.25) -> float:
-        """C_p = integral of u^p over the ball of radius d (in r units)."""
-        return (self.u0 / self.p) * self.mass(d / self.eps0)
-
     def energy(self) -> float:
         """p * integral of |grad u|^2 over the unit disk."""
         e = self.energy_cum
@@ -111,12 +111,13 @@ class RadialSolution:
             e += self.alpha**2 * math.log(self.y_boundary / self.y_far)
         return 2.0 * np.pi * self.u0**2 * e / self.p
 
-    def mass_deficit(self, d: float = 0.25) -> float:
-        """rho_p = p (1 - I_p / 8 pi), tending to 3."""
-        return self.p * (1.0 - self.mass(d / self.eps0) / (8.0 * np.pi))
+    def mass_deficit(self) -> float:
+        """rho_p = p (1 - I_p / 8 pi) with I_p the mass in B_d, d =
+        SPIKE_BALL_RADIUS; tends to 3."""
+        return self.p * (1.0 - self.mass(SPIKE_BALL_RADIUS / self.eps0) / (8.0 * np.pi))
 
 
-def solve_radial(p: float, tol: float = 1e-12) -> RadialSolution:
+def solve_radial(p: float) -> RadialSolution:
     """Radial oracle for the unit disk at exponent p (> 1)."""
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -145,8 +146,8 @@ def solve_radial(p: float, tol: float = 1e-12) -> RadialSolution:
         (y0, Y_CAP),
         s0,
         method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
+        rtol=RADIAL_TOL,
+        atol=RADIAL_TOL * 1e-2,
         events=hit_zero,
         dense_output=True,
     )
@@ -188,6 +189,7 @@ def solve_radial(p: float, tol: float = 1e-12) -> RadialSolution:
 
 R_MIN_FACTOR = 1e-3  # innermost pencil node, in units of eps0
 PER_MODE = 2  # eigenvalues nearest zero that disk_spectrum reports per mode
+NEAR_ZERO_COUNT = 4  # eigenvalues, with multiplicity, that the margin is taken over
 
 
 def mode_pencil(rad: RadialSolution, m: int, n: int = 4000):
@@ -380,8 +382,9 @@ class DiskSpectrum:
     modes: dict
     morse_index: int
 
-    def eigenvalues_near_zero(self, count: int = 4) -> list[tuple[float, int]]:
-        """(eigenvalue, m) pairs nearest zero, repeated for m >= 1 multiplicity."""
+    def eigenvalues_near_zero(self) -> list[tuple[float, int]]:
+        """The NEAR_ZERO_COUNT (eigenvalue, m) pairs nearest zero, repeated
+        for m >= 1 multiplicity."""
         items = []
         for m, (vals, _, _) in self.modes.items():
             for lam in vals:
@@ -389,10 +392,10 @@ class DiskSpectrum:
                 if m >= 1:
                     items.append((lam, m))
         items.sort(key=lambda t: abs(t[0]))
-        return items[:count]
+        return items[:NEAR_ZERO_COUNT]
 
-    def margin(self, count: int = 4) -> float:
-        return min(abs(lam) for lam, _ in self.eigenvalues_near_zero(count))
+    def margin(self) -> float:
+        return min(abs(lam) for lam, _ in self.eigenvalues_near_zero())
 
 
 def disk_spectrum(rad: RadialSolution, m_max: int = 3, n: int = 4000) -> DiskSpectrum:
@@ -433,17 +436,18 @@ def disk_spectrum(rad: RadialSolution, m_max: int = 3, n: int = 4000) -> DiskSpe
 # ---- kernel projections and spike coefficients from the 1-D instrument ----
 
 
-def mode1_kernel_data(rad: RadialSolution, xi: np.ndarray, r_grid: np.ndarray, R: float = 10.0):
-    """Fit f(s) = xi(eps0 s) against dU/dr(s) = -4s/(8+s^2) on s <= R under
-    the bubble weight, for an m = 1 eigenfunction given on r_grid (2-D field
-    xi(r) cos(theta)); returns (b, residual, sup_norm_used).
+def mode1_kernel_data(rad: RadialSolution, xi: np.ndarray, r_grid: np.ndarray):
+    """Fit f(s) = xi(eps0 s) against dU/dr(s) = -4s/(8+s^2) on s <=
+    liouville.KERNEL_FIT_RADIUS under the bubble weight, for an m = 1
+    eigenfunction given on r_grid (2-D field xi(r) cos(theta)); returns (b,
+    residual, sup_norm_used).
 
     Also computes B = (p/eps) * integral of x_1 u^(p-1) xi(r) cos^2(theta):
     returns them as a dict.
     """
     sup = float(np.max(np.abs(xi)))
     xi = xi / sup
-    s = np.linspace(1e-3, R, 400)
+    s = np.linspace(1e-3, liouville.KERNEL_FIT_RADIUS, 400)
     f = np.interp(s * rad.eps0, r_grid, xi)
     basis = -4.0 * s / (8.0 + s * s)  # radial factor of dU/dx_i at angle 0
     wgt = liouville.eU(s) * s  # radial measure with bubble weight

@@ -1,6 +1,6 @@
-"""Bottom spectrum of the linearized operator -Δ - p u^(p-1): assembly,
-eigenvalues nearest zero, Morse index, and the kernel structure of rescaled
-near-null eigenfunctions.
+"""Bottom spectrum of the linearized operator -Δ - p u^(p-1) (the Jacobian
+``LaneEmdenProblem.jacobian``): eigenvalues nearest zero, Morse index, and the
+kernel structure of rescaled near-null eigenfunctions.
 
 The rescaled limit kernel is spanned by Z0 = (8-|y|^2)/(8+|y|^2) and the
 translation derivatives dU/dy_i = -4 y_i/(8+|y|^2); projections are reported
@@ -21,6 +21,13 @@ from .lane_emden import BranchEntry, LaneEmdenProblem, SpikeData
 from .linsolve import factorize, smallest_eigenpairs
 from .mesh import GridMesh
 
+EIGEN_TOL = 1e-8  # analyse_entry's eigensolver tolerance
+RAYLEIGH_ITERS = 6  # most Rayleigh-quotient steps of a giant-mode hunt
+# the polar grid, n_r radii by n_theta angles over |y| <= KERNEL_FIT_RADIUS,
+# on which kernel_projection samples an eigenfunction
+KERNEL_N_R = 24
+KERNEL_N_THETA = 16
+
 
 @dataclass
 class SpectrumReport:
@@ -36,20 +43,12 @@ class SpectrumReport:
     eigenvectors: np.ndarray | None = field(default=None, repr=False)  # columns, as eigenvalues
 
 
-def assemble_Lp(mesh: GridMesh, u_p: np.ndarray, p: float) -> sp.csr_matrix:
-    """Discrete -Δ minus the diagonal p u_+^(p-1): the Jacobian of the
-    Lane-Emden residual at u_p."""
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    return LaneEmdenProblem(mesh).jacobian(u_p, p)
-
-
-def _rayleigh_iterate(Lp: sp.csr_matrix, v0: np.ndarray, iters: int = 6) -> float:
+def _rayleigh_iterate(Lp: sp.csr_matrix, v0: np.ndarray) -> float:
     """Rayleigh-quotient iteration from a concentrated seed; converges to the
     eigenvalue whose eigenvector the seed overlaps most (the giant)."""
     v = v0 / np.linalg.norm(v0)
     sigma = float(v @ (Lp @ v))
-    for _ in range(iters):
+    for _ in range(RAYLEIGH_ITERS):
         try:
             lu = factorize(Lp, sigma * (1.0 + 1e-12))
         except RuntimeError:
@@ -67,20 +66,17 @@ def _rayleigh_iterate(Lp: sp.csr_matrix, v0: np.ndarray, iters: int = 6) -> floa
     return sigma
 
 
-def bottom_spectrum(
-    Lp: sp.csr_matrix,
-    m: int = 4,
-    tol: float = 1e-8,
-    mesh: GridMesh | None = None,
-    spikes: list[SpikeData] | None = None,
-) -> SpectrumReport:
-    """m eigenvalues nearest zero plus the Morse count.
+def bottom_spectrum(entry: BranchEntry, m: int, tol: float) -> SpectrumReport:
+    """The m eigenvalues nearest zero of the entry's Jacobian, to tol, plus
+    the Morse count.
 
     The concentrated negative modes (one per spike, eigenvalue of order
     -1/eps^2) sit far from zero and are hunted separately with
     Rayleigh-quotient iteration seeded by bubble bumps at the spikes; the
     Morse index combines them with any negatives among the near-zero modes.
     """
+    mesh = entry.mesh
+    Lp = LaneEmdenProblem(mesh).jacobian(entry.u, entry.p)
     pairs = smallest_eigenpairs(Lp, m=m, sigma=0.0, tol=tol)
     notes = []
     dmin = float(np.min(Lp.diagonal()))
@@ -88,20 +84,19 @@ def bottom_spectrum(
         notes.append(f"diagonal dominance lost near peaks (min diagonal {dmin:.3e})")
 
     giants: list[float] = []
-    if mesh is not None and spikes is not None:
-        for s in spikes:
-            rho = np.hypot(mesh.coords[:, 0] - s.position[0], mesh.coords[:, 1] - s.position[1])
-            width = max(s.eps, mesh.h)
-            seed = np.exp(liouville.U(rho / width))
-            lam = _rayleigh_iterate(Lp, seed)
-            if lam < 0 and all(abs(lam - g) > 1e-6 * abs(lam) for g in giants):
-                giants.append(lam)
+    for s in entry.spikes:
+        rho = np.hypot(mesh.coords[:, 0] - s.position[0], mesh.coords[:, 1] - s.position[1])
+        width = max(s.eps, mesh.h)
+        seed = np.exp(liouville.U(rho / width))
+        lam = _rayleigh_iterate(Lp, seed)
+        if lam < 0 and all(abs(lam - g) > 1e-6 * abs(lam) for g in giants):
+            giants.append(lam)
     near_negatives = int(np.sum(pairs.eigenvalues < 0))
     # a giant that converged into the near-zero batch would be double counted
     giants = [g for g in giants if all(abs(g - lv) > 1e-9 * max(1, abs(g)) for lv in pairs.eigenvalues)]
     morse = len(giants) + near_negatives
     return SpectrumReport(
-        p=float("nan"),
+        p=entry.p,
         eigenvalues=pairs.eigenvalues,
         residuals=pairs.residuals,
         morse_index=morse,
@@ -112,27 +107,22 @@ def bottom_spectrum(
     )
 
 
-def kernel_projection(
-    mesh: GridMesh,
-    xi: np.ndarray,
-    spike: SpikeData,
-    R: float = 10.0,
-    n_r: int = 24,
-    n_theta: int = 16,
-) -> dict:
+def kernel_projection(mesh: GridMesh, xi: np.ndarray, spike: SpikeData) -> dict:
     """Weighted least-squares fit of the rescaled eigenfunction against the
-    kernel basis {Z0, dU/dy_1, dU/dy_2} on |y| <= R under the bubble weight.
+    kernel basis {Z0, dU/dy_1, dU/dy_2} on |y| <= KERNEL_FIT_RADIUS under the
+    bubble weight.
 
     Returns coefficients (a, b1, b2), the weighted L2 misfit, and the sup
     norm used for the || ||_inf = 1 normalization.
     """
     sup = float(np.max(np.abs(xi)))
-    radii = np.linspace(R / n_r, R, n_r)
-    angles = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+    R = liouville.KERNEL_FIT_RADIUS
+    radii = np.linspace(R / KERNEL_N_R, R, KERNEL_N_R)
+    angles = np.linspace(0.0, 2 * np.pi, KERNEL_N_THETA, endpoint=False)
     ys = np.array([[r * math.cos(t), r * math.sin(t)] for r in radii for t in angles])
     pts = spike.position[None, :] + spike.eps * ys
     vals = mesh.interp(xi, pts, fill=0.0) / sup
-    w = liouville.eU(np.hypot(ys[:, 0], ys[:, 1])) * np.repeat(radii, n_theta)
+    w = liouville.eU(np.hypot(ys[:, 0], ys[:, 1])) * np.repeat(radii, KERNEL_N_THETA)
     basis = np.column_stack(
         [
             liouville.Z0_xy(ys[:, 0], ys[:, 1]),
@@ -168,23 +158,17 @@ def spike_coefficients(
     return {"A": A, "B1": float(B[0]), "B2": float(B[1])}
 
 
-def analyse_entry(
-    entry: BranchEntry,
-    m: int = 4,
-    tol: float = 1e-8,
-    R: float = 10.0,
-) -> SpectrumReport:
-    """Full spectrum report for a branch entry: near-zero modes, Morse count,
-    kernel projections and spike coefficients of each near-null mode."""
+def analyse_entry(entry: BranchEntry, m: int = 4) -> SpectrumReport:
+    """Full spectrum report for a branch entry: the m near-zero modes (to
+    EIGEN_TOL), Morse count, kernel projections and spike coefficients of
+    each near-null mode."""
     mesh = entry.mesh
-    Lp = assemble_Lp(mesh, entry.u, entry.p)
-    rep = bottom_spectrum(Lp, m=m, tol=tol, mesh=mesh, spikes=entry.spikes)
-    rep.p = entry.p
+    rep = bottom_spectrum(entry, m, EIGEN_TOL)
     for xi in rep.eigenvectors.T:
         projs = []
         coefs = []
         for j, s in enumerate(entry.spikes):
-            projs.append(kernel_projection(mesh, xi, s, R=R))
+            projs.append(kernel_projection(mesh, xi, s))
             coefs.append(spike_coefficients(mesh, xi, entry.u, entry.p, s, entry.d))
         rep.projections.append(projs)
         rep.coefficients.append(coefs)

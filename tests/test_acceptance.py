@@ -1,14 +1,10 @@
 """Acceptance suite: every numbered criterion at its pinned tolerance.
 
-Each test prints one PASS/FAIL line per record.  Four sub-clauses are
+Each test prints one PASS/FAIL line per record.  Two sub-clauses are
 expected failures (``EXPECTED_RED``), reported as xfail when they fail; a
-listed clause that passes fails its test:
-
-- C6-energy and C7-leading: the exact solution misses their windows at
-  p = 80 (the subleading asymptotic terms are larger than the windows; the
-  records carry the numbers);
-- C4-p20 and C4-p40: the uniform h = 1/256 grid cannot carry spikes of
-  scale eps(20) = 1.3e-3 and eps(40) = 8.6e-6.
+listed clause that passes fails its test: C6-energy and C7-leading, whose
+windows the exact solution misses at p = 80 (the subleading asymptotic terms
+are larger than the windows; the records carry the numbers).
 
 C10-balance is a known red that fails its test outright.  It asks the
 ellipse force-balance ratio |C grad R(x_p)| / (eps/p) to fall monotonically
@@ -32,8 +28,6 @@ pytestmark = pytest.mark.acceptance
 EXPECTED_RED = {
     "C6-energy": "true energy gap at p = 80 is ~6.8% (2 log p/p + (1 - 6 log 2)/p), window is 5%",
     "C7-leading": "-4 log(eps)/p = 1 + 7.16/p = 1.086 at p = 80, window is [0.97, 1.03]",
-    "C4-p20": "spike scale eps(20) = 1.3e-3 is a third of h = 1/256; the grid cannot carry the peak",
-    "C4-p40": "spike scale eps(40) = 8.6e-6 is 450x below h = 1/256",
 }
 
 

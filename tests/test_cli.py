@@ -68,13 +68,6 @@ def test_liouville_command(capsys, tmp_path):
     assert payload["mass"]["rel_err"] < 1e-10
 
 
-def test_solve_command(capsys):
-    rc = cli.main(["solve", "--domain", "disk,r=1", "--h", "1/48", "--p", "10"])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["spikes"][0]["u_max"] == pytest.approx(1.857, rel=2e-2)
-
-
 @pytest.fixture(scope="module")
 def swept(tmp_path_factory):
     """`spikelab sweep` at h = 1/48, p 8 and 10: its report directory, exit
@@ -96,7 +89,7 @@ def test_sweep_writes_the_whole_report(swept):
     cfg = kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.default_start(dom))
     branch = lane_emden.continue_in_p(msh, cfg, 8.0, [8.0, 10.0])
     assert (out / "branch.csv").read_text() == harness.branch_csv_text(branch)
-    ids = [r.identifier for r in harness.load_records(str(out / "checks.json"))]
+    ids = [r["identifier"] for r in json.loads((out / "checks.json").read_text())]
     assert ids == ["kr-critical-point", "peak-law", "peak-law-rate", "sweep-diagnostics"]
     assert (out / "u_max_vs_p.svg").exists() and (out / "profile_correction.svg").exists()
 
@@ -108,15 +101,45 @@ def test_sweep_records_one_diagnostics_row_per_spike(swept):
     for line in branch[1:]:
         for cell in line.split(","):
             float(cell)
-    rec = {r.identifier: r for r in harness.load_records(str(out / "checks.json"))}["sweep-diagnostics"]
-    rows = rec.measured["entries"]
+    records = json.loads((out / "checks.json").read_text())
+    rec = {r["identifier"]: r for r in records}["sweep-diagnostics"]
+    rows = rec["measured"]["entries"]
     # one spike: one row per p, on the 8h circle (inside d = 0.25)
     assert [(r["p"], r["j"]) for r in rows] == [(8.0, 1), (10.0, 1)]
-    assert rec.passed and not [k for r in rows for k in r if k.endswith("_error")]
+    assert rec["passed"] and not [k for r in rows for k in r if k.endswith("_error")]
     for r in rows:
         assert r["theta"] == 8 / 48
         assert len(r["q_residuals"]) == 2 and np.all(np.isfinite(r["q_residuals"]))
         assert np.isfinite(r["p_residual"]) and np.isfinite(r["sup_v_minus_w0"])
+
+
+def test_sweep_row_is_the_one_spike_solve(swept):
+    # `spikelab solve` is gone: the sweep's branch.csv row at p = 10 is the
+    # solve it printed (u_max 1.857 at h = 1/48)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--domain", "disk,r=1", "--h", "1/48", "--p", "10"])
+    assert exc.value.code == 2
+    line = (swept[0] / "branch.csv").read_text().splitlines()[2]
+    row = dict(zip(harness.BRANCH_COLUMNS, line.split(",")))
+    assert float(row["p"]) == 10.0
+    assert float(row["u_max_j"]) == pytest.approx(1.857, rel=2e-2)
+
+
+def test_sweep_failures_print_their_error(tmp_path, monkeypatch, capsys):
+    # on the h = 1/32 disk the p = 10 ansatz solve fails and nothing below it
+    # is listed to march from
+    assert cli.main(["sweep", "--h", "1/32", "--p", "10,20", "--out", str(tmp_path)]) == 1
+    assert ("[FAIL] continuation: branch continuation over the p list\n"
+            "       note: NewtonDivergedError: damping failed at residual 2.291e-02"
+            in capsys.readouterr().out)
+
+    def no_point(mesh, starts):
+        raise kirchhoff_routh.NewtonDivergedError("no point")
+
+    monkeypatch.setattr(kirchhoff_routh, "find_critical_point", no_point)
+    assert cli.main(["sweep", "--h", "1/32", "--p", "10", "--out", str(tmp_path)]) == 1
+    assert ("[FAIL] kr-critical-point: Kirchhoff-Routh search\n"
+            "       note: NewtonDivergedError: no point" in capsys.readouterr().out)
 
 
 def test_spectrum_takes_a_p_list_and_the_deleted_options_are_gone(capsys):

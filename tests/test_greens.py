@@ -56,7 +56,7 @@ def test_boundary_limit_small(disk64):
 
 def test_positivity(disk64):
     gd = greens.regular_part(disk64, (0.4, -0.1))
-    vals = gd.green_values(disk64.coords[:: 17])
+    vals = gd.values(disk64.coords[:: 17])
     mask = np.hypot(*(disk64.coords[::17] - gd.source).T) > 2 * disk64.h
     assert np.min(vals[mask]) > -1e-6
 
@@ -65,8 +65,8 @@ def test_symmetry(disk64):
     x, y = np.array([0.3, 0.1]), np.array([-0.2, -0.4])
     gx = greens.regular_part(disk64, x)
     gy = greens.regular_part(disk64, y)
-    gxy = float(gx.green_values(y[None, :])[0])
-    gyx = float(gy.green_values(x[None, :])[0])
+    gxy = float(gx.values(y[None, :])[0])
+    gyx = float(gy.values(x[None, :])[0])
     assert abs(gxy - gyx) < 5 * disk64.h * abs(gxy)
 
 

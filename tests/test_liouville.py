@@ -26,7 +26,7 @@ def test_growth_bound(profile):
 
 
 def test_ode_residual(profile):
-    r = np.linspace(1.0, profile.R_max / 2, 4000)
+    r = np.linspace(1.0, lv.W0_R_MAX / 2, 4000)
     assert np.max(np.abs(profile.ode_residual(r))) < 1e-6
 
 
@@ -107,7 +107,3 @@ def test_normalization_quadrature():
     assert val == pytest.approx(8 * np.pi, rel=1e-12)
     assert lv.U(0.0) == 0.0
 
-
-def test_rmax_guard():
-    with pytest.raises(ValueError):
-        lv.solve_w0(R_max=50.0)

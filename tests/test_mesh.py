@@ -77,14 +77,14 @@ def test_disk_arms_match_bisection_oracle():
             return d.levelset(x0 + t * 0.5 * dx, y0 + t * 0.5 * dy)
 
         t_star = bisect(phi, 0.0, 1.0, xtol=1e-14) if phi(1.0) > 0 else 1.0
-        assert m.theta[i, dd] == pytest.approx(t_star, abs=1e-12)
+        assert m.arms[i, dd] / 0.5 == pytest.approx(t_star, abs=1e-12)
 
 
 def test_node_at_origin_has_full_arms():
     m = build_mesh(make_domain("disk", r=1.0), 0.5)
     k = m.node_of[m.nearest_lattice(0.0, 0.0)]
     assert np.all(m.nbr[k] >= 0)
-    assert np.all(m.theta[k] == 1.0)
+    assert np.all(m.arms[k] == 0.5)
 
 
 def test_interior_count_approximates_area():
@@ -97,7 +97,7 @@ def test_square_side_two_lattice_geometry():
     # rho = 0.25 keeps the axis boundary binary-exact at |x| = 1, so the unit
     # lattice has exactly one interior node; build_mesh honors the >= 9 node
     # contract, so the single-node case raises and the geometry is checked at
-    # h = 1/2 where the same crossings sit exactly at theta = 1
+    # h = 1/2 where the same crossings sit exactly at full arms
     d = make_domain("smoothed-rectangle", hx=1.0, hy=1.0, rho=0.25)
     xs = np.array([-1.0, 0.0, 1.0])
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -107,9 +107,9 @@ def test_square_side_two_lattice_geometry():
         build_mesh(d, 1.0)
     m = build_mesh(d, 0.5)
     k = m.node_of[m.nearest_lattice(0.0, 0.0)]
-    assert np.all(m.theta[k] == 1.0)
+    assert np.all(m.arms[k] == 0.5)
     edge = m.node_of[m.nearest_lattice(0.5, 0.0)]
-    assert m.nbr[edge, 0] == -1 and m.theta[edge, 0] == pytest.approx(1.0)
+    assert m.nbr[edge, 0] == -1 and m.arms[edge, 0] == pytest.approx(0.5)
 
 
 @settings(max_examples=12, deadline=None)
@@ -122,7 +122,7 @@ def test_arm_crossings_lie_on_zero_set(kind, h):
     d = make_domain(kind, **params[kind])
     m = build_mesh(d, h)
     cut_i, cut_d = np.nonzero(m.nbr < 0)
-    pts = m.coords[cut_i] + m.theta[cut_i, cut_d, None] * h * DIRS[cut_d]
+    pts = m.coords[cut_i] + m.arms[cut_i, cut_d, None] * DIRS[cut_d]
     phi = d.levelset(pts[:, 0], pts[:, 1])
     # |phi| at the crossing is bounded by the levelset slope times the arm tol
     assert np.max(np.abs(phi)) < 1e-10
@@ -267,7 +267,6 @@ def test_uniform_lines_reproduce_build_mesh(kind, params, h, conics):
     assert np.all(m.nbr[arms < h * (1 - 1e-9)] < 0)
     # every arm ends at the lattice neighbour or at the closed-form boundary crossing
     assert np.max(np.abs(m.arms - arms)) < 1e-11 * h
-    assert np.allclose(m.arms, m.theta * h, rtol=1e-14, atol=0.0)
     assert np.allclose(m.node_area, h * h, rtol=1e-14, atol=0.0)
 
 
@@ -406,10 +405,16 @@ def _interp_point_by_point(msh, values, pts, fill):
     return out, shifted
 
 
+def _gradient_arrays(msh, values, fill):
+    """The nodal gradient's two components on the lattice, fill outside."""
+    arrays = [msh.grid_array(g) for g in msh.nodal_gradient(values)]
+    return arrays if fill is None else [np.where(np.isnan(a), fill, a) for a in arrays]
+
+
 def _gradient_point_by_point(msh, values, pts, fill):
     """Reference for GridMesh.interp_gradient: bilinear in the lattice cell."""
     out = np.empty((len(pts), 2))
-    for col, arr in enumerate(msh.gradient_arrays(values, fill=fill)):
+    for col, arr in enumerate(_gradient_arrays(msh, values, fill)):
         for k, (x, y) in enumerate(pts):
             i = int(np.clip(np.searchsorted(msh.xs, x, side="right") - 1, 0, len(msh.xs) - 2))
             j = int(np.clip(np.searchsorted(msh.ys, y, side="right") - 1, 0, len(msh.ys) - 2))
@@ -470,7 +475,7 @@ def test_interp_gradient_is_the_whole_mesh_path_bit_for_bit(graded):
         j = np.clip(np.searchsorted(graded.ys, sample[:, 1], side="right") - 1, 0, len(graded.ys) - 2)
         tx = (sample[:, 0] - graded.xs[i]) / (graded.xs[i + 1] - graded.xs[i])
         ty = (sample[:, 1] - graded.ys[j]) / (graded.ys[j + 1] - graded.ys[j])
-        for col, arr in enumerate(graded.gradient_arrays(u, fill=fill)):
+        for col, arr in enumerate(_gradient_arrays(graded, u, fill)):
             want = (arr[i, j] * (1 - tx) * (1 - ty) + arr[i + 1, j] * tx * (1 - ty)
                     + arr[i, j + 1] * (1 - tx) * ty + arr[i + 1, j + 1] * tx * ty)
             assert np.array_equal(got[:, col], want)

@@ -20,10 +20,10 @@ class SourceDerivativeField:
         self.delta = delta
 
     def values(self, pts):
-        return (self._plus.green_values(pts) - self._minus.green_values(pts)) / (2 * self.delta)
+        return (self._plus.values(pts) - self._minus.values(pts)) / (2 * self.delta)
 
     def gradients(self, pts):
-        return (self._plus.green_gradients(pts) - self._minus.green_gradients(pts)) / (
+        return (self._plus.gradients(pts) - self._minus.gradients(pts)) / (
             2 * self.delta
         )
 
@@ -35,7 +35,7 @@ def disk96():
 
 @pytest.fixture(scope="module")
 def green_center(disk96):
-    return pz.GreenField(greens.regular_part(disk96, (0.0, 0.0)))
+    return greens.regular_part(disk96, (0.0, 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_p_form_green_source_derivative(disk96):
     # differentiates the singular part in the other slot, flipping the sign
     # it prints); the magnitude |dR/dh|/2 is common to both conventions
     x0 = np.array([0.3, 0.0])
-    G = pz.GreenField(greens.regular_part(disk96, x0))
+    G = greens.regular_part(disk96, x0)
     dG = SourceDerivativeField(disk96, x0, 0, 2 * disk96.h)
     val = pz.circle_forms(G, dG, x0, 8 * disk96.h, mesh=disk96)[0]
     target = -0.5 * greens.unit_disk_grad_R(x0)[0]
@@ -79,7 +79,7 @@ def test_q_form_green_diagonal_center(disk96, green_center):
 
 def test_q_form_green_diagonal_off_center(disk96):
     x0 = np.array([0.3, 0.0])
-    G = pz.GreenField(greens.regular_part(disk96, x0))
+    G = greens.regular_part(disk96, x0)
     got = pz.circle_forms(G, G, x0, 8 * disk96.h, mesh=disk96)[1][0]
     assert got == pytest.approx(-greens.unit_disk_grad_R(x0)[0], rel=3e-3)
 
@@ -87,7 +87,7 @@ def test_q_form_green_diagonal_off_center(disk96):
 def test_q_form_green_source_derivative(disk96):
     # verified closed-form value: -(1/2) d2R/dx_i dx_h (-(1/2pi) delta at 0)
     x0 = np.array([0.0, 0.0])
-    G = pz.GreenField(greens.regular_part(disk96, x0))
+    G = greens.regular_part(disk96, x0)
     dG = SourceDerivativeField(disk96, x0, 0, 2 * disk96.h)
     q11, q21 = pz.circle_forms(G, dG, x0, 8 * disk96.h, mesh=disk96)[1]
     assert q11 == pytest.approx(-0.5 / np.pi, rel=3e-3)  # -(1/2) * (1/pi)
@@ -97,8 +97,8 @@ def test_q_form_green_source_derivative(disk96):
 def test_q_form_two_sources(disk96):
     x0 = np.array([0.3, 0.0])
     x1 = np.array([-0.4, 0.1])
-    Gj = pz.GreenField(greens.regular_part(disk96, x0))
-    Gm = pz.GreenField(greens.regular_part(disk96, x1))
+    Gj = greens.regular_part(disk96, x0)
+    Gm = greens.regular_part(disk96, x1)
     dg = greens.unit_disk_grad_G(x1, x0)
     got = pz.circle_forms(Gm, Gj, x0, 8 * disk96.h, mesh=disk96)[1]
     for i in (0, 1):
@@ -109,7 +109,7 @@ def test_zero_cases_vanish_with_theta(disk96):
     # probe centered away from both sources: values tend to zero with theta
     x1 = np.array([-0.4, 0.1])
     c = np.array([0.35, -0.2])
-    Gm = pz.GreenField(greens.regular_part(disk96, x1))
+    Gm = greens.regular_part(disk96, x1)
     h = disk96.h
     vals = [abs(pz.circle_forms(Gm, Gm, c, t, mesh=disk96)[0]) for t in (16 * h, 8 * h, 4 * h)]
     assert vals[2] < vals[0] + 1e-6
@@ -197,10 +197,9 @@ def test_pohozaev_rhs_is_order_one_over_p(disk96, solved_p8):
 
 
 def test_linearized_residuals_small(disk96, solved_p8):
-    from spikelab import spectrum as sp
-
-    Lp = sp.assemble_Lp(disk96, solved_p8.u, 8.0)
     from spikelab.linsolve import smallest_eigenpairs
+
+    Lp = le.LaneEmdenProblem(disk96).jacobian(solved_p8.u, 8.0)
 
     pairs = smallest_eigenpairs(Lp, m=1, sigma=0.0, tol=2e-6)
     xi = pairs.eigenvectors[:, 0]

@@ -83,7 +83,7 @@ def test_flux_follows_mass_deficit(rad20, rad80):
 def test_mode_counts_and_margins(rad20):
     spec = radial.disk_spectrum(rad20, m_max=3)
     assert spec.morse_index == 1
-    near = spec.eigenvalues_near_zero(4)
+    near = spec.eigenvalues_near_zero()
     assert near[0][1] == 1  # translation pair is nearest zero
     assert near[0][0] > 0
     assert spec.margin() == pytest.approx(near[0][0])

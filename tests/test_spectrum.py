@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,36 +20,33 @@ def entry_p6(disk96):
     return le.make_entry(disk96, u, 6.0, 1, 0.25, info["residual"])
 
 
+def _Lp(mesh, u, p):
+    return le.LaneEmdenProblem(mesh).jacobian(u, p)
+
+
 def test_Lp_action_identity(disk96, entry_p6):
     # L_p u = -Δu - p u^p = (1-p) u^p on the solution
     p = 6.0
-    Lp = sp.assemble_Lp(disk96, entry_p6.u, p)
+    Lp = _Lp(disk96, entry_p6.u, p)
     lhs = Lp @ entry_p6.u
     rhs = (1 - p) * np.maximum(entry_p6.u, 0.0) ** p
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(lhs - rhs)) < 1e-7 * scale
 
 
-def test_p_guard(disk96, entry_p6):
-    with pytest.raises(ValueError):
-        sp.assemble_Lp(disk96, entry_p6.u, 1.0)
-
-
 def test_laplacian_only_spectrum_positive(disk96):
-    Lp = sp.assemble_Lp(disk96, np.zeros(disk96.n_nodes), 2.0)
-    rep = sp.bottom_spectrum(Lp, m=3, tol=1e-8)
+    # u = 0 leaves -Δ alone: no spike, so no giant mode to hunt
+    zero = le.BranchEntry(2.0, np.zeros(disk96.n_nodes), [], 0.0, 0.0, 0.25, disk96)
+    rep = sp.bottom_spectrum(zero, 3, 1e-8)
     assert np.all(rep.eigenvalues > 0)
     assert rep.morse_index == 0
 
 
 def test_spectrum_matches_radial_instrument(disk96, entry_p6):
-    rep = sp.bottom_spectrum(
-        sp.assemble_Lp(disk96, entry_p6.u, 6.0), m=4, tol=2e-6,
-        mesh=disk96, spikes=entry_p6.spikes,
-    )
+    rep = sp.bottom_spectrum(entry_p6, 4, 2e-6)
     rad = radial.solve_radial(6.0)
     spec1d = radial.disk_spectrum(rad, m_max=3)
-    lam1d = [lam for lam, _ in spec1d.eigenvalues_near_zero(4)]
+    lam1d = [lam for lam, _ in spec1d.eigenvalues_near_zero()]
     assert rep.morse_index == 1 == spec1d.morse_index
     assert np.allclose(np.sort(rep.eigenvalues), np.sort(lam1d), rtol=0.02)
     assert len(rep.giants) == 1
@@ -60,7 +59,7 @@ def test_margin_h_stability(entry_p6):
         m = build_mesh(make_domain("disk", r=1.0), h)
         cfg = kr.psi_eval(m, [(0.0, 0.0)])
         u, info = le.newton_solve(m, le.ansatz(m, cfg, 6.0), 6.0)
-        rep = sp.bottom_spectrum(sp.assemble_Lp(m, u, 6.0), m=4, tol=2e-6)
+        rep = sp.bottom_spectrum(le.make_entry(m, u, 6.0, 1, 0.25, info["residual"]), 4, 2e-6)
         margins[h] = rep.nondeg_margin
     assert margins[1.0 / 64] == pytest.approx(margins[1.0 / 96], rel=0.2)
 
@@ -73,14 +72,14 @@ def test_kernel_projection_self_fit(disk96):
     rho = np.hypot(disk96.coords[:, 0], disk96.coords[:, 1])
     xi = liouville.Z0(rho / eps)
     spike = le.SpikeData(center, 1.0, eps, 0.0)
-    out = sp.kernel_projection(disk96, xi, spike, R=10.0)
+    out = sp.kernel_projection(disk96, xi, spike)
     assert out["a"] == pytest.approx(1.0, abs=2e-4)
     assert abs(out["b1"]) < 1e-6 and abs(out["b2"]) < 1e-6
     assert out["residual"] < 1e-4
 
 
 def test_translation_modes_project_on_b(disk96, entry_p6):
-    Lp = sp.assemble_Lp(disk96, entry_p6.u, 6.0)
+    Lp = _Lp(disk96, entry_p6.u, 6.0)
     pairs = smallest_eigenpairs(Lp, m=2, sigma=0.0, tol=2e-6)
     for col in range(2):
         out = sp.kernel_projection(disk96, pairs.eigenvectors[:, col], entry_p6.spikes[0])
@@ -88,7 +87,7 @@ def test_translation_modes_project_on_b(disk96, entry_p6):
 
 
 def test_projection_bounded(disk96, entry_p6):
-    Lp = sp.assemble_Lp(disk96, entry_p6.u, 6.0)
+    Lp = _Lp(disk96, entry_p6.u, 6.0)
     pairs = smallest_eigenpairs(Lp, m=4, sigma=0.0, tol=2e-6)
     for col in range(4):
         out = sp.kernel_projection(disk96, pairs.eigenvectors[:, col], entry_p6.spikes[0])
@@ -104,7 +103,7 @@ def test_spike_coefficients_locality(disk96, entry_p6):
 
 
 def test_rayleigh_consistency(disk96, entry_p6):
-    Lp = sp.assemble_Lp(disk96, entry_p6.u, 6.0)
+    Lp = _Lp(disk96, entry_p6.u, 6.0)
     pairs = smallest_eigenpairs(Lp, m=3, sigma=0.0, tol=2e-6)
     for i in range(3):
         v = pairs.eigenvectors[:, i]
@@ -127,8 +126,7 @@ def test_b_coefficient_consistency_along_sweep():
 def test_diagonal_dominance_note(disk96, entry_p6):
     # a strong enough potential flips matrix diagonals negative near the
     # peak; the report carries the flag and shift-invert still converges
-    Lp = sp.assemble_Lp(disk96, entry_p6.u, 40.0)
-    assert float(np.min(Lp.diagonal())) < 0
-    rep = sp.bottom_spectrum(Lp, m=2, tol=2e-6, mesh=disk96, spikes=entry_p6.spikes)
+    assert float(np.min(_Lp(disk96, entry_p6.u, 40.0).diagonal())) < 0
+    rep = sp.bottom_spectrum(dataclasses.replace(entry_p6, p=40.0), 2, 2e-6)
     assert any("diagonal dominance" in n for n in rep.notes)
     assert np.all(np.isfinite(rep.eigenvalues))
