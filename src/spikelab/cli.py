@@ -237,7 +237,12 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (greens.SourceNearBoundaryError, greens.StencilLeavesDomainError,
+            kirchhoff_routh.PointNearBoundaryError) as exc:
+        # a point the geometry rejects is bad input: one line and exit 2, as argparse does
+        ap.exit(2, f"{ap.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

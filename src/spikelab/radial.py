@@ -201,6 +201,9 @@ def mode_pencil(rad: RadialSolution, m: int, n: int = 4000):
     the domain-scale modes).  The translation sector m = 1, whose near-null
     eigenvalue is a ~1e-9 relative cancellation at large p, is shot in
     factorized form instead (_Mode1Shooter).
+
+    V(r) does not depend on m: the profile is evaluated once per
+    (solution, n) and the potential cached on the solution.
     """
     r_min = max(rad.eps0 * R_MIN_FACTOR, 1e-14)
     nodes = np.geomspace(r_min, 1.0, n + 1)  # last node is the Dirichlet boundary
@@ -214,10 +217,12 @@ def mode_pencil(rad: RadialSolution, m: int, n: int = 4000):
     kappa[1:-1] = edges[1:-1] / np.diff(r)
     kappa[-1] = edges[-1] / (1.0 - r[-1])
     mass = r * (edges[1:] - edges[:-1])
-    y = r / rad.eps0
-    lw = (rad.p - 1.0) * np.log1p(rad.w(y) / rad.p)
-    V = np.exp(lw) / rad.eps0**2
-    pot = (m * m / (r * r) - V) * mass
+    potentials = rad.__dict__.setdefault("_pencil_potentials", {})  # n -> V on the nodes
+    if n not in potentials:
+        y = r / rad.eps0
+        lw = (rad.p - 1.0) * np.log1p(rad.w(y) / rad.p)
+        potentials[n] = np.exp(lw) / rad.eps0**2
+    pot = (m * m / (r * r) - potentials[n]) * mass
     return kappa[:-1] + kappa[1:] + pot, -kappa[1:-1], mass
 
 
@@ -256,7 +261,9 @@ class _Mode1Shooter:
     Linearity also makes each RK4 step a 2x2 matrix quadratic in lam,
     P_i(lam) = C0_i + lam C1_i + lam^2 C2_i, whose coefficients are built once.
     The shooter is cached on its RadialSolution and keeps its bracket scans
-    and eigenpairs, so each (solution, index) is shot once.
+    and eigenpairs, so each (solution, index) is shot once.  Every index
+    takes its bracket from the shared scans, and the indices requested
+    together are refined in the same batched runs (_mode1_pairs).
     """
 
     def __init__(self, rad: RadialSolution, n_steps: int = 6000):
@@ -330,14 +337,6 @@ class _Mode1Shooter:
             k += 1
 
 
-def _mode1_shooter(rad: RadialSolution) -> _Mode1Shooter:
-    sh = rad.__dict__.get("_mode1_shooter")
-    if sh is None:
-        sh = _Mode1Shooter(rad)
-        rad.__dict__["_mode1_shooter"] = sh
-    return sh
-
-
 def mode1_eigenvalue(rad: RadialSolution, index: int = 1):
     """index-th eigenvalue (1-based) of the disk m = 1 sector by shooting,
     with the eigenfunction xi = phi* g on a log radial grid.
@@ -345,31 +344,56 @@ def mode1_eigenvalue(rad: RadialSolution, index: int = 1):
     The factorized form is positive definite for every p (the sector never
     contributes to the Morse index on the disk); the returned eigenvalues are
     therefore positive, the near-null translation mode being index = 1.
-    The pair is computed once per solution; the returned arrays are shared
-    and read-only.
+    Reads the per-solution cache of _mode1_pairs, which shoots the indices
+    not yet cached up to index together; the returned arrays are shared and
+    read-only.
     """
-    sh = _mode1_shooter(rad)
-    if index in sh.pairs:
-        return sh.pairs[index]
-    grid, k = sh.bracket(index)
-    blo = grid[k - 1] if k > 0 else 1e-9
-    bhi = grid[k]
+    return _mode1_pairs(rad, index)[-1]
 
-    # batched interval refinement on the single sign change of g(1);
-    # 4 rounds of 16x shrink leave the midpoint within ~1e-6 relative
-    for _ in range(4):
-        grid = np.linspace(blo, bhi, 17)
-        g1, _, _ = sh.run(grid)
-        crossings = np.nonzero(g1[:-1] * g1[1:] < 0)[0]
-        if crossings.size == 0:
-            break
-        blo, bhi = grid[crossings[0]], grid[crossings[0] + 1]
-    lam = 0.5 * (blo + bhi)
-    _, _, path = sh.run(np.array([lam]), keep_path=True)
-    xi = -rad.u_prime(sh.r) * path[:, 0]
-    xi.setflags(write=False)
-    sh.pairs[index] = (lam, sh.r, xi)
-    return sh.pairs[index]
+
+def _mode1_pairs(rad: RadialSolution, count: int):
+    """Eigenpairs (lam, r, xi) of indices 1..count of the m = 1 sector, each
+    computed once per solution.
+
+    The indices not yet cached take their brackets from the shared scans and
+    are refined together: each round stacks the 17-point grids of every index
+    still refining into one shooter run, and one more run keeps the paths at
+    all the midpoints.  Every lam column is integrated elementwise, so a pair
+    is bit-identical to the same index shot alone.
+    """
+    sh = rad.__dict__.get("_mode1_shooter")
+    if sh is None:
+        sh = rad.__dict__["_mode1_shooter"] = _Mode1Shooter(rad)
+    todo = [i for i in range(1, count + 1) if i not in sh.pairs]
+    if todo:
+        brackets = {}
+        for i in todo:
+            grid, k = sh.bracket(i)
+            brackets[i] = (grid[k - 1] if k > 0 else 1e-9, grid[k])
+        # interval refinement on each index's single sign change of g(1); 4 rounds
+        # of 16x shrink leave the midpoint within ~1e-6 relative, and an index
+        # whose grid shows no sign change keeps its bracket from then on
+        refining = todo
+        for _ in range(4):
+            grids = [np.linspace(*brackets[i], 17) for i in refining]
+            g1 = sh.run(np.concatenate(grids))[0].reshape(len(refining), 17)
+            crossed = []
+            for i, grid, g in zip(refining, grids, g1):
+                crossings = np.nonzero(g[:-1] * g[1:] < 0)[0]
+                if crossings.size:
+                    brackets[i] = (grid[crossings[0]], grid[crossings[0] + 1])
+                    crossed.append(i)
+            refining = crossed
+            if not refining:
+                break
+        lams = [0.5 * (blo + bhi) for blo, bhi in (brackets[i] for i in todo)]
+        _, _, path = sh.run(np.array(lams), keep_path=True)
+        phi = -rad.u_prime(sh.r)
+        for j, (i, lam) in enumerate(zip(todo, lams)):
+            xi = phi * path[:, j]
+            xi.setflags(write=False)
+            sh.pairs[i] = (lam, sh.r, xi)
+    return [sh.pairs[i] for i in range(1, count + 1)]
 
 
 @dataclass
@@ -405,20 +429,17 @@ def disk_spectrum(rad: RadialSolution, m_max: int = 3, n: int = 4000) -> DiskSpe
     cancellation-free on the scale-free geometric grid): its negative
     eigenvalues give the Morse count, and the lowest of them, the
     concentrated ground mode, is reported ahead of the PER_MODE eigenvalues
-    nearest zero.  m = 1 uses factorized shooting, positive definite on the
-    disk for every p.
+    nearest zero; their pencils share one potential per (solution, n).
+    m = 1 uses factorized shooting, positive definite on the disk for every
+    p: its PER_MODE pairs are shot together, once per solution, and do not
+    depend on n.
     """
     modes = {}
     morse = 0
     for m in range(m_max + 1):
         if m == 1:
-            vals, vecs, grids = [], [], []
-            for idx in range(1, PER_MODE + 1):
-                lam, rgrid, xi = mode1_eigenvalue(rad, index=idx)
-                vals.append(lam)
-                vecs.append(xi)
-                grids.append(rgrid)
-            modes[m] = (vals, vecs, grids)
+            lams, grids, xis = zip(*_mode1_pairs(rad, PER_MODE))
+            modes[m] = (list(lams), list(xis), list(grids))
             continue
         pencil = mode_pencil(rad, m, n=n)
         neg = pencil_eigenvalues(pencil, "v", (-np.inf, 0.0))

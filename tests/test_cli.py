@@ -180,3 +180,22 @@ def test_sweep_takes_k_from_start_points(tmp_path, monkeypatch, capsys):
 def test_domain_parse_errors():
     with pytest.raises(Exception):
         cli.parse_domain("disk,r=-1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--domain", "annulus,r_in=0.4,r_out=1", "--h", "1/24", "--p", "10"],
+     "point [0.12 0.07] too close to the boundary"),
+    (["kr", "--domain", "annulus,r_in=0.4,r_out=1", "--h", "1/24"],
+     "point [0.12 0.07] too close to the boundary"),
+    (["green", "--h", "1/32", "--source", "0.97,0"],
+     "source [0.97 0.  ] is closer than 3.0h to the boundary"),
+    (["green", "--h", "1/32", "--source", "0.9,0"],
+     "Robin FD stencil point [ 0.9625 -0.0625] leaves the domain"),
+], ids=["spectrum-annulus", "kr-annulus", "green-source", "green-stencil"])
+def test_points_the_geometry_rejects_end_in_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"spikelab: error: {message}\n"
+    assert captured.out == ""

@@ -177,13 +177,64 @@ def test_disk_spectrum_shoots_mode1_once(monkeypatch):
 
     monkeypatch.setattr(radial._Mode1Shooter, "run", counting_run)
     s1 = radial.disk_spectrum(rad, m_max=1, n=4000)
-    # one bracket scan shared by both indices, then 4 refinements and a path each
-    assert len(calls) == 1 + 2 * 5
+    # one bracket scan shared by both indices, then 4 refinements and one path
+    # run, each carrying both indices
+    assert len(calls) == 1 + 4 + 1
     assert len(rad.__dict__["_mode1_shooter"].scans) == 1
+    assert [np.size(args[0]) for args in calls[1:]] == [2 * 17] * 4 + [2]
     s2 = radial.disk_spectrum(rad, m_max=1, n=2000)
-    assert len(calls) == 11
+    assert len(calls) == 6
     assert s2.modes[1][0] == s1.modes[1][0]
     assert all(not xi.flags.writeable for xi in s2.modes[1][1])
+
+
+def _shoot_alone(rad, index):
+    """Index refined alone on a fresh shooter: 4 rounds of a 17-point grid in
+    its bracket, then one path run at the midpoint."""
+    sh = radial._Mode1Shooter(rad)
+    grid, k = sh.bracket(index)
+    blo, bhi = (grid[k - 1] if k > 0 else 1e-9), grid[k]
+    for _ in range(4):
+        grid = np.linspace(blo, bhi, 17)
+        g1 = sh.run(grid)[0]
+        crossings = np.nonzero(g1[:-1] * g1[1:] < 0)[0]
+        if crossings.size == 0:
+            break
+        blo, bhi = grid[crossings[0]], grid[crossings[0] + 1]
+    lam = 0.5 * (blo + bhi)
+    path = sh.run(np.array([lam]), keep_path=True)[2]
+    return lam, sh.r, -rad.u_prime(sh.r) * path[:, 0]
+
+
+@pytest.mark.parametrize("p", [20.0, 80.0])
+def test_mode1_pairs_shot_together_equal_each_shot_alone(p):
+    rad = radial.solve_radial(p)
+    together = radial._mode1_pairs(rad, 2)
+    for index in (1, 2):
+        lam, rgrid, xi = _shoot_alone(rad, index)
+        assert together[index - 1][0] == lam
+        assert together[index - 1][1].tobytes() == rgrid.tobytes()
+        assert together[index - 1][2].tobytes() == xi.tobytes()
+
+
+def test_disk_spectrum_evaluates_the_profile_once_per_n(monkeypatch):
+    rad = radial.solve_radial(20.0)
+    calls = []
+    w = radial.RadialSolution.w
+
+    def counting_w(self, y):
+        calls.append(np.size(y))
+        return w(self, y)
+
+    monkeypatch.setattr(radial.RadialSolution, "w", counting_w)
+    radial.disk_spectrum(rad, m_max=3, n=3000)
+    assert calls == [3000]  # one potential for the m = 0, 2, 3 pencils
+    radial.disk_spectrum(rad, m_max=3, n=3000)
+    assert calls == [3000]
+    for m in (0, 2, 3):
+        shared = radial.mode_pencil(rad, m, n=3000)
+        alone = radial.mode_pencil(radial.solve_radial(20.0), m, n=3000)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(shared, alone))
 
 
 @pytest.mark.parametrize("m", [0, 2])
