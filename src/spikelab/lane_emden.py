@@ -53,17 +53,6 @@ class UnderResolvedSpikeWarning(RuntimeWarning):
     scale and mass are set by the grid rather than by the solution."""
 
 
-def predicted_eps(p: float, psi_j: float) -> float:
-    """Spike scale consistent with the predicted height: (p u^(p-1))^(-1/2).
-
-    Asymptotically e^(-p/4) e^(-(2 pi psi + 3 log2/2 + 3/4)); using the
-    refined height keeps the pair (height, scale) on the defining relation,
-    which matters for Newton basins at moderate p.
-    """
-    um = predicted_umax(p, psi_j)
-    return math.exp(-0.5 * (math.log(p) + (p - 1.0) * math.log(um)))
-
-
 def predicted_umax(p: float, psi_j: float) -> float:
     """Peak height prediction sqrt(e) (1 - log p/(p-1) + (4 pi psi + 3 log2 + 2)/p)."""
     return SQRT_E * (
@@ -71,9 +60,24 @@ def predicted_umax(p: float, psi_j: float) -> float:
     )
 
 
+def log_eps(p: float, u_max: float) -> float:
+    """log eps = -(log p + (p-1) log u_max)/2, stable for any p."""
+    return -0.5 * (math.log(p) + (p - 1.0) * math.log(u_max))
+
+
 def ansatz(mesh: GridMesh, cfg: SpikeConfig, p: float) -> np.ndarray:
     """Initial field: bubbles of predicted scale at the spike points, blended
     beyond radius p*eps into the Green far field (8 pi sqrt(e)/p) sum G.
+
+    A spike's height is the radial oracle's u0(p) plus the first-order
+    Kirchhoff-Routh term sqrt(e) 4 pi psi_j / p where the lattice cell at x_j
+    is no wider than the eps that height gives (the rule of
+    SpikeData.resolved), and predicted_umax(p, psi_j) where it is wider.  An
+    under-resolved discrete peak is set by the grid, not by u0(p), and
+    Newton from the oracle height can land on another discrete solution
+    there.  Each bubble's scale is eps = (p height^(p-1))^(-1/2), so the pair
+    (height, scale) stays on the defining relation, which matters for Newton
+    basins at moderate p.
 
     The bubble carries the universal rescaled profile w from the radial
     oracle rather than its p -> infinity limit U: at moderate p the limit
@@ -85,7 +89,12 @@ def ansatz(mesh: GridMesh, cfg: SpikeConfig, p: float) -> np.ndarray:
     rad = solve_radial(p)
     far = np.zeros(mesh.n_nodes)
     gds = [greens.regular_part(mesh, a) for a in cfg.points]
-    heights = [predicted_umax(p, float(cfg.psi_parts[j])) for j in range(cfg.k)]
+    heights = []
+    for a, psi_j in zip(cfg.points, cfg.psi_parts):
+        height = rad.u0 + SQRT_E * 4.0 * math.pi * float(psi_j) / p
+        if math.exp(log_eps(p, height)) < mesh.cell_size(a[0], a[1]):
+            height = predicted_umax(p, float(psi_j))
+        heights.append(height)
     for gd, height in zip(gds, heights):
         dist = np.maximum(np.hypot(pts[:, 0] - gd.source[0], pts[:, 1] - gd.source[1]), 1e-12)
         # p C_p = height * I_p is the finite-p far-field mass; it tends to
@@ -97,10 +106,8 @@ def ansatz(mesh: GridMesh, cfg: SpikeConfig, p: float) -> np.ndarray:
     far = np.clip(far, 0.0, SQRT_E)
 
     u0 = far.copy()
-    for j, a in enumerate(cfg.points):
-        height = heights[j]
-        psi_j = float(cfg.psi_parts[j])
-        eps_hat = predicted_eps(p, psi_j)
+    for a, height in zip(cfg.points, heights):
+        eps_hat = math.exp(log_eps(p, height))
         rho = np.hypot(pts[:, 0] - a[0], pts[:, 1] - a[1])
         y = np.minimum(rho / eps_hat, rad.y_boundary)
         bubble = height * np.maximum(0.0, 1.0 + rad.w(y) / p)
@@ -264,11 +271,6 @@ class SolutionBranch:
     @property
     def p_values(self) -> list[float]:
         return [e.p for e in self.entries]
-
-
-def log_eps(p: float, u_max: float) -> float:
-    """log eps = -(log p + (p-1) log u_max)/2, stable for any p."""
-    return -0.5 * (math.log(p) + (p - 1.0) * math.log(u_max))
 
 
 def extract_spikes(mesh: GridMesh, u: np.ndarray, p: float, k: int, d: float) -> list[SpikeData]:

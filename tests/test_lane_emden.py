@@ -21,6 +21,24 @@ def kr_disk(disk64):
 
 
 @pytest.fixture(scope="module")
+def graded20():
+    # the C9 ladder's first level: h = 1/64, lines graded toward the centre
+    # down to about 16 h eps(20), so the p = 20 spike is resolved
+    m = build_graded_mesh(make_domain("disk", r=1.0), 1.0 / 64, (0.0, 0.0),
+                          radial.solve_radial(20.0).eps0)
+    return m, kr.psi_eval(m, [(0.0, 0.0)])
+
+
+@pytest.fixture(scope="module")
+def ellipse64():
+    # the acceptance ellipse (a = 2, b = 1), whose Kirchhoff-Routh point is
+    # its centre by symmetry (the search from (0.25, 0.12) ends within 1e-9
+    # of it); psi there is -0.0306
+    m = build_mesh(make_domain("ellipse", a=2.0, b=1.0), 1.0 / 64)
+    return m, kr.psi_eval(m, [(0.0, 0.0)])
+
+
+@pytest.fixture(scope="module")
 def solved_p10(disk64, kr_disk):
     u, info = le.newton_solve(disk64, le.ansatz(disk64, kr_disk, 10.0), 10.0)
     return u, info
@@ -31,7 +49,9 @@ def test_ansatz_peak_and_far_field(disk64, kr_disk):
     u0 = le.ansatz(disk64, kr_disk, p)
     assert np.all(u0 >= 0.0)
     k = disk64.node_of[disk64.nearest_lattice(0.0, 0.0)]
-    assert u0[k] == pytest.approx(le.predicted_umax(p, 0.0), rel=1e-3)
+    # eps(12) is narrower than the h = 1/64 cell, so the height stays the
+    # asymptotic formula's
+    assert u0[k] == le.predicted_umax(p, 0.0)
     # far from the spike the ansatz follows (p C_p / p) G(0, .) with the
     # finite-p mass, which tends to the limit coefficient 8 pi sqrt(e)/p
     gd = greens.regular_part(disk64, (0.0, 0.0))
@@ -42,6 +62,34 @@ def test_ansatz_peak_and_far_field(disk64, kr_disk):
     assert float(disk64.interp(u0, pt[None, :])[0]) == pytest.approx(far, rel=1e-4)
     limit = 8 * np.pi * math.sqrt(math.e) / p * gval
     assert far == pytest.approx(limit, rel=0.35)
+
+
+@pytest.mark.parametrize("case, p, psi, psi_tol", [("graded20", 20.0, 0.0, 0.0),
+                                                   ("ellipse64", 10.0, -0.0306, 1e-4)])
+def test_ansatz_anchors_a_resolved_peak_on_the_oracle(case, p, psi, psi_tol, request):
+    # where the cell at the spike is no wider than eps, the peak is the
+    # oracle's u0(p) plus the first-order Kirchhoff-Routh term (on the disk
+    # psi is 0, so the peak is u0(p) itself)
+    m, cfg = request.getfixturevalue(case)
+    assert cfg.psi_parts[0] == pytest.approx(psi, abs=psi_tol)
+    k = m.node_of[m.nearest_lattice(0.0, 0.0)]
+    assert np.array_equal(m.coords[k], [0.0, 0.0])
+    u0 = le.ansatz(m, cfg, p)
+    u_max = radial.solve_radial(p).u0 + le.SQRT_E * 4.0 * math.pi * float(cfg.psi_parts[0]) / p
+    assert u0[k] == u_max
+    assert math.exp(le.log_eps(p, u_max)) >= m.cell_size(0.0, 0.0)
+
+
+@pytest.mark.parametrize("case, p", [("graded20", 20.0), ("ellipse64", 10.0)])
+def test_resolved_ansatz_solve_takes_two_factorizations(case, p, request, monkeypatch):
+    # from the asymptotic formula's height (1.3% high at p = 20, and u^p
+    # makes that 30%) these solves took 9 and 13 factorizations
+    m, cfg = request.getfixturevalue(case)
+    u0 = le.ansatz(m, cfg, p)
+    calls = _patch_factorize(monkeypatch)
+    _, info = le.newton_solve(m, u0, p)
+    assert len(calls) == info["factorizations"] <= 2
+    assert info["residual"] <= 1e-10
 
 
 def test_newton_converges_quadratically(disk64, solved_p10):
