@@ -14,6 +14,7 @@ value gauge w(0) = 0 removes the radial kernel direction since Z0(0) = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,10 @@ def solve_w0(origin_value: float = 0.0) -> LiouvilleProfile:
     """Integrate the w0 equation outward to W0_R_MAX with RK4 on a graded step.
 
     Steps grow proportionally to r (the solution is logarithmic at infinity),
-    capped so the bubble core near r ~ sqrt(8) stays finely resolved.
+    capped so the bubble core near r ~ sqrt(8) stays finely resolved.  The
+    step grid does not depend on the solution, so e^U and the forcing are
+    tabulated once at every stage point (step start, midpoint and end) and
+    the pair (w0, w0') is stepped in plain floats.
     ``origin_value`` offsets the value gauge: the solution shifts by
     origin_value * Z0 + O(origin_value * r0^2) (kernel linearity).
     """
@@ -133,27 +137,32 @@ def solve_w0(origin_value: float = 0.0) -> LiouvilleProfile:
     w = r0**6 / 1152.0 - 29.0 * r0**8 / 147456.0 + origin_value
     wp = 6.0 * r0**5 / 1152.0 - 29.0 * 8.0 * r0**7 / 147456.0 + origin_value * float(Z0_prime(r0))
 
-    def rhs(r, y):
-        w_, wp_ = y
-        return np.array([wp_, _forcing(r) - eU(r) * w_ - wp_ / r])
-
     rs = [r0]
+    drs = []
+    while rs[-1] < W0_R_MAX:
+        drs.append(min(W0_BASE_STEP + W0_STEP_GROWTH * rs[-1], W0_R_MAX - rs[-1]))
+        rs.append(rs[-1] + drs[-1])
+    # r, e^U and the forcing at every RK4 stage point: step start, midpoint, end
+    start = np.array(rs[:-1])
+    dr = np.array(drs)
+    stages = np.stack([start, start + 0.5 * dr, start + dr])
+    table = np.concatenate([stages, eU(stages), _forcing(stages)]).tolist()
     ws = [w]
     wps = [wp]
-    r = r0
-    y = np.array([w, wp])
-    while r < W0_R_MAX:
-        dr = min(W0_BASE_STEP + W0_STEP_GROWTH * r, W0_R_MAX - r)
-        k1 = rhs(r, y)
-        k2 = rhs(r + 0.5 * dr, y + 0.5 * dr * k1)
-        k3 = rhs(r + 0.5 * dr, y + 0.5 * dr * k2)
-        k4 = rhs(r + dr, y + dr * k3)
-        y = y + (dr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        r += dr
-        rs.append(r)
-        ws.append(y[0])
-        wps.append(y[1])
-    if not np.all(np.isfinite(y)):
+    for h, r_0, r_m, r_1, e_0, e_m, e_1, f_0, f_m, f_1 in zip(drs, *table):
+        # w'' = f - e w - w'/r, stage by stage
+        k1w, k1p = wp, f_0 - e_0 * w - wp / r_0
+        k2w = wp + 0.5 * h * k1p
+        k2p = f_m - e_m * (w + 0.5 * h * k1w) - k2w / r_m
+        k3w = wp + 0.5 * h * k2p
+        k3p = f_m - e_m * (w + 0.5 * h * k2w) - k3w / r_m
+        k4w = wp + h * k3p
+        k4p = f_1 - e_1 * (w + h * k3w) - k4w / r_1
+        w = w + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+        wp = wp + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        ws.append(w)
+        wps.append(wp)
+    if not (math.isfinite(w) and math.isfinite(wp)):
         raise AssertionError("w0 integration produced non-finite values")
     return LiouvilleProfile(np.array(rs), np.array(ws), np.array(wps))
 

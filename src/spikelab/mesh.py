@@ -271,10 +271,16 @@ class GridMesh:
         i, j = int(_cell_of(self.xs, x)), int(_cell_of(self.ys, y))
         return float(max(self.xs[i + 1] - self.xs[i], self.ys[j + 1] - self.ys[j]))
 
+    @cached_property
+    def crossings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cut arms, as (node, direction) index arrays, and the points
+        where they meet the boundary."""
+        cut_i, cut_d = np.nonzero(self.nbr < 0)
+        return cut_i, cut_d, self.coords[cut_i] + self.arms[cut_i, cut_d, None] * DIRS[cut_d]
+
     def boundary_distance(self, x, y) -> float:
         """Crude distance-to-boundary estimate from cut-arm crossings."""
-        cut_i, cut_d = np.nonzero(self.nbr < 0)
-        pts = self.coords[cut_i] + self.arms[cut_i, cut_d, None] * DIRS[cut_d]
+        pts = self.crossings[2]
         return float(np.min(np.hypot(pts[:, 0] - x, pts[:, 1] - y)))
 
     def ball_weights(self, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -597,10 +603,9 @@ def dirichlet_rhs(mesh: GridMesh, data: Callable[[np.ndarray, np.ndarray], np.nd
     discretizes -Δu = f with u = g on the boundary.
     """
     b = np.zeros(mesh.n_nodes)
-    cut_i, cut_d = np.nonzero(mesh.nbr < 0)
+    cut_i, cut_d, pts = mesh.crossings
     if len(cut_i) == 0:
         return b
-    pts = mesh.coords[cut_i] + mesh.arms[cut_i, cut_d, None] * DIRS[cut_d]
     g = np.asarray(data(pts[:, 0], pts[:, 1]), dtype=float)
     ao = mesh.arms[cut_i, cut_d]
     ap = mesh.arms[cut_i, np.array(_OPP)[cut_d]]

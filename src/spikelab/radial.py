@@ -244,6 +244,16 @@ def pencil_eigenvalues(pencil, select: str = "a", select_range=None) -> np.ndarr
 
 _LAM_HI = 64.0  # top of the first m = 1 bracket scan, quadrupled until it holds the mode
 _BLOCK = 256  # RK4 steps whose propagators are evaluated together (all at once: ~20 MB)
+_GROUP = 8  # consecutive step propagators composed into one; a power of two
+_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]  # as (gg, gF, Fg, FF) rows
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Products later @ earlier of 2x2 matrices stored as (gg, gF, Fg, FF)
+    rows along the first axis, elementwise over the other axes."""
+    a, b, c, d = later
+    e, f, g, h = earlier
+    return np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
 
 
 class _Mode1Shooter:
@@ -260,6 +270,11 @@ class _Mode1Shooter:
 
     Linearity also makes each RK4 step a 2x2 matrix quadratic in lam,
     P_i(lam) = C0_i + lam C1_i + lam^2 C2_i, whose coefficients are built once.
+    A run evaluates the propagators _BLOCK steps at a time, composes each
+    _GROUP consecutive ones by pairwise doubling and advances the lam batch
+    one group per iteration; the single-step propagators then recover g
+    inside every group, all groups at once, so the sign flips of g are still
+    counted at every step.
     The shooter is cached on its RadialSolution and keeps its bracket scans
     and eigenpairs, so each (solution, index) is shot once.  Every index
     takes its bracket from the shared scans, and the indices requested
@@ -304,16 +319,40 @@ class _Mode1Shooter:
         F = np.zeros_like(lams)
         flips = np.zeros(lams.shape, dtype=int)
         path = np.empty((self.n_steps + 1, lams.size)) if keep_path else None
-        gs = np.empty((_BLOCK + 1, lams.size))  # g across one block of steps
+        n_groups = -(-_BLOCK // _GROUP)
+        buf = np.empty((4, n_groups * _GROUP, lams.size))  # one block's step propagators
+        gs = np.empty((n_groups * _GROUP + 1, lams.size))  # g across one block of steps
+        g0, F0 = np.empty((2, n_groups, lams.size))  # the state at each group's start
         for start in range(0, self.n_steps, _BLOCK):
             stop = min(start + _BLOCK, self.n_steps)
-            s = slice(start, stop)
-            P = self.C0[:, s, None] + lams * (self.C1[:, s, None] + lams * self.C2[:, s, None])
+            n, s = stop - start, slice(start, stop)
+            groups = -(-n // _GROUP)
+            # C0 + lam (C1 + lam C2) in place; identity steps fill the last group
+            P = buf[:, :n]
+            np.multiply(self.C2[:, s, None], lams, out=P)
+            P += self.C1[:, s, None]
+            P *= lams
+            P += self.C0[:, s, None]
+            buf[:, n : groups * _GROUP] = _IDENTITY
+            P = buf[:, : groups * _GROUP].reshape(4, groups, _GROUP, lams.size)  # entry, group, step, lam
+            M = P
+            while M.shape[2] > 1:  # pairwise doubling: 2, 4, ..., _GROUP steps
+                M = _compose(M[:, :, 1::2], M[:, :, ::2])
+            # steps[k, j]: g after step j + 1 of group k; a group's last state is
+            # the composed one, which starts the next group
+            steps = gs[1 : groups * _GROUP + 1].reshape(groups, _GROUP, lams.size)
             gs[0] = g
-            for j, (gg, gF, Fg, FF) in enumerate(zip(*P), 1):
+            for k, (gg, gF, Fg, FF) in enumerate(zip(*M[:, :, 0])):
+                g0[k], F0[k] = g, F
                 g, F = gg * g + gF * F, Fg * g + FF * F
-                gs[j] = g
-            blk = gs[: stop - start + 1]
+            steps[:-1, -1] = g0[1:groups]
+            steps[-1, -1] = g
+            gk, Fk = g0[:groups], F0[:groups]
+            for j in range(_GROUP - 1):
+                gg, gF, Fg, FF = P[:, :, j]
+                gk, Fk = gg * gk + gF * Fk, Fg * gk + FF * Fk
+                steps[:, j] = gk
+            blk = gs[: n + 1]
             flips += np.count_nonzero(blk[:-1] * blk[1:] < 0, axis=0)
             if keep_path:
                 path[start : stop + 1] = blk

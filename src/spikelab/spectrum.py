@@ -21,8 +21,8 @@ from .lane_emden import BranchEntry, LaneEmdenProblem, SpikeData
 from .linsolve import factorize, smallest_eigenpairs
 from .mesh import GridMesh
 
-EIGEN_TOL = 1e-8  # analyse_entry's eigensolver tolerance
-RAYLEIGH_ITERS = 6  # most Rayleigh-quotient steps of a giant-mode hunt
+EIGEN_TOL = 1e-8  # analyse_entry's eigensolver tolerance; the giant-mode hunt's residual
+RAYLEIGH_ITERS = 10  # most Rayleigh-quotient steps of a giant-mode hunt
 # the polar grid, n_r radii by n_theta angles over |y| <= KERNEL_FIT_RADIUS,
 # on which kernel_projection samples an eigenfunction
 KERNEL_N_R = 24
@@ -43,12 +43,26 @@ class SpectrumReport:
     eigenvectors: np.ndarray | None = field(default=None, repr=False)  # columns, as eigenvalues
 
 
-def _rayleigh_iterate(Lp: sp.csr_matrix, v0: np.ndarray) -> float:
+def _rayleigh_quotient(Lp: sp.csr_matrix, v: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient sigma of the unit vector v and the eigen-residual
+    |Lp v - sigma v| / |sigma|."""
+    Lv = Lp @ v
+    sigma = float(v @ Lv)
+    return sigma, float(np.linalg.norm(Lv - sigma * v)) / max(abs(sigma), np.finfo(float).tiny)
+
+
+def _rayleigh_iterate(Lp: sp.csr_matrix, v0: np.ndarray) -> tuple[float, float]:
     """Rayleigh-quotient iteration from a concentrated seed; converges to the
-    eigenvalue whose eigenvector the seed overlaps most (the giant)."""
+    eigenvalue whose eigenvector the seed overlaps most (the giant).
+
+    Stops once the eigen-residual |Lp v - sigma v| / |sigma| is at most
+    EIGEN_TOL; returns sigma and that residual.
+    """
     v = v0 / np.linalg.norm(v0)
-    sigma = float(v @ (Lp @ v))
+    sigma, resid = _rayleigh_quotient(Lp, v)
     for _ in range(RAYLEIGH_ITERS):
+        if resid <= EIGEN_TOL:
+            break
         try:
             lu = factorize(Lp, sigma * (1.0 + 1e-12))
         except RuntimeError:
@@ -58,12 +72,8 @@ def _rayleigh_iterate(Lp: sp.csr_matrix, v0: np.ndarray) -> float:
         if not np.isfinite(nw) or nw == 0.0:
             break
         v = w / nw
-        new_sigma = float(v @ (Lp @ v))
-        if abs(new_sigma - sigma) <= 1e-12 * max(1.0, abs(new_sigma)):
-            sigma = new_sigma
-            break
-        sigma = new_sigma
-    return sigma
+        sigma, resid = _rayleigh_quotient(Lp, v)
+    return sigma, resid
 
 
 def bottom_spectrum(entry: BranchEntry, m: int, tol: float) -> SpectrumReport:
@@ -88,7 +98,10 @@ def bottom_spectrum(entry: BranchEntry, m: int, tol: float) -> SpectrumReport:
         rho = np.hypot(mesh.coords[:, 0] - s.position[0], mesh.coords[:, 1] - s.position[1])
         width = max(s.eps, mesh.h)
         seed = np.exp(liouville.U(rho / width))
-        lam = _rayleigh_iterate(Lp, seed)
+        lam, resid = _rayleigh_iterate(Lp, seed)
+        if not resid <= EIGEN_TOL:
+            notes.append(f"giant-mode hunt at {s.position.tolist()} stopped at eigen-residual "
+                         f"{resid:.1e} (eigenvalue {lam:.6e})")
         if lam < 0 and all(abs(lam - g) > 1e-6 * abs(lam) for g in giants):
             giants.append(lam)
     near_negatives = int(np.sum(pairs.eigenvalues < 0))

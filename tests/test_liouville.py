@@ -9,6 +9,38 @@ def profile():
     return lv.solve_w0()
 
 
+def _per_step_w0(origin_value=0.0):
+    """w0 and w0' by RK4 with the coefficients evaluated at each stage, on
+    solve_w0's grid and series seed."""
+    r = 1e-3
+    y = np.array([r**6 / 1152.0 - 29.0 * r**8 / 147456.0 + origin_value,
+                  6.0 * r**5 / 1152.0 - 29.0 * 8.0 * r**7 / 147456.0 + origin_value * lv.Z0_prime(r)])
+
+    def rhs(r, y):
+        return np.array([y[1], lv._forcing(r) - lv.eU(r) * y[0] - y[1] / r])
+
+    out = [y]
+    while r < lv.W0_R_MAX:
+        dr = min(lv.W0_BASE_STEP + lv.W0_STEP_GROWTH * r, lv.W0_R_MAX - r)
+        k1 = rhs(r, y)
+        k2 = rhs(r + 0.5 * dr, y + 0.5 * dr * k1)
+        k3 = rhs(r + 0.5 * dr, y + 0.5 * dr * k2)
+        k4 = rhs(r + dr, y + dr * k3)
+        y = y + (dr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        r += dr
+        out.append(y)
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("origin_value", [0.0, 1e-3])
+def test_tabulated_coefficients_match_per_step_rk4(origin_value):
+    prof = lv.solve_w0(origin_value)
+    ref_w, ref_wp = _per_step_w0(origin_value)
+    assert prof.r.size == ref_w.size
+    assert np.all(np.abs(prof.w0_values - ref_w) <= 1e-14 * np.abs(ref_w))
+    assert np.all(np.abs(prof.w0_prime_values - ref_wp) <= 1e-14 * np.abs(ref_wp))
+
+
 def test_small_r_series(profile):
     assert profile.w0(0.1) == pytest.approx(0.1**6 / 1152.0, rel=5e-3)
     assert abs(profile.w0(profile.r[0])) < 1e-18 + profile.r[0] ** 6

@@ -185,6 +185,19 @@ def test_dirichlet_rhs_harmonic_solve():
     assert np.max(np.abs(u - exact)) < 1e-9
 
 
+def test_boundary_crossings_are_tabled_once():
+    # every cut arm, once, and its crossing on the circle; boundary_distance
+    # and dirichlet_rhs read the same table
+    m = build_mesh(make_domain("disk", r=1.0), 0.05)
+    cut_i, cut_d, pts = m.crossings
+    assert m.crossings is m.crossings
+    assert cut_i.size == np.count_nonzero(m.nbr < 0)
+    assert np.all(m.nbr[cut_i, cut_d] < 0)
+    assert np.allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0, atol=1e-10)
+    assert m.boundary_distance(0.0, 0.0) == pytest.approx(1.0, abs=1e-10)
+    assert dirichlet_rhs(m, lambda x, y: np.ones_like(x)).sum() > 0
+
+
 def test_too_coarse_raises():
     with pytest.raises(TooCoarseError):
         build_mesh(make_domain("disk", r=1.0), 0.9)

@@ -166,6 +166,54 @@ def test_blocked_propagator_matches_staged_rk4(monkeypatch, p, block):
     assert flips.max() >= 2  # the batch reaches past the second eigenvalue
 
 
+def _one_step_run(sh, lams, keep_path=False):
+    """The shooter advanced one RK4 step propagator per iteration: g(1), the
+    sign flips of g and, with keep_path, g at every step."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    g = np.ones_like(lams)
+    F = np.zeros_like(lams)
+    flips = np.zeros(lams.shape, dtype=int)
+    path = [g]
+    for i in range(sh.n_steps):
+        gg, gF, Fg, FF = sh.C0[:, i, None] + lams * (sh.C1[:, i, None] + lams * sh.C2[:, i, None])
+        g_new, F = gg * g + gF * F, Fg * g + FF * F
+        flips += g * g_new < 0
+        g = g_new
+        path.append(g)
+    return g, flips, np.array(path) if keep_path else None
+
+
+@pytest.mark.parametrize("p", [20.0, 80.0])
+def test_composed_steps_match_the_one_step_shooter(monkeypatch, p):
+    # the bracket scans and refinement grids _mode1_pairs shoots: the same
+    # sign flips and signs of g(1) as one step per iteration, so the same
+    # eigenvalues bit for bit, and the eigenfunctions to rounding
+    rad = radial.solve_radial(p)
+    grids = []
+    run = radial._Mode1Shooter.run
+
+    def recording_run(sh, lams, keep_path=False):
+        if not keep_path:
+            grids.append(np.array(lams))
+        return run(sh, lams, keep_path)
+
+    monkeypatch.setattr(radial._Mode1Shooter, "run", recording_run)
+    composed = radial._mode1_pairs(rad, 2)
+    assert [g.size for g in grids] == [96] + [2 * 17] * 4
+    sh = rad.__dict__["_mode1_shooter"]
+    for lams in grids:
+        g1, flips, _ = run(sh, lams)
+        ref_g1, ref_flips, _ = _one_step_run(sh, lams)
+        assert np.array_equal(flips, ref_flips)
+        assert np.array_equal(np.sign(g1), np.sign(ref_g1))
+    monkeypatch.setattr(radial._Mode1Shooter, "run", _one_step_run)
+    reference = radial._mode1_pairs(radial.solve_radial(p), 2)
+    for (lam, rgrid, xi), (ref_lam, ref_rgrid, ref_xi) in zip(composed, reference):
+        assert lam == ref_lam
+        assert np.array_equal(rgrid, ref_rgrid)
+        assert np.max(np.abs(xi - ref_xi)) <= 1e-13 * np.max(np.abs(ref_xi))
+
+
 def test_disk_spectrum_shoots_mode1_once(monkeypatch):
     rad = radial.solve_radial(20.0)
     calls = []

@@ -5,7 +5,7 @@ import pytest
 
 from spikelab import kirchhoff_routh as kr, lane_emden as le, liouville, radial, spectrum as sp
 from spikelab.linsolve import smallest_eigenpairs
-from spikelab.mesh import build_mesh, make_domain
+from spikelab.mesh import build_graded_mesh, build_mesh, make_domain
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +130,24 @@ def test_diagonal_dominance_note(disk96, entry_p6):
     rep = sp.bottom_spectrum(dataclasses.replace(entry_p6, p=40.0), 2, 2e-6)
     assert any("diagonal dominance" in n for n in rep.notes)
     assert np.all(np.isfinite(rep.eigenvalues))
+
+
+def test_giant_mode_converges_on_a_graded_mesh():
+    # lines graded toward the p = 20 spike: the giant-mode hunt takes more
+    # than six Rayleigh steps here and stops on its eigen-residual
+    msh = build_graded_mesh(make_domain("disk", r=1.0), 1.0 / 64, np.zeros(2),
+                            radial.solve_radial(20.0).eps0)
+    u, info = le.newton_solve(msh, le.ansatz(msh, kr.psi_eval(msh, [(0.0, 0.0)]), 20.0), 20.0)
+    entry = le.make_entry(msh, u, 20.0, 1, le.default_spike_radius(msh, np.zeros((1, 2))),
+                          info["residual"])
+    rep = sp.bottom_spectrum(entry, 2, 2e-6)
+    assert len(rep.giants) == 1
+    assert not any("giant" in n for n in rep.notes)
+    nearest = smallest_eigenpairs(_Lp(msh, u, 20.0), m=1, sigma=rep.giants[0], tol=1e-12)
+    assert rep.giants[0] == pytest.approx(nearest.eigenvalues[0], rel=1e-10)
+
+
+def test_unconverged_giant_mode_is_noted(monkeypatch, entry_p6):
+    monkeypatch.setattr(sp, "RAYLEIGH_ITERS", 1)
+    rep = sp.bottom_spectrum(entry_p6, 2, 2e-6)
+    assert any("giant-mode hunt" in n for n in rep.notes)
