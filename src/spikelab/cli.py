@@ -78,11 +78,16 @@ def cmd_green(args) -> int:
     return 0
 
 
-def cmd_kr(args) -> int:
+def _critical_point(args):
+    """The mesh of --domain and --h, and the Kirchhoff-Routh point searched
+    from --start."""
     dom = parse_domain(args.domain)
     msh = mesh_mod.build_mesh(dom, args.h)
-    starts = parse_points(args.start) if args.start else kirchhoff_routh.default_start(dom)
-    cfg = kirchhoff_routh.find_critical_point(msh, starts)
+    return msh, kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.start_points(dom, args.start))
+
+
+def cmd_kr(args) -> int:
+    _, cfg = _critical_point(args)
     _emit(
         {
             "k": cfg.k,
@@ -121,15 +126,6 @@ def _p_start(p_list) -> float:
     return min(p_list[0], 10.0)
 
 
-def _solve_at(args, p_list):
-    """Solve the one-spike branch at its Kirchhoff-Routh point and record it at
-    each p of the ascending p_list."""
-    dom = parse_domain(args.domain)
-    msh = mesh_mod.build_mesh(dom, args.h)
-    cfg = kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.default_start(dom))
-    return lane_emden.continue_in_p(msh, cfg, _p_start(p_list), p_list)
-
-
 def _report(records, out_dir: str, t0: float, branch=None, plots=None) -> int:
     """Write checks.json (with branch.csv and the plots when given) to out_dir,
     print a PASS/FAIL line per record, the notes of each failing one and a
@@ -153,14 +149,16 @@ def cmd_sweep(args) -> int:
     p_list = parse_p_range(args.p)
     cfg = harness.RunConfig(
         domain=parse_domain(args.domain), h_list=[args.h], p_list=p_list, p_start=_p_start(p_list),
-        start_points=parse_points(args.start).tolist() if args.start else None,
+        start_points=None if args.start is None else args.start.tolist(),
     )
     sweep = harness.run_sweep(cfg)
     return _report(sweep["records"], args.out, t0, branch=sweep["branch"], plots=sweep["plots"])
 
 
 def cmd_spectrum(args) -> int:
-    branch = _solve_at(args, sorted(args.p))
+    msh, cfg = _critical_point(args)
+    p_list = sorted(args.p)
+    branch = lane_emden.continue_in_p(msh, cfg, _p_start(p_list), p_list)
     rows = []
     for e in branch.entries:
         rep = spectrum.analyse_entry(e, m=args.m)
@@ -209,7 +207,7 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("kr", help="Kirchhoff-Routh critical point search")
     common(sp)
-    sp.add_argument("--start", default=None, help=start_help)
+    sp.add_argument("--start", type=parse_points, help=start_help)
     sp.set_defaults(func=cmd_kr)
 
     sp = sub.add_parser("liouville", help="bubble constants and w0 table")
@@ -222,11 +220,12 @@ def main(argv=None) -> int:
                                       "branch.csv and SVG plots to --out")
     common(sp, out="out")
     sp.add_argument("--p", default="10:80", help=p_help)
-    sp.add_argument("--start", default=None, help=start_help)
+    sp.add_argument("--start", type=parse_points, help=start_help)
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("spectrum", help="bottom spectrum of the one-spike solution at each p")
+    sp = sub.add_parser("spectrum", help="bottom spectrum of the spike solution at each p")
     common(sp)
+    sp.add_argument("--start", type=parse_points, help=start_help)
     sp.add_argument("--p", type=parse_p_range, default="10", help=p_help)
     sp.add_argument("--m", type=int, default=4)
     sp.set_defaults(func=cmd_spectrum)

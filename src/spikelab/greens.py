@@ -3,8 +3,8 @@ solve with log Dirichlet data, Robin function and its derivatives by
 source-perturbation central differences (the one stencil the
 Kirchhoff-Routh search also uses).
 
-The unit disk admits closed forms (image charges), used as the test oracle:
-G(x,y) = -(1/2pi) log(|x-y| / (|x| |x* - y|)) with x* = x/|x|^2.
+The unit disk's Robin function has the closed form R(x) = -(1/2pi)
+log(1 - |x|^2) (image charges), against which C2 checks the solves.
 """
 
 from __future__ import annotations
@@ -145,47 +145,9 @@ def green_eval(gd: GreenData, y) -> tuple[float, np.ndarray]:
     return val, grad
 
 
-# ---- closed-form unit-disk oracle ---------------------------------------
-
-
-def unit_disk_G(x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rx = np.hypot(*x)
-    d = np.hypot(*(x - y))
-    if rx < 1e-14:
-        return float(-np.log(np.hypot(*y)) / TWO_PI)
-    xstar = x / rx**2
-    return float(-np.log(d / (rx * np.hypot(*(xstar - y)))) / TWO_PI)
-
-
-def unit_disk_grad_G(x, y) -> np.ndarray:
-    """Gradient of G(x, .) at y, unit disk closed form."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = y - x
-    g = -d / (TWO_PI * (d @ d))
-    rx = np.hypot(*x)
-    if rx < 1e-14:
-        return g
-    xstar = x / rx**2
-    ds = y - xstar
-    return g + ds / (TWO_PI * (ds @ ds))
+# ---- closed-form unit disk -----------------------------------------------
 
 
 def unit_disk_R(x) -> float:
     r2 = float(np.dot(x, x))
     return -np.log(1.0 - r2) / TWO_PI
-
-
-def unit_disk_grad_R(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    return x / (np.pi * (1.0 - r2))
-
-
-def unit_disk_hess_R(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    eye = np.eye(2)
-    return (eye / (1.0 - r2) + 2.0 * np.outer(x, x) / (1.0 - r2) ** 2) / np.pi

@@ -243,12 +243,9 @@ def run_sweep(cfg: RunConfig) -> dict:
     msh = mesh_mod.build_mesh(dom, cfg.h_list[0])
 
     # Kirchhoff-Routh critical point: one spike per start point
-    if cfg.start_points:
-        starts = np.asarray(cfg.start_points, dtype=float).reshape(-1, 2)
-    else:
-        starts = kirchhoff_routh.default_start(dom)
     try:
-        kr_cfg = kirchhoff_routh.find_critical_point(msh, starts)
+        kr_cfg = kirchhoff_routh.find_critical_point(
+            msh, kirchhoff_routh.start_points(dom, cfg.start_points))
         records.append(
             VerificationRecord(
                 "kr-critical-point",

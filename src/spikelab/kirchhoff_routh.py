@@ -93,15 +93,14 @@ def psi_eval(mesh: GridMesh, points, *, _solved: dict | None = None) -> SpikeCon
     return SpikeConfig(k=k, points=points, psi_parts=parts, psi_total=float(parts.sum()))
 
 
-def default_start(domain) -> np.ndarray:
-    """The one-spike search start, (1, 2): the domain's centre moved by
+def start_points(domain, points) -> np.ndarray:
+    """Where the search starts, (k, 2): the given x,y points, one per spike.
+    Without points (None) one spike starts at the domain's centre moved by
     (0.12, 0.07), off the symmetry axes of the disk and the ellipse."""
-    cx, cy = domain.center()
-    return np.array([[cx + 0.12, cy + 0.07]])
-
-
-def _psi_total(mesh: GridMesh, flat: np.ndarray) -> float:
-    return psi_eval(mesh, flat.reshape(-1, 2)).psi_total
+    if points is None:
+        cx, cy = domain.center()
+        return np.array([[cx + 0.12, cy + 0.07]])
+    return np.asarray(points, dtype=float).reshape(-1, 2)
 
 
 def find_critical_point(mesh: GridMesh, initial) -> SpikeConfig:

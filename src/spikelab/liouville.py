@@ -36,10 +36,6 @@ class QuadratureError(RuntimeError):
     pass
 
 
-class NonIntegrableError(ValueError):
-    pass
-
-
 def U(r):
     return -2.0 * np.log1p(np.asarray(r, dtype=float) ** 2 / 8.0)
 
@@ -51,16 +47,6 @@ def eU(r):
 def Z0(r):
     r = np.asarray(r, dtype=float)
     return (8.0 - r * r) / (8.0 + r * r)
-
-
-def Z0_prime(r):
-    r = np.asarray(r, dtype=float)
-    return -32.0 * r / (8.0 + r * r) ** 2
-
-
-def Z0_second(r):
-    r = np.asarray(r, dtype=float)
-    return -32.0 * (8.0 - 3.0 * r * r) / (8.0 + r * r) ** 3
 
 
 def Z_translation(i: int, x1, x2):
@@ -115,13 +101,8 @@ class LiouvilleProfile:
         at r = W0_R_MAX."""
         return float(2.0 * np.pi * W0_R_MAX * self.w0_prime(W0_R_MAX))
 
-    def ode_residual(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        wpp = self._w0p(r, 1)
-        return wpp + self._w0p(r) / r + eU(r) * self._w0(r) - _forcing(r)
 
-
-def solve_w0(origin_value: float = 0.0) -> LiouvilleProfile:
+def solve_w0() -> LiouvilleProfile:
     """Integrate the w0 equation outward to W0_R_MAX with RK4 on a graded step.
 
     Steps grow proportionally to r (the solution is logarithmic at infinity),
@@ -129,13 +110,11 @@ def solve_w0(origin_value: float = 0.0) -> LiouvilleProfile:
     step grid does not depend on the solution, so e^U and the forcing are
     tabulated once at every stage point (step start, midpoint and end) and
     the pair (w0, w0') is stepped in plain floats.
-    ``origin_value`` offsets the value gauge: the solution shifts by
-    origin_value * Z0 + O(origin_value * r0^2) (kernel linearity).
     """
     r0 = 1e-3
     # series: w = r^6/1152 - 29 r^8/147456 + O(r^10)
-    w = r0**6 / 1152.0 - 29.0 * r0**8 / 147456.0 + origin_value
-    wp = 6.0 * r0**5 / 1152.0 - 29.0 * 8.0 * r0**7 / 147456.0 + origin_value * float(Z0_prime(r0))
+    w = r0**6 / 1152.0 - 29.0 * r0**8 / 147456.0
+    wp = 6.0 * r0**5 / 1152.0 - 29.0 * 8.0 * r0**7 / 147456.0
 
     rs = [r0]
     drs = []
@@ -174,29 +153,6 @@ def _quad(f, a, b, tol):
     return val
 
 
-def radial_flux_coefficient(f, tol: float = 1e-10) -> float:
-    """Asymptotic flux coefficient c with dw/dr ~ c/r for the radial equation
-    Δw + 8 e^{U(sqrt(8) y)} w = f(|y|): returns the integral of
-    t (t^2-1)/(t^2+1) f(t) over (0, inf).
-
-    Raises NonIntegrableError when the tail of t |log t| |f(t)| does not decay.
-    """
-    # tail estimate on geometric windows
-    windows = [(1e2, 1e3), (1e3, 1e4), (1e4, 1e5)]
-    tails = []
-    for a, b in windows:
-        t = np.geomspace(a, b, 64)
-        vals = t * np.abs(np.log(t)) * np.abs(np.asarray(f(t), dtype=float))
-        tails.append(np.trapezoid(vals, t))
-    if not (tails[0] < np.inf and tails[1] <= tails[0] * 0.9 + tol and tails[2] <= tails[1] * 0.9 + tol):
-        raise NonIntegrableError("tail of t|log t||f| does not decay; integral diverges")
-
-    def integrand(t):
-        return t * (t * t - 1.0) / (t * t + 1.0) * f(t)
-
-    return _quad(integrand, 0.0, np.inf, tol)
-
-
 def w0_forcing_rescaled(t):
     """Forcing of the sqrt(8)-rescaled w0 equation: 16 log^2(1+t^2)/(1+t^2)^2."""
     t = np.asarray(t, dtype=float)
@@ -207,7 +163,9 @@ def universal_constants(tol: float = 1e-10, *, profile: LiouvilleProfile) -> dic
     """Evaluate the bubble constants and return measured/target pairs.
 
     M1 = total bubble mass (8 pi); M2 = log-moment (12 pi log 2);
-    I3 = the rescaled-forcing flux integral (12); w0_flux = r w0'(r) at
+    I3 = the rescaled-forcing flux integral (12), the integral of
+    t (t^2-1)/(t^2+1) f(t) over (0, inf): the coefficient c with dw/dr ~ c/r
+    for Δw + 8 e^{U(sqrt(8) y)} w = f(|y|); w0_flux = r w0'(r) at
     W0_R_MAX (12) and w0_boundary_integral = 2 pi r w0'(r) (24 pi) from the
     given w0 profile.
     """
@@ -215,7 +173,8 @@ def universal_constants(tol: float = 1e-10, *, profile: LiouvilleProfile) -> dic
         raise ValueError("tol below double-precision quadrature range")
     m1 = _quad(lambda r: 2 * np.pi * r * eU(r), 0.0, np.inf, tol)
     m2 = _quad(lambda r: 2 * np.pi * r * np.log(r) * eU(r), 0.0, np.inf, tol)
-    i3 = radial_flux_coefficient(w0_forcing_rescaled, tol)
+    i3 = _quad(lambda t: t * (t * t - 1.0) / (t * t + 1.0) * w0_forcing_rescaled(t),
+               0.0, np.inf, tol)
     flux = profile.flux()
     record = {
         "mass": {"measured": m1, "target": EIGHT_PI},

@@ -179,9 +179,9 @@ def _line_position(lines: np.ndarray, x):
     return k + (x - lines[k]) / (lines[k + 1] - lines[k])
 
 
-def _nearest_line(lines: np.ndarray, x, margin: int = 0):
-    """Index of the line nearest x, kept ``margin`` lines away from either end."""
-    return np.clip(np.rint(_line_position(lines, x)), margin, len(lines) - 1 - margin).astype(int)
+def _nearest_line(lines: np.ndarray, x):
+    """Index of the line nearest x, kept one line away from either end."""
+    return np.clip(np.rint(_line_position(lines, x)), 1, len(lines) - 2).astype(int)
 
 
 def _cell_of(lines: np.ndarray, x):
@@ -310,9 +310,6 @@ class GridMesh:
         arr[self.ij[:, 0], self.ij[:, 1]] = values
         return arr
 
-    def nearest_lattice(self, x: float, y: float) -> tuple[int, int]:
-        return int(_nearest_line(self.xs, x)), int(_nearest_line(self.ys, y))
-
     def interp(self, values: np.ndarray, pts: np.ndarray, fill: float | None = None) -> np.ndarray:
         """Biquadratic interpolation of a node field at arbitrary points.
 
@@ -325,8 +322,8 @@ class GridMesh:
         if fill is not None:
             arr = np.where(np.isnan(arr), fill, arr)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ic = _nearest_line(self.xs, pts[:, 0], margin=1)
-        jc = _nearest_line(self.ys, pts[:, 1], margin=1)
+        ic = _nearest_line(self.xs, pts[:, 0])
+        jc = _nearest_line(self.ys, pts[:, 1])
         blocks = _blocks(arr, ic - 1, jc - 1, 3)
         for k in np.nonzero(np.isnan(blocks).any(axis=(1, 2)))[0]:
             ic[k], jc[k] = self._interior_block(arr, pts[k], ic[k], jc[k])
@@ -357,8 +354,8 @@ class GridMesh:
         """
         arr = self.grid_array(values)
         x0, y0 = float(start[0]), float(start[1])
-        i0 = int(_nearest_line(self.xs, x0, margin=1))
-        j0 = int(_nearest_line(self.ys, y0, margin=1))
+        i0 = int(_nearest_line(self.xs, x0))
+        j0 = int(_nearest_line(self.ys, y0))
         block = arr[i0 - 1 : i0 + 2, j0 - 1 : j0 + 2]
         if np.isnan(block).any():
             return np.array([x0, y0]), float(values[self.node_of[i0, j0]])

@@ -86,7 +86,7 @@ def test_sweep_writes_the_whole_report(swept):
     # the branch the one-spike solve at the Kirchhoff-Routh point gives
     dom = cli.parse_domain("disk,r=1")
     msh = build_mesh(dom, 1.0 / 48)
-    cfg = kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.default_start(dom))
+    cfg = kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.start_points(dom, None))
     branch = lane_emden.continue_in_p(msh, cfg, 8.0, [8.0, 10.0])
     assert (out / "branch.csv").read_text() == harness.branch_csv_text(branch)
     ids = [r["identifier"] for r in json.loads((out / "checks.json").read_text())]
@@ -154,6 +154,23 @@ def test_spectrum_takes_a_p_list_and_the_deleted_options_are_gone(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+
+def test_spectrum_takes_start_points(capsys):
+    # the default start (0.12, 0.07) lies within 3h of the dumbbell's neck
+    # and in the annulus's hole; --start puts the search where the spikes are
+    argv = ["spectrum", "--domain", "dumbbell", "--h", "1/24", "--p", "10", "--start", "1.0,0.0"]
+    assert cli.main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 1
+    assert cli.main(["spectrum", "--domain", "annulus,r_in=0.4,r_out=1", "--h", "1/24",
+                     "--p", "10", "--start", "0.68,0;-0.68,0"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    # k = 2: each mode is projected on the kernel at both spikes
+    assert len(rows) == 1 and all(len(proj) == 2 for proj in rows[0]["projections"])
+    # a point that is not an x,y pair is a bad value, as for --h
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--start", "0.68"])
+    assert exc.value.code == 2 and "--start" in capsys.readouterr().err
 
 
 def test_sweep_takes_k_from_start_points(tmp_path, monkeypatch, capsys):

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from spikelab import greens
-from spikelab.greens import (
-    QueryAtSourceError,
-    SourceNearBoundaryError,
-    unit_disk_G,
-    unit_disk_grad_R,
-    unit_disk_hess_R,
-    unit_disk_R,
-)
+from spikelab.greens import QueryAtSourceError, SourceNearBoundaryError, unit_disk_R
 from spikelab.mesh import build_mesh, make_domain
+
+from closed_forms import unit_disk_G, unit_disk_grad_R, unit_disk_hess_R
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from spikelab import greens, kirchhoff_routh as kr
-from spikelab.greens import unit_disk_G, unit_disk_R
+from spikelab.greens import unit_disk_R
 from spikelab.mesh import build_mesh, make_domain
+
+from closed_forms import unit_disk_G, unit_disk_grad_R
+
+
+def psi_total(mesh, flat):
+    """Psi_k at the flattened spike coordinates."""
+    return kr.psi_eval(mesh, flat.reshape(-1, 2)).psi_total
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +88,7 @@ def test_search_solves_each_stencil_point_once(monkeypatch):
     assert len(sources) == len(set(sources))
     # one Newton step's stencil per accepted trial, plus the start's
     assert len(sources) % 9 == 0 and len(sources) >= 18
-    f = lambda flat: kr._psi_total(m, flat)
+    f = lambda flat: psi_total(m, flat)
     grad, hess = greens.central_differences(f, cfg.points.reshape(-1), 2 * m.h)
     assert np.array_equal(cfg.grad, grad)
     assert np.array_equal(cfg.hess, hess)
@@ -103,7 +110,7 @@ def test_k2_search_solves_each_source_once(monkeypatch):
     # need only 9 positions of each spike
     assert len(sources) == len(set(sources))
     assert len(sources) % 18 == 0 and len(sources) >= 36
-    f = lambda flat: kr._psi_total(m, flat)
+    f = lambda flat: psi_total(m, flat)
     grad, hess = greens.central_differences(f, cfg.points.reshape(-1), 2 * m.h)
     assert np.array_equal(cfg.grad, grad)
     assert np.array_equal(cfg.hess, hess)
@@ -112,7 +119,7 @@ def test_k2_search_solves_each_source_once(monkeypatch):
 def test_symmetric_k2_iterates_stay_symmetric():
     m = build_mesh(make_domain("annulus", r_in=0.4, r_out=1.0), 1.0 / 24)
     t = 0.68
-    f = lambda flat: kr._psi_total(m, flat)
+    f = lambda flat: psi_total(m, flat)
     x = np.array([t, 0.0, -t, 0.0])
     delta = 2 * m.h
     for _ in range(3):
@@ -124,11 +131,11 @@ def test_symmetric_k2_iterates_stay_symmetric():
 
 def test_fd_gradient_matches_difference_quotient(disk48):
     pt = np.array([0.25, 0.1])
-    f = lambda flat: kr._psi_total(disk48, flat)
+    f = lambda flat: psi_total(disk48, flat)
     d1, d2 = 2 * disk48.h, 4 * disk48.h
     g1, _ = greens.central_differences(f, pt, d1)
     g2, _ = greens.central_differences(f, pt, d2)
-    exact = greens.unit_disk_grad_R(pt)
+    exact = unit_disk_grad_R(pt)
     # both approximate the closed form at second order in delta
     assert np.linalg.norm(g1 - exact) < np.linalg.norm(g2 - exact) + 5e-5
     assert np.linalg.norm(g2 - exact) < 4 * d2**2
@@ -149,7 +156,7 @@ def test_nondegeneracy_margin_invariances(disk48):
 def test_relabeling_leaves_margin(disk48):
     pts = np.array([[0.45, 0.0], [-0.45, 0.0]])
     cfg = kr.psi_eval(disk48, pts)
-    f = lambda flat: kr._psi_total(disk48, flat)
+    f = lambda flat: psi_total(disk48, flat)
     _, hess = greens.central_differences(f, pts.reshape(-1), 2 * disk48.h)
     perm = np.zeros((4, 4))
     perm[0, 2] = perm[1, 3] = perm[2, 0] = perm[3, 1] = 1.0

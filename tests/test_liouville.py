@@ -3,18 +3,20 @@ import pytest
 
 from spikelab import liouville as lv
 
+from closed_forms import Z0_prime, Z0_second
+
 
 @pytest.fixture(scope="module")
 def profile():
     return lv.solve_w0()
 
 
-def _per_step_w0(origin_value=0.0):
+def _per_step_w0():
     """w0 and w0' by RK4 with the coefficients evaluated at each stage, on
     solve_w0's grid and series seed."""
     r = 1e-3
-    y = np.array([r**6 / 1152.0 - 29.0 * r**8 / 147456.0 + origin_value,
-                  6.0 * r**5 / 1152.0 - 29.0 * 8.0 * r**7 / 147456.0 + origin_value * lv.Z0_prime(r)])
+    y = np.array([r**6 / 1152.0 - 29.0 * r**8 / 147456.0,
+                  6.0 * r**5 / 1152.0 - 29.0 * 8.0 * r**7 / 147456.0])
 
     def rhs(r, y):
         return np.array([y[1], lv._forcing(r) - lv.eU(r) * y[0] - y[1] / r])
@@ -32,13 +34,11 @@ def _per_step_w0(origin_value=0.0):
     return np.array(out).T
 
 
-@pytest.mark.parametrize("origin_value", [0.0, 1e-3])
-def test_tabulated_coefficients_match_per_step_rk4(origin_value):
-    prof = lv.solve_w0(origin_value)
-    ref_w, ref_wp = _per_step_w0(origin_value)
-    assert prof.r.size == ref_w.size
-    assert np.all(np.abs(prof.w0_values - ref_w) <= 1e-14 * np.abs(ref_w))
-    assert np.all(np.abs(prof.w0_prime_values - ref_wp) <= 1e-14 * np.abs(ref_wp))
+def test_tabulated_coefficients_match_per_step_rk4(profile):
+    ref_w, ref_wp = _per_step_w0()
+    assert profile.r.size == ref_w.size
+    assert np.all(np.abs(profile.w0_values - ref_w) <= 1e-14 * np.abs(ref_w))
+    assert np.all(np.abs(profile.w0_prime_values - ref_wp) <= 1e-14 * np.abs(ref_wp))
 
 
 def test_small_r_series(profile):
@@ -59,7 +59,8 @@ def test_growth_bound(profile):
 
 def test_ode_residual(profile):
     r = np.linspace(1.0, lv.W0_R_MAX / 2, 4000)
-    assert np.max(np.abs(profile.ode_residual(r))) < 1e-6
+    resid = profile._w0p(r, 1) + profile.w0_prime(r) / r + lv.eU(r) * profile.w0(r) - lv._forcing(r)
+    assert np.max(np.abs(resid)) < 1e-6
 
 
 def test_rescaled_equation(profile):
@@ -74,14 +75,6 @@ def test_rescaled_equation(profile):
     assert np.max(np.abs(lhs - lv.w0_forcing_rescaled(y))) < 8e-6
 
 
-def test_gauge_linearity(profile):
-    eps = 1e-3
-    shifted = lv.solve_w0(origin_value=eps)
-    r = np.array([0.5, 1.0, 3.0, 10.0, 50.0])
-    delta = (shifted.w0(r) - profile.w0(r)) / eps
-    assert np.max(np.abs(delta - lv.Z0(r))) < 1e-4
-
-
 def test_universal_constants(profile):
     rec = lv.universal_constants(1e-12, profile=profile)
     assert rec["mass"]["measured"] == pytest.approx(8 * np.pi, rel=1e-10)
@@ -93,35 +86,20 @@ def test_universal_constants(profile):
 
 def test_flux_vs_coefficient_consistency(profile):
     # the circle flux equals 2 pi times the rescaled forcing coefficient
-    coeff = lv.radial_flux_coefficient(lv.w0_forcing_rescaled)
+    coeff = lv.universal_constants(profile=profile)["flux_integral"]["measured"]
     F = profile.boundary_flux_integral()
     assert F == pytest.approx(2 * np.pi * coeff, rel=5e-3)
 
 
-def test_radial_flux_coefficient_paper_forcing():
-    assert lv.radial_flux_coefficient(lv.w0_forcing_rescaled) == pytest.approx(12.0, rel=1e-9)
-
-
-def test_radial_flux_coefficient_zero():
-    assert lv.radial_flux_coefficient(lambda t: 0.0 * np.asarray(t)) == 0.0
-
-
-def test_radial_flux_coefficient_brute_force():
-    f = lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2) ** 3
-    val = lv.radial_flux_coefficient(f)
-    t = np.linspace(1e-6, 1e3, 2_000_001)
-    brute = np.trapezoid(t * (t * t - 1) / (t * t + 1) * f(t), t)
-    assert val == pytest.approx(brute, abs=1e-6)
-
-
-def test_nonintegrable_input_rejected():
-    with pytest.raises(lv.NonIntegrableError):
-        lv.radial_flux_coefficient(lambda t: 1.0 / (1.0 + np.asarray(t)))
+def test_radial_flux_coefficient_paper_forcing(profile):
+    # I3 at the default quadrature tolerance, the one `spikelab liouville` uses
+    rec = lv.universal_constants(profile=profile)
+    assert rec["flux_integral"]["measured"] == pytest.approx(12.0, rel=1e-9)
 
 
 def test_kernel_identities_analytic():
     r = np.linspace(0.05, 50.0, 400)
-    resid0 = lv.Z0_second(r) + lv.Z0_prime(r) / r + lv.eU(r) * lv.Z0(r)
+    resid0 = Z0_second(r) + Z0_prime(r) / r + lv.eU(r) * lv.Z0(r)
     assert np.max(np.abs(resid0)) < 1e-8
     # translation component: g(r) = 1/(8+r^2), Laplacian of g(r) x_i is
     # (g'' + 3 g'/r) x_i

@@ -22,6 +22,11 @@ from spikelab.pohozaev import _ball_sum
 J01_SQUARED = 2.404825557695773**2
 
 
+def node_at(mesh, x, y) -> int:
+    """Index of the mesh node nearest (x, y)."""
+    return int(np.argmin(np.hypot(mesh.coords[:, 0] - x, mesh.coords[:, 1] - y)))
+
+
 def test_disk_levelset_values():
     d = make_domain("disk", r=1.0)
     assert d.levelset(0.0, 0.0) == pytest.approx(-1.0)
@@ -82,7 +87,7 @@ def test_disk_arms_match_bisection_oracle():
 
 def test_node_at_origin_has_full_arms():
     m = build_mesh(make_domain("disk", r=1.0), 0.5)
-    k = m.node_of[m.nearest_lattice(0.0, 0.0)]
+    k = node_at(m, 0.0, 0.0)
     assert np.all(m.nbr[k] >= 0)
     assert np.all(m.arms[k] == 0.5)
 
@@ -106,9 +111,9 @@ def test_square_side_two_lattice_geometry():
     with pytest.raises(TooCoarseError):
         build_mesh(d, 1.0)
     m = build_mesh(d, 0.5)
-    k = m.node_of[m.nearest_lattice(0.0, 0.0)]
+    k = node_at(m, 0.0, 0.0)
     assert np.all(m.arms[k] == 0.5)
-    edge = m.node_of[m.nearest_lattice(0.5, 0.0)]
+    edge = node_at(m, 0.5, 0.0)
     assert m.nbr[edge, 0] == -1 and m.arms[edge, 0] == pytest.approx(0.5)
 
 
@@ -131,7 +136,7 @@ def test_arm_crossings_lie_on_zero_set(kind, h):
 def test_full_stencil_weights():
     m = build_mesh(make_domain("disk", r=1.0), 0.25)
     A = assemble_laplacian(m)
-    k = int(m.node_of[m.nearest_lattice(0.0, 0.0)])
+    k = node_at(m, 0.0, 0.0)
     row = A.getrow(k)
     h2 = 0.25**2
     assert row[0, k] == pytest.approx(4.0 / h2)

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from spikelab import greens, kirchhoff_routh as kr, lane_emden as le, pohozaev as pz
 from spikelab.mesh import GridMesh, build_mesh, make_domain
 
+from closed_forms import unit_disk_grad_G, unit_disk_grad_R
+
 INV_2PI = 1.0 / (2 * np.pi)
 
 
@@ -68,7 +70,7 @@ def test_p_form_green_source_derivative(disk96):
     G = greens.regular_part(disk96, x0)
     dG = SourceDerivativeField(disk96, x0, 0, 2 * disk96.h)
     val = pz.circle_forms(G, dG, x0, 8 * disk96.h, mesh=disk96)[0]
-    target = -0.5 * greens.unit_disk_grad_R(x0)[0]
+    target = -0.5 * unit_disk_grad_R(x0)[0]
     assert val == pytest.approx(target, rel=2e-3)
 
 
@@ -81,7 +83,7 @@ def test_q_form_green_diagonal_off_center(disk96):
     x0 = np.array([0.3, 0.0])
     G = greens.regular_part(disk96, x0)
     got = pz.circle_forms(G, G, x0, 8 * disk96.h, mesh=disk96)[1][0]
-    assert got == pytest.approx(-greens.unit_disk_grad_R(x0)[0], rel=3e-3)
+    assert got == pytest.approx(-unit_disk_grad_R(x0)[0], rel=3e-3)
 
 
 def test_q_form_green_source_derivative(disk96):
@@ -99,7 +101,7 @@ def test_q_form_two_sources(disk96):
     x1 = np.array([-0.4, 0.1])
     Gj = greens.regular_part(disk96, x0)
     Gm = greens.regular_part(disk96, x1)
-    dg = greens.unit_disk_grad_G(x1, x0)
+    dg = unit_disk_grad_G(x1, x0)
     got = pz.circle_forms(Gm, Gj, x0, 8 * disk96.h, mesh=disk96)[1]
     for i in (0, 1):
         assert got[i] == pytest.approx(dg[i], abs=3e-4)
@@ -116,27 +118,25 @@ def test_zero_cases_vanish_with_theta(disk96):
     assert vals[2] < 2e-3
 
 
+def _spreads(u, v, center, thetas, mesh):
+    """max - min of P, Q_1 and Q_2 over the circles of radius theta."""
+    forms = np.array([[P, *Q] for P, Q in (pz.circle_forms(u, v, center, t, mesh=mesh)
+                                           for t in thetas)])
+    return np.ptp(forms, axis=0)
+
+
 def test_theta_independence_harmonic_pair(disk96):
     re_z2 = pz.NodeField(disk96, disk96.coords[:, 0] ** 2 - disk96.coords[:, 1] ** 2, fill=None)
     im_z2 = pz.NodeField(disk96, 2 * disk96.coords[:, 0] * disk96.coords[:, 1], fill=None)
-    out = pz.theta_independence(re_z2, im_z2, (0.1, 0.05), [0.1, 0.2, 0.3], mesh=disk96)
-    assert out["p_spread"] < 1e-10
-    assert out["q1_spread"] < 1e-10
-    assert out["warning"] is None
+    p_spread, q1_spread, _ = _spreads(re_z2, im_z2, (0.1, 0.05), [0.1, 0.2, 0.3], disk96)
+    assert p_spread < 1e-10
+    assert q1_spread < 1e-10
 
 
 def test_theta_independence_green_pair(disk96, green_center):
     h = disk96.h
-    out = pz.theta_independence(
-        green_center, green_center, (0.0, 0.0), [8 * h, 12 * h, 16 * h], mesh=disk96
-    )
-    assert out["p_spread"] <= 1e-3
-
-
-def test_theta_independence_warns_on_nonharmonic(disk96, solved_p8):
-    f = pz.NodeField(disk96, solved_p8.u)
-    out = pz.theta_independence(f, f, (0.0, 0.0), [0.1, 0.2], mesh=disk96)
-    assert out["warning"] is not None
+    p_spread = _spreads(green_center, green_center, (0.0, 0.0), [8 * h, 12 * h, 16 * h], disk96)[0]
+    assert p_spread <= 1e-3
 
 
 @settings(max_examples=10, deadline=None)
@@ -166,9 +166,10 @@ def test_symmetry_in_arguments(disk96, green_center):
     assert q_fg == pytest.approx(q_gf, rel=1e-12)
 
 
-def test_quadrature_convergence_in_angles(disk96, green_center):
-    v1 = pz.circle_forms(green_center, green_center, (0, 0), 0.1, n_theta=128)[0]
-    v2 = pz.circle_forms(green_center, green_center, (0, 0), 0.1, n_theta=256)[0]
+def test_quadrature_convergence_in_angles(monkeypatch, green_center):
+    v2 = pz.circle_forms(green_center, green_center, (0, 0), 0.1)[0]
+    monkeypatch.setattr(pz, "N_THETA", pz.N_THETA // 2)
+    v1 = pz.circle_forms(green_center, green_center, (0, 0), 0.1)[0]
     assert abs(v1 - v2) < 1e-10
 
 
@@ -190,26 +191,13 @@ def test_pohozaev_residuals_decrease_with_h(solved_p8):
 
 
 def test_pohozaev_rhs_is_order_one_over_p(disk96, solved_p8):
-    rep = pz.pohozaev_residuals(disk96, solved_p8.u, 8.0, solved_p8.spikes[0].position, 0.125)
+    x = solved_p8.spikes[0].position
+    rep = pz.pohozaev_residuals(disk96, solved_p8.u, 8.0, x, 0.125)
+    f = pz.NodeField(disk96, solved_p8.u)
+    p_rhs = pz.circle_forms(f, f, x, 0.125, mesh=disk96)[0] - rep.p_residual
     # both sides of the dilation identity carry the 1/(p+1) factor; the
     # numerator is the O(1) spike mass integral (~ 4 * 8 pi e / p)
-    assert rep.rhs_scale < 30.0 / (8.0 + 1.0)
-
-
-def test_linearized_residuals_small(disk96, solved_p8):
-    from spikelab.linsolve import smallest_eigenpairs
-
-    Lp = le.LaneEmdenProblem(disk96).jacobian(solved_p8.u, 8.0)
-
-    pairs = smallest_eigenpairs(Lp, m=1, sigma=0.0, tol=2e-6)
-    xi = pairs.eigenvectors[:, 0]
-    out = pz.linearized_residuals(
-        disk96, solved_p8.u, 8.0, xi, solved_p8.spikes[0].position, 0.125
-    )
-    # the eigenfunction satisfies the linearized equation only up to its
-    # eigenvalue; the identity residual is of that size, not zero
-    lam = pairs.eigenvalues[0]
-    assert abs(out["p_residual"]) < 0.5 * abs(lam) + 0.05
+    assert abs(p_rhs) + np.max(np.abs(rep.q_residuals)) < 30.0 / (8.0 + 1.0)
 
 
 def test_one_gradient_interpolation_per_field(monkeypatch, disk96, solved_p8):
@@ -225,8 +213,8 @@ def test_one_gradient_interpolation_per_field(monkeypatch, disk96, solved_p8):
     pz.pohozaev_residuals(disk96, solved_p8.u, 8.0, x, 0.125)
     assert len(calls) == 1
     calls.clear()
-    xi = solved_p8.u * disk96.coords[:, 0]
-    pz.linearized_residuals(disk96, solved_p8.u, 8.0, xi, x, 0.125)
+    xi = pz.NodeField(disk96, solved_p8.u * disk96.coords[:, 0])
+    pz.circle_forms(xi, pz.NodeField(disk96, solved_p8.u), x, 0.125, mesh=disk96)
     assert len(calls) == 2
 
 
