@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linsolve import factorize
+from .linsolve import SparseOperator, factorize
 from .mesh import GridMesh, assemble_laplacian, dirichlet_rhs
 
 TWO_PI = 2.0 * np.pi
@@ -41,8 +40,9 @@ def fundamental(x0: np.ndarray, x, y):
     return -np.log(np.hypot(x - x0[0], y - x0[1])) / TWO_PI
 
 
-def laplacian_operator(mesh: GridMesh) -> sp.csr_matrix:
-    """Shortley-Weller -Δ for the mesh, assembled once and cached on it."""
+def laplacian_operator(mesh: GridMesh) -> SparseOperator:
+    """Shortley-Weller -Δ for the mesh, assembled once and cached on it: the
+    one copy of the matrix, in the CSC form its factorization reads."""
     op = mesh.__dict__.get("_lap_op")
     if op is None:
         op = assemble_laplacian(mesh)

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from . import greens, liouville
 from .kirchhoff_routh import NewtonDivergedError, SpikeConfig
-from .linsolve import factorize
+from .linsolve import SparseOperator, factorize
 from .mesh import GridMesh
 from .radial import SPIKE_BALL_RADIUS, solve_radial
 
@@ -138,8 +138,9 @@ class LaneEmdenProblem:
         with np.errstate(over="ignore"):
             return p * np.maximum(u, 0.0) ** (p - 1.0)
 
-    def jacobian(self, u: np.ndarray, p: float) -> sp.csr_matrix:
-        """dF/du = -Δ_h - diag(p u_+^(p-1))."""
+    def jacobian(self, u: np.ndarray, p: float) -> SparseOperator:
+        """dF/du = -Δ_h - diag(p u_+^(p-1)), a CSC matrix like the Laplacian,
+        so ``factorize`` passes it to SuperLU without a copy."""
         return self.A + sp.diags(-self.potential(u, p))
 
     def d_dp(self, u: np.ndarray, p: float) -> np.ndarray:

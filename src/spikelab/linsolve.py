@@ -56,14 +56,18 @@ class ShiftBreakdownError(SolverError):
     """The shift is numerically indistinguishable from an eigenvalue."""
 
 
-class SparseOperator(sp.csr_matrix):
-    """A plain ``scipy.sparse.csr_matrix``; the mesh Laplacian is built as one.
+class SparseOperator(sp.csc_matrix):
+    """A plain ``scipy.sparse.csc_matrix``, the column form SuperLU factorizes.
 
-    ``to_scipy`` is kept only because the benchmark's checks
-    (``perfbench/test_checks.py``) call it on ``greens.laplacian_operator``.
+    The mesh Laplacian is built as one, once per mesh.  A Jacobian
+    ``A + sp.diags(...)`` or a shift ``A - sigma I`` of it is one again, so
+    ``factorize`` hands every operator of the program to ``splu`` as it is,
+    without a second copy.  ``to_scipy`` is kept only because the
+    benchmark's checks (``perfbench/test_checks.py``) call it on
+    ``greens.laplacian_operator``.
     """
 
-    def to_scipy(self) -> sp.csr_matrix:
+    def to_scipy(self) -> sp.csc_matrix:
         return self
 
 
@@ -79,10 +83,13 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> spla.SuperLU:
     Jacobian would spoil the predicted fill: on the graded p = 20
     Jacobian at 30,533 nodes partial pivoting needs 2.9M LU nonzeros,
     this rule 1.42M (X. S. Li, ACM TOMS 31, 2005).
+
+    A CSC matrix, such as every ``SparseOperator``, reaches ``splu`` itself;
+    ``tocsc`` copies only another format.
     """
     m = A.tocsc()
     if sigma != 0.0:
-        m = (m - sigma * sp.identity(m.shape[0], format="csc")).tocsc()
+        m = m - sigma * sp.identity(m.shape[0], format="csc")
     return spla.splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=DIAG_PIVOT_THRESH,
                      options=dict(SymmetricMode=True))
 

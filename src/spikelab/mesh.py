@@ -31,6 +31,9 @@ class TooCoarseError(ValueError):
 # arm directions, index order is fixed everywhere: E, W, N, S
 DIRS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=int)
 _OPP = [1, 0, 3, 2]
+# the rows of column c in ascending order, as directions from c (None for c
+# itself): nodes are numbered x-major, so W < S < c < N < E
+_COLUMN_ORDER = (1, 3, None, 2, 0)
 
 ARM_TOL = 1e-12  # bisection tolerance, in units of the lattice spacing
 
@@ -233,10 +236,10 @@ class GridMesh:
     h: float
     xs: np.ndarray  # lattice x coordinates
     ys: np.ndarray  # lattice y coordinates
-    node_of: np.ndarray  # (len(xs), len(ys)) -> node index or -1
-    ij: np.ndarray  # (n, 2) lattice indices per node
+    node_of: np.ndarray  # (len(xs), len(ys)) int32 -> node index or -1
+    ij: np.ndarray  # (n, 2) int32 lattice indices per node
     coords: np.ndarray  # (n, 2)
-    nbr: np.ndarray  # (n, 4) int
+    nbr: np.ndarray  # (n, 4) int32
     arms: np.ndarray  # (n, 4) float
 
     @property
@@ -525,19 +528,19 @@ def mesh_on_lines(domain: DomainSpec, xs: np.ndarray, ys: np.ndarray, h: float) 
     if inside[[0, -1], :].any() or inside[:, [0, -1]].any():
         raise ValueError("level set is negative on the outermost lattice line; enlarge the bbox")
 
-    node_of = np.full(inside.shape, -1, dtype=int)
+    node_of = np.full(inside.shape, -1, dtype=np.int32)
     ii, jj = np.nonzero(inside)
     n = len(ii)
     if n < 9:
         raise TooCoarseError(f"only {n} interior nodes at h={h}; need at least 9")
-    node_of[ii, jj] = np.arange(n)
-    ij = np.column_stack([ii, jj])
+    node_of[ii, jj] = np.arange(n, dtype=np.int32)
+    ij = np.column_stack([ii, jj]).astype(np.int32)
     coords = np.column_stack([xs[ii], ys[jj]])
     dx, dy = np.diff(xs), np.diff(ys)
     # the lattice spacing per arm; a cut arm is shortened below to its crossing
     arms = np.column_stack([dx[ii], dx[ii - 1], dy[jj], dy[jj - 1]])
 
-    nbr = np.full((n, 4), -1, dtype=int)
+    nbr = np.empty((n, 4), dtype=np.int32)
     for d, (di, dj) in enumerate(DIRS):
         nbr[:, d] = node_of[ii + di, jj + dj]
 
@@ -574,23 +577,34 @@ def assemble_laplacian(mesh: GridMesh) -> SparseOperator:
     second difference 2/(aE aW) + 2/(aN aS) on the diagonal and
     -2/(a (a + a_opposite)) toward each neighbour; boundary arms contribute
     only to the diagonal (their data enters through ``dirichlet_rhs``).
+
+    The matrix is written straight into compressed columns with int32
+    indices, the form ``factorize`` hands to SuperLU.  Column c holds the
+    rows ``_COLUMN_ORDER`` lists; the entry in the row of c's neighbour r
+    is r's coefficient toward c.
     """
     n = mesh.n_nodes
-    a = mesh.arms
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    diag = 2.0 / (a[:, 0] * a[:, 1]) + 2.0 / (a[:, 2] * a[:, 3])
-    vals = [diag]
-    for d in range(4):
-        ao = a[:, d]
-        ap = a[:, _OPP[d]]
-        coef = -2.0 / (ao * (ao + ap))
-        mask = mesh.nbr[:, d] >= 0
-        rows.append(np.nonzero(mask)[0])
-        cols.append(mesh.nbr[mask, d])
-        vals.append(coef[mask])
-    return SparseOperator((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n))
+    a, nbr = mesh.arms, mesh.nbr
+    present = nbr >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1) + 1, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    slot = indptr[:-1].copy()  # the next free position in each column
+    for d in _COLUMN_ORDER:
+        if d is None:
+            indices[slot] = np.arange(n, dtype=np.int32)
+            data[slot] = 2.0 / (a[:, 0] * a[:, 1]) + 2.0 / (a[:, 2] * a[:, 3])
+            slot += 1
+            continue
+        has = present[:, d]
+        rows = nbr[has, d]
+        ao = a[rows, _OPP[d]]  # the arm from r back to c
+        pos = slot[has]
+        indices[pos] = rows
+        data[pos] = -2.0 / (ao * (ao + a[rows, d]))
+        slot[has] += 1
+    return SparseOperator((data, indices, indptr), shape=(n, n))
 
 
 def dirichlet_rhs(mesh: GridMesh, data: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:

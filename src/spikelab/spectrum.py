@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import liouville
 from .lane_emden import BranchEntry, LaneEmdenProblem, SpikeData
-from .linsolve import factorize, smallest_eigenpairs
+from .linsolve import SparseOperator, factorize, smallest_eigenpairs
 from .mesh import GridMesh
 
 EIGEN_TOL = 1e-8  # analyse_entry's eigensolver tolerance; the giant-mode hunt's residual
@@ -43,7 +42,7 @@ class SpectrumReport:
     eigenvectors: np.ndarray | None = field(default=None, repr=False)  # columns, as eigenvalues
 
 
-def _rayleigh_quotient(Lp: sp.csr_matrix, v: np.ndarray) -> tuple[float, float]:
+def _rayleigh_quotient(Lp: SparseOperator, v: np.ndarray) -> tuple[float, float]:
     """Rayleigh quotient sigma of the unit vector v and the eigen-residual
     |Lp v - sigma v| / |sigma|."""
     Lv = Lp @ v
@@ -51,7 +50,7 @@ def _rayleigh_quotient(Lp: sp.csr_matrix, v: np.ndarray) -> tuple[float, float]:
     return sigma, float(np.linalg.norm(Lv - sigma * v)) / max(abs(sigma), np.finfo(float).tiny)
 
 
-def _rayleigh_iterate(Lp: sp.csr_matrix, v0: np.ndarray) -> tuple[float, float]:
+def _rayleigh_iterate(Lp: SparseOperator, v0: np.ndarray) -> tuple[float, float]:
     """Rayleigh-quotient iteration from a concentrated seed; converges to the
     eigenvalue whose eigenvector the seed overlaps most (the giant).
 

@@ -88,6 +88,15 @@ class AcceptanceContext:
                     self.mesh(domain, 64), [(0.25, 0.12)]).points
         return self._cache[key]
 
+    def release(self, *keys) -> None:
+        """Forget cached artifacts whose last reader has run.  A ladder entry
+        takes its mesh along, and with it the mesh's cached Laplacian and LU."""
+        for key in keys:
+            value = self._cache.pop(key)
+            if key[0] == "entry":
+                for k in [k for k, v in self._cache.items() if v is value.mesh]:
+                    del self._cache[k]
+
     def entry(self, domain: str, n: int, p: float, graded: bool = False) -> lane_emden.BranchEntry:
         """The one-spike solution at (h = 1/n, p) on the domain's mesh ladder.
 
@@ -309,53 +318,53 @@ def criterion_8_profile_correction(ctx: AcceptanceContext) -> list[VerificationR
     ]
 
 
-def criterion_9_pohozaev(ctx: AcceptanceContext, deep: bool = True) -> list[VerificationRecord]:
-    out = []
+def criterion_9_pform(ctx: AcceptanceContext) -> list[VerificationRecord]:
     msh = ctx.mesh("disk", 256)
     G = greens.regular_part(msh, (0.0, 0.0))
     h = msh.h
     vals = [pohozaev.circle_forms(G, G, (0.0, 0.0), t, mesh=msh)[0] for t in (8 * h, 16 * h)]
     err = max(abs(v + 1.0 / (2 * np.pi)) for v in vals)
     spread = abs(vals[0] - vals[1])
-    out.append(
+    return [
         VerificationRecord(
             "C9-pform", "P(G, G) equals -1/(2 pi) at theta in {8h, 16h}, h = 1/256",
             -1.0 / (2 * np.pi),
             {"values": vals, "max_err": err, "spread": spread},
             "abs 1e-3, spread 1e-3", err <= 1e-3 and spread <= 1e-3, "2d-greens",
         )
-    )
-    if deep:
-        # the spike (eps(20) = 1.4e-3) needs lines graded toward it: on the
-        # uniform ladder the peak is under-resolved and the residuals grow
-        errs, levels = {}, {}
-        theta = 0.125
-        u0 = ctx.oracle(20.0).u0
-        eps0 = ctx.oracle(20.0).eps0
-        for n in (64, 128, 256):
-            e = ctx.entry("disk", n, 20.0, graded=True)
-            rep = pohozaev.pohozaev_residuals(
-                e.mesh, e.u, 20.0, e.spikes[0].position, theta
-            )
-            errs[n] = max(abs(rep.p_residual), float(np.max(np.abs(rep.q_residuals))))
-            stats = e.mesh.line_stats()
-            levels[str(n)] = {
-                "n_nodes": e.mesh.n_nodes,
-                "min_cell_over_eps": stats["min_cell"] / eps0,
-                "max_growth": stats["max_growth"],
-                "u_max_gap": e.spikes[0].u_max - u0,
-            }
-        order = math.log2(errs[64] / errs[256]) / 2.0
-        out.append(
-            VerificationRecord(
-                "C9-identities", "Pohozaev identity residuals shrink with order >= 1 in h at p = 20",
-                ">= 1",
-                {"errors": {str(k): v for k, v in errs.items()}, "order": order, "levels": levels},
-                "order >= 1", order >= 1.0, "2d-solver on spike-graded meshes",
-                fitted_rate=order,
-            )
+    ]
+
+
+def criterion_9_identities(ctx: AcceptanceContext) -> list[VerificationRecord]:
+    # the spike (eps(20) = 1.4e-3) needs lines graded toward it: on the
+    # uniform ladder the peak is under-resolved and the residuals grow
+    errs, levels = {}, {}
+    theta = 0.125
+    u0 = ctx.oracle(20.0).u0
+    eps0 = ctx.oracle(20.0).eps0
+    for n in (64, 128, 256):
+        e = ctx.entry("disk", n, 20.0, graded=True)
+        rep = pohozaev.pohozaev_residuals(
+            e.mesh, e.u, 20.0, e.spikes[0].position, theta
         )
-    return out
+        errs[n] = max(abs(rep.p_residual), float(np.max(np.abs(rep.q_residuals))))
+        stats = e.mesh.line_stats()
+        levels[str(n)] = {
+            "n_nodes": e.mesh.n_nodes,
+            "min_cell_over_eps": stats["min_cell"] / eps0,
+            "max_growth": stats["max_growth"],
+            "u_max_gap": e.spikes[0].u_max - u0,
+        }
+    order = math.log2(errs[64] / errs[256]) / 2.0
+    return [
+        VerificationRecord(
+            "C9-identities", "Pohozaev identity residuals shrink with order >= 1 in h at p = 20",
+            ">= 1",
+            {"errors": {str(k): v for k, v in errs.items()}, "order": order, "levels": levels},
+            "order >= 1", order >= 1.0, "2d-solver on spike-graded meshes",
+            fitted_rate=order,
+        )
+    ]
 
 
 def criterion_10_gradient_balance(ctx: AcceptanceContext) -> list[VerificationRecord]:
@@ -512,20 +521,30 @@ def criterion_12_property_suites(ctx: AcceptanceContext) -> list[VerificationRec
 
 def acceptance_records(full: bool = True) -> list[VerificationRecord]:
     """All acceptance records; ``full=False`` skips the 2-D sweeps at the
-    finest grids (criteria 4, the 9-refinement study, and 10)."""
+    finest grids (criteria 4, the 9-refinement study, and 10).
+
+    The records keep the criteria's order, but C9-pform runs right after C2
+    and the run releases what no later criterion reads: C2's uniform
+    h = 1/256 mesh with its LU before C4 factorizes, and C4's p = 10 and
+    p = 40 ladders after it (C9-identities reads the p = 20 one).
+    """
     ctx = AcceptanceContext()
     records = []
     records += criterion_1_universal_constants(ctx)
     records += criterion_2_green_oracle(ctx) if full else []
+    c9_pform = criterion_9_pform(ctx)
+    ctx.release(("mesh", "disk", 256, None))
     records += criterion_3_kr_certification(ctx)
     if full:
         records += criterion_4_solver_vs_oracle(ctx)
+        ctx.release(*(("entry", "disk", n, p, True) for p in (10.0, 40.0) for n in (64, 128, 256)))
     records += criterion_5_peak_law(ctx)
     records += criterion_6_energy_mass(ctx)
     records += criterion_7_eps_law(ctx)
     records += criterion_8_profile_correction(ctx)
-    records += criterion_9_pohozaev(ctx, deep=full)
+    records += c9_pform
     if full:
+        records += criterion_9_identities(ctx)
         records += criterion_10_gradient_balance(ctx)
     records += criterion_11_spectrum(ctx)
     records += criterion_12_property_suites(ctx)

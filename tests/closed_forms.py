@@ -1,8 +1,10 @@
 """Closed forms the tests check the program against: the unit disk's Green
-function and Robin derivatives (image charges), and the derivatives of the
-radial kernel element Z0 of the Liouville bubble."""
+function and Robin derivatives (image charges), the derivatives of the
+radial kernel element Z0 of the Liouville bubble, and a reference assembly
+of the mesh Laplacian from COO triplets."""
 
 import numpy as np
+import scipy.sparse as sp
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,3 +56,23 @@ def Z0_prime(r):
 def Z0_second(r):
     r = np.asarray(r, dtype=float)
     return -32.0 * (8.0 - 3.0 * r * r) / (8.0 + r * r) ** 3
+
+
+def coo_laplacian(mesh) -> sp.csc_matrix:
+    """The Shortley-Weller -Δ of ``mesh.assemble_laplacian``, assembled row
+    by row from (row, column, value) triplets: the diagonal
+    2/(aE aW) + 2/(aN aS) and -2/(a (a + a_opposite)) toward each neighbour."""
+    n = mesh.n_nodes
+    a = mesh.arms
+    rows = [np.arange(n)]
+    cols = [np.arange(n)]
+    vals = [2.0 / (a[:, 0] * a[:, 1]) + 2.0 / (a[:, 2] * a[:, 3])]
+    for d, opp in enumerate((1, 0, 3, 2)):
+        ao = a[:, d]
+        coef = -2.0 / (ao * (ao + a[:, opp]))
+        mask = mesh.nbr[:, d] >= 0
+        rows.append(np.nonzero(mask)[0])
+        cols.append(mesh.nbr[mask, d])
+        vals.append(coef[mask])
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsc()

@@ -2,7 +2,10 @@
 class defined in src/spikelab is named somewhere in src/, scripts/ or
 perfbench/ outside its own definition.  A definition that only tests reach
 belongs in the tests.  Dunder methods are exempt: Python calls them by
-protocol, not by name."""
+protocol, not by name.
+
+Each sparse matrix is held once: no code in src/spikelab converts one to
+another format, except ``linsolve.factorize`` on its way to SuperLU."""
 
 import ast
 import io
@@ -49,3 +52,22 @@ def test_every_definition_in_src_is_used_by_the_program():
             if not named:
                 unused.append(f"{f.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "defined in src/ but named only by tests or not at all:\n" + "\n".join(unused)
+
+
+SPARSE_CONVERSIONS = {"tocsr", "tocsc", "tocoo", "asformat"}
+
+
+def test_sparse_format_conversions_only_in_factorize():
+    found = []
+    for f in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(f.read_text())
+        allowed = set()
+        if f.name == "linsolve.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "factorize":
+                    allowed.update(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in SPARSE_CONVERSIONS and node.lineno not in allowed):
+                found.append(f"{f.relative_to(ROOT)}:{node.lineno} .{node.func.attr}(")
+    assert not found, "a sparse format conversion copies the matrix:\n" + "\n".join(found)

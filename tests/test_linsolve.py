@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from spikelab import kirchhoff_routh, lane_emden, linsolve
+from spikelab import greens, kirchhoff_routh, lane_emden, linsolve
 from spikelab.linsolve import NoConvergenceError, SparseOperator, factorize
 from spikelab.mesh import assemble_laplacian, build_graded_mesh, build_mesh, make_domain
 
@@ -34,11 +34,30 @@ def square_interior_laplacian(n):
 
 
 def test_duplicate_entries_are_summed():
-    # the mesh Laplacian is built from COO triplets this way
+    # a SparseOperator is a csc_matrix and accepts its COO constructor
     A = SparseOperator(([1.0, 2.0, 5.0], ([0, 0, 1], [0, 0, 1])), shape=(2, 2))
     assert np.allclose(A.diagonal(), [3.0, 5.0])
-    assert A.has_canonical_format and A.nnz == 2
+    assert A.has_canonical_format and A.nnz == 2 and A.format == "csc"
     assert A.to_scipy() is A
+
+
+def test_factorize_hands_splu_the_callers_matrix(monkeypatch):
+    # the Laplacian and the Jacobians are CSC already: no second copy of
+    # the matrix may sit beside the LU while SuperLU runs
+    seen = []
+    splu = linsolve.spla.splu
+
+    def spy(A, **kw):
+        seen.append(A)
+        return splu(A, **kw)
+
+    monkeypatch.setattr(linsolve.spla, "splu", spy)
+    msh = build_mesh(make_domain("disk", r=1.0), 1.0 / 16)
+    A = greens.laplacian_operator(msh)
+    J = lane_emden.LaneEmdenProblem(msh).jacobian(np.full(msh.n_nodes, 0.5), 3.0)
+    factorize(A)
+    factorize(J)
+    assert seen[0] is A and seen[1] is J
 
 
 @settings(max_examples=20, deadline=None)

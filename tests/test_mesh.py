@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import bisect
 
+from closed_forms import coo_laplacian
 from spikelab import greens, linsolve
 from spikelab.mesh import (
     DIRS,
@@ -142,6 +143,25 @@ def test_full_stencil_weights():
     assert row[0, k] == pytest.approx(4.0 / h2)
     for d in range(4):
         assert row[0, m.nbr[k, d]] == pytest.approx(-1.0 / h2)
+
+
+@pytest.mark.parametrize("mesh_of", [
+    lambda: build_mesh(make_domain("disk", r=1.0), 1.0 / 32),
+    lambda: build_mesh(make_domain("annulus", r_in=0.5, r_out=1.0), 1.0 / 32),
+    lambda: build_graded_mesh(make_domain("disk", r=1.0), 1.0 / 32, (0.2, -0.1), 1e-2),
+], ids=["disk", "annulus", "graded"])
+def test_laplacian_is_the_coo_assembly_in_csc(mesh_of):
+    m = mesh_of()
+    for arr in (m.node_of, m.ij, m.nbr):
+        assert arr.dtype == np.int32
+    A = assemble_laplacian(m)
+    ref = coo_laplacian(m)
+    assert isinstance(A, linsolve.SparseOperator) and A.format == "csc"
+    assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
+    assert A.has_canonical_format and np.all(A.data != 0.0)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
 
 
 def test_polynomial_exactness():

@@ -25,3 +25,11 @@ def test_entry_ladder_solves_each_level_once(monkeypatch):
 
     assert ctx.entry("disk", 128, 10.0) is e128
     assert len(calls) == 2
+
+
+def test_release_drops_an_entry_with_its_mesh():
+    ctx = verify.AcceptanceContext()
+    ctx.entry("disk", 64, 10.0)
+    ctx.oracle(20.0)
+    ctx.release(("entry", "disk", 64, 10.0, False))
+    assert set(ctx._cache) == {("kr", "disk"), ("oracle", 20.0)}
