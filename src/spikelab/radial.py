@@ -13,9 +13,12 @@ resolves spike scales like eps ~ e^(-p/4) exactly, far below what any 2-D
 grid can represent.
 
 The same profile feeds a one-dimensional eigensolver for the linearized
-operator -Δ - p u^(p-1) decomposed into angular Fourier modes: LAPACK
-bisection on the finite-volume tridiagonal forms gives exact negative-eigenvalue
-counts, and the translation sector m = 1 is shot in factorized form.
+operator -Δ - p u^(p-1) decomposed into angular Fourier modes, every mode
+on one geometric finite-volume grid of n nodes that refines them all.
+LAPACK bisection on the tridiagonal forms gives exact negative-eigenvalue
+counts for m = 0, 2, 3; the translation sector m = 1, whose near-null
+eigenvalue is a near-cancellation, is bisected in factorized form, on the
+Golub-Kahan tridiagonal of its bidiagonal factor.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import liouville
 
@@ -188,35 +191,50 @@ def solve_radial(p: float) -> RadialSolution:
 # ---- linearized operator on the disk, per angular Fourier mode -----------
 
 R_MIN_FACTOR = 1e-3  # innermost pencil node, in units of eps0
+PENCIL_NODES = 4000  # finite-volume nodes on (0, 1) unless a caller refines
 PER_MODE = 2  # eigenvalues nearest zero that disk_spectrum reports per mode
 NEAR_ZERO_COUNT = 4  # eigenvalues, with multiplicity, that the margin is taken over
+# LAPACK bisection tolerance: the scaled tridiagonals are graded (|T| ~ 1e30 at
+# p = 80), so the default eps*|T|_1 is absolute and swamps the O(1) modes,
+# while underflow keeps bisection relatively accurate
+BISECTION_TOL = 2 * np.finfo(float).tiny
 
 
-def mode_pencil(rad: RadialSolution, m: int, n: int = 4000):
-    """Finite-volume form K xi = lambda M xi of -d2/dr2 - (1/r)d/dr + m^2/r^2 - V(r)
-    on (0, 1), on n geometric nodes: (diagonal of K, off-diagonal of K, diagonal of M).
-
-    Adequate for eigenvalues that are not the result of near-cancellation
-    between the gradient and potential energies (the giant negative mode and
-    the domain-scale modes).  The translation sector m = 1, whose near-null
-    eigenvalue is a ~1e-9 relative cancellation at large p, is shot in
-    factorized form instead (_Mode1Shooter).
-
-    V(r) does not depend on m: the profile is evaluated once per
-    (solution, n) and the potential cached on the solution.
-    """
+def _finite_volume_grid(rad: RadialSolution, n: int):
+    """n + 1 geometric nodes from eps0 * R_MIN_FACTOR to the Dirichlet boundary
+    r = 1, the n + 1 cell edges, the edge conductances edge/spacing (zero
+    flux through r = 0) and the n cell masses r * width."""
     r_min = max(rad.eps0 * R_MIN_FACTOR, 1e-14)
-    nodes = np.geomspace(r_min, 1.0, n + 1)  # last node is the Dirichlet boundary
+    nodes = np.geomspace(r_min, 1.0, n + 1)
     r = nodes[:-1]
     edges = np.empty(n + 1)
     edges[1:-1] = 0.5 * (nodes[1:-1] + nodes[:-2])
     edges[0] = 0.0
     edges[-1] = 0.5 * (1.0 + nodes[-2])
-    kappa = np.empty(n + 1)  # edge conductances
-    kappa[0] = 0.0  # zero flux through r = 0 (regularity; m >= 1 is pinned by m^2/r^2)
+    kappa = np.empty(n + 1)
+    kappa[0] = 0.0
     kappa[1:-1] = edges[1:-1] / np.diff(r)
     kappa[-1] = edges[-1] / (1.0 - r[-1])
-    mass = r * (edges[1:] - edges[:-1])
+    return nodes, edges, kappa, r * (edges[1:] - edges[:-1])
+
+
+def mode_pencil(rad: RadialSolution, m: int, n: int = PENCIL_NODES):
+    """Finite-volume form K xi = lambda M xi of -d2/dr2 - (1/r)d/dr + m^2/r^2 - V(r)
+    on (0, 1), on n geometric nodes: (diagonal of K, off-diagonal of K, diagonal of M).
+
+    Its eigenvalues converge at second order in n.  The form is adequate for
+    eigenvalues that are not the result of near-cancellation between the
+    gradient and potential energies: the giant negative mode and the
+    domain-scale modes of m = 0, 2, 3.  The translation sector m = 1, whose
+    near-null eigenvalue is a ~1e-9 relative cancellation at large p, is
+    solved in factorized form on the same grid instead (_mode1_golub_kahan);
+    this form puts it 1.6% off at p = 20.
+
+    V(r) does not depend on m: the profile is evaluated once per
+    (solution, n) and the potential cached on the solution.
+    """
+    nodes, _, kappa, mass = _finite_volume_grid(rad, n)
+    r = nodes[:-1]
     potentials = rad.__dict__.setdefault("_pencil_potentials", {})  # n -> V on the nodes
     if n not in potentials:
         y = r / rad.eps0
@@ -234,205 +252,59 @@ def pencil_eigenvalues(pencil, select: str = "a", select_range=None) -> np.ndarr
     T = M^(-1/2) K M^(-1/2), whose Sturm counts give the exact inertia.
     """
     d, e, mass = pencil
-    # T is graded (|T| ~ 1e30 at p = 80): the default tolerance eps*|T|_1 is absolute
-    # and swamps the O(1) modes, while underflow keeps bisection relatively accurate
     return eigvalsh_tridiagonal(
         d / mass, e / np.sqrt(mass[:-1] * mass[1:]), select=select,
-        select_range=select_range, tol=2 * np.finfo(float).tiny,
+        select_range=select_range, tol=BISECTION_TOL,
     )
 
 
-_LAM_HI = 64.0  # top of the first m = 1 bracket scan, quadrupled until it holds the mode
-_BLOCK = 256  # RK4 steps whose propagators are evaluated together (all at once: ~20 MB)
-_GROUP = 8  # consecutive step propagators composed into one; a power of two
-_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]  # as (gg, gF, Fg, FF) rows
-
-
-def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """Products later @ earlier of 2x2 matrices stored as (gg, gF, Fg, FF)
-    rows along the first axis, elementwise over the other axes."""
-    a, b, c, d = later
-    e, f, g, h = earlier
-    return np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
-
-
-class _Mode1Shooter:
-    """Batched fixed-step RK4 shooter for the factorized m = 1 sector.
+def _mode1_golub_kahan(rad: RadialSolution, n: int):
+    """The m = 1 sector in factorized form on mode_pencil's grid: the
+    off-diagonal of its Golub-Kahan tridiagonal, the nodes, phi* on the
+    nodes and the square roots of mode_pencil's cell masses.
 
     phi* = -u'(r) solves the m = 1 equation exactly (differentiate the radial
     Lane-Emden equation) and is positive on (0, 1], so xi = phi* g turns the
-    sector into -(sigma g')' = lam rho g with sigma = rho = r phi*^2 > 0.
-    Integrated in t = log r with flux F = sigma g': dg/dt = F/phi*^2,
-    dF/dt = -lam r^2 phi*^2 g.  The huge phi*^2 in the spike core merely
-    freezes g there, so the dynamics stay O(1) across all scales and a fixed
-    logarithmic step suffices; the rhs is linear in the state, so trial
-    eigenvalues integrate as one vectorized batch.
-
-    Linearity also makes each RK4 step a 2x2 matrix quadratic in lam,
-    P_i(lam) = C0_i + lam C1_i + lam^2 C2_i, whose coefficients are built once.
-    A run evaluates the propagators _BLOCK steps at a time, composes each
-    _GROUP consecutive ones by pairwise doubling and advances the lam batch
-    one group per iteration; the single-step propagators then recover g
-    inside every group, all groups at once, so the sign flips of g are still
-    counted at every step.
-    The shooter is cached on its RadialSolution and keeps its bracket scans
-    and eigenpairs, so each (solution, index) is shot once.  Every index
-    takes its bracket from the shared scans, and the indices requested
-    together are refined in the same batched runs (_mode1_pairs).
+    sector into -(sigma g')' = lam sigma g with sigma = r phi*^2 > 0.  With
+    zero flux through r = 0 and g(1) = 0 its finite-volume form factors as
+    K = D^T diag(kappa) D, D the forward difference, so M^(-1/2) K M^(-1/2)
+    = C^T C with C upper bidiagonal: diagonal -sqrt(kappa_(k+1) / m_k),
+    superdiagonal sqrt(kappa_(k+1) / m_(k+1)).  The eigenvalues are the
+    squares of C's singular values, which are the positive eigenvalues of
+    the zero-diagonal tridiagonal whose off-diagonal interleaves the
+    absolute diagonal and superdiagonal; bisection on it finds them to high
+    relative accuracy (Demmel & Kahan 1990).  Bisection on C^T C itself does
+    not: its rows sum to zero and the Sturm pivots cancel.
     """
-
-    def __init__(self, rad: RadialSolution, n_steps: int = 6000):
-        t0 = math.log(max(rad.eps0 * 1e-3, 1e-14))
-        self.t = np.linspace(t0, 0.0, 2 * n_steps + 1)  # includes half-steps
-        r = np.exp(self.t)
-        phi2 = rad.u_prime(r) ** 2
-        a = 1.0 / phi2  # dg/dt = a F
-        b = r * r * phi2  # dF/dt = -lam b g
-        a0, am, a1 = a[:-1:2], a[1::2], a[2::2]  # step start, midpoint, end
-        b0, bm, b1 = b[:-1:2], b[1::2], b[2::2]
-        h = (0.0 - t0) / n_steps
-        # rows: (g <- g, g <- F, F <- g, F <- F) entries of P_i
-        self.C0 = np.zeros((4, n_steps))
-        self.C0[0] = self.C0[3] = 1.0
-        self.C0[1] = h / 6.0 * (a0 + 4.0 * am + a1)
-        self.C1 = np.stack([
-            -h * h / 6.0 * (am * (b0 + bm) + a1 * bm),
-            -h**3 / 12.0 * am * bm * (a0 + a1),
-            -h / 6.0 * (b0 + 4.0 * bm + b1),
-            -h * h / 6.0 * (bm * (a0 + am) + b1 * am),
-        ])
-        self.C2 = np.stack([
-            h**4 / 24.0 * a1 * bm * am * b0,
-            np.zeros(n_steps),
-            h**3 / 12.0 * am * bm * (b0 + b1),
-            h**4 / 24.0 * b1 * am * bm * a0,
-        ])
-        self.n_steps = n_steps
-        self.r = np.exp(self.t[::2])
-        self.r.setflags(write=False)
-        self.scans = []  # (grid, flips) of the bracket scans, lam_hi ascending
-        self.pairs = {}  # index -> (lam, r, xi)
-
-    def run(self, lams: np.ndarray, keep_path: bool = False):
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        g = np.ones_like(lams)
-        F = np.zeros_like(lams)
-        flips = np.zeros(lams.shape, dtype=int)
-        path = np.empty((self.n_steps + 1, lams.size)) if keep_path else None
-        n_groups = -(-_BLOCK // _GROUP)
-        buf = np.empty((4, n_groups * _GROUP, lams.size))  # one block's step propagators
-        gs = np.empty((n_groups * _GROUP + 1, lams.size))  # g across one block of steps
-        g0, F0 = np.empty((2, n_groups, lams.size))  # the state at each group's start
-        for start in range(0, self.n_steps, _BLOCK):
-            stop = min(start + _BLOCK, self.n_steps)
-            n, s = stop - start, slice(start, stop)
-            groups = -(-n // _GROUP)
-            # C0 + lam (C1 + lam C2) in place; identity steps fill the last group
-            P = buf[:, :n]
-            np.multiply(self.C2[:, s, None], lams, out=P)
-            P += self.C1[:, s, None]
-            P *= lams
-            P += self.C0[:, s, None]
-            buf[:, n : groups * _GROUP] = _IDENTITY
-            P = buf[:, : groups * _GROUP].reshape(4, groups, _GROUP, lams.size)  # entry, group, step, lam
-            M = P
-            while M.shape[2] > 1:  # pairwise doubling: 2, 4, ..., _GROUP steps
-                M = _compose(M[:, :, 1::2], M[:, :, ::2])
-            # steps[k, j]: g after step j + 1 of group k; a group's last state is
-            # the composed one, which starts the next group
-            steps = gs[1 : groups * _GROUP + 1].reshape(groups, _GROUP, lams.size)
-            gs[0] = g
-            for k, (gg, gF, Fg, FF) in enumerate(zip(*M[:, :, 0])):
-                g0[k], F0[k] = g, F
-                g, F = gg * g + gF * F, Fg * g + FF * F
-            steps[:-1, -1] = g0[1:groups]
-            steps[-1, -1] = g
-            gk, Fk = g0[:groups], F0[:groups]
-            for j in range(_GROUP - 1):
-                gg, gF, Fg, FF = P[:, :, j]
-                gk, Fk = gg * gk + gF * Fk, Fg * gk + FF * Fk
-                steps[:, j] = gk
-            blk = gs[: n + 1]
-            flips += np.count_nonzero(blk[:-1] * blk[1:] < 0, axis=0)
-            if keep_path:
-                path[start : stop + 1] = blk
-        return g, flips, path
-
-    def bracket(self, index: int):
-        """First scan grid holding index sign flips of g, and the first grid
-        point that does; scans are shared by every index."""
-        k = 0
-        while True:
-            if k == len(self.scans):
-                lam_hi = _LAM_HI * 4.0**k
-                if lam_hi > 1e7:
-                    raise BracketFailureError("mode-1 eigenvalue bracket not found")
-                grid = np.geomspace(1e-6, lam_hi, 96)
-                self.scans.append((grid, self.run(grid)[1]))
-            grid, flips = self.scans[k]
-            above = np.nonzero(flips >= index)[0]
-            if above.size:
-                return grid, above[0]
-            k += 1
+    nodes, edges, kappa, mass = _finite_volume_grid(rad, n)
+    phi = -rad.u_prime(nodes[:-1])
+    root_mass = np.sqrt(mass)
+    root_kappa = np.sqrt(kappa[1:]) * -rad.u_prime(edges[1:])
+    root_m = root_mass * phi
+    off = np.empty(2 * n - 1)
+    off[::2] = root_kappa / root_m
+    off[1::2] = root_kappa[:-1] / root_m[1:]
+    return off, nodes, phi, root_mass
 
 
 def mode1_eigenvalue(rad: RadialSolution, index: int = 1):
-    """index-th eigenvalue (1-based) of the disk m = 1 sector by shooting,
-    with the eigenfunction xi = phi* g on a log radial grid.
+    """index-th eigenvalue (1-based) of the disk m = 1 sector on PENCIL_NODES
+    nodes, with its eigenfunction xi = phi* g on the nodes of (0, 1], scaled
+    to g = 1 at the innermost node (so xi > 0 in the core) and zero at r = 1:
+    (lam, nodes, xi).
 
     The factorized form is positive definite for every p (the sector never
     contributes to the Morse index on the disk); the returned eigenvalues are
     therefore positive, the near-null translation mode being index = 1.
-    Reads the per-solution cache of _mode1_pairs, which shoots the indices
-    not yet cached up to index together; the returned arrays are shared and
-    read-only.
     """
-    return _mode1_pairs(rad, index)[-1]
-
-
-def _mode1_pairs(rad: RadialSolution, count: int):
-    """Eigenpairs (lam, r, xi) of indices 1..count of the m = 1 sector, each
-    computed once per solution.
-
-    The indices not yet cached take their brackets from the shared scans and
-    are refined together: each round stacks the 17-point grids of every index
-    still refining into one shooter run, and one more run keeps the paths at
-    all the midpoints.  Every lam column is integrated elementwise, so a pair
-    is bit-identical to the same index shot alone.
-    """
-    sh = rad.__dict__.get("_mode1_shooter")
-    if sh is None:
-        sh = rad.__dict__["_mode1_shooter"] = _Mode1Shooter(rad)
-    todo = [i for i in range(1, count + 1) if i not in sh.pairs]
-    if todo:
-        brackets = {}
-        for i in todo:
-            grid, k = sh.bracket(i)
-            brackets[i] = (grid[k - 1] if k > 0 else 1e-9, grid[k])
-        # interval refinement on each index's single sign change of g(1); 4 rounds
-        # of 16x shrink leave the midpoint within ~1e-6 relative, and an index
-        # whose grid shows no sign change keeps its bracket from then on
-        refining = todo
-        for _ in range(4):
-            grids = [np.linspace(*brackets[i], 17) for i in refining]
-            g1 = sh.run(np.concatenate(grids))[0].reshape(len(refining), 17)
-            crossed = []
-            for i, grid, g in zip(refining, grids, g1):
-                crossings = np.nonzero(g[:-1] * g[1:] < 0)[0]
-                if crossings.size:
-                    brackets[i] = (grid[crossings[0]], grid[crossings[0] + 1])
-                    crossed.append(i)
-            refining = crossed
-            if not refining:
-                break
-        lams = [0.5 * (blo + bhi) for blo, bhi in (brackets[i] for i in todo)]
-        _, _, path = sh.run(np.array(lams), keep_path=True)
-        phi = -rad.u_prime(sh.r)
-        for j, (i, lam) in enumerate(zip(todo, lams)):
-            xi = phi * path[:, j]
-            xi.setflags(write=False)
-            sh.pairs[i] = (lam, sh.r, xi)
-    return [sh.pairs[i] for i in range(1, count + 1)]
+    n = PENCIL_NODES
+    off, nodes, phi, root_mass = _mode1_golub_kahan(rad, n)
+    k = n + index - 1
+    sv, vec = eigh_tridiagonal(np.zeros(2 * n), off, select="i", select_range=(k, k), tol=BISECTION_TOL)
+    x = vec[::2, 0]  # the right singular vector of |C|; C's alternates its signs
+    x[1::2] *= -1.0
+    g = x / (root_mass * phi)
+    return float(sv[0]) ** 2, nodes, np.append(phi * g / g[0], 0.0)
 
 
 @dataclass
@@ -440,16 +312,14 @@ class DiskSpectrum:
     """Bottom spectrum of the linearized disk operator, resolved per mode."""
 
     p: float
-    # m -> (eigenvalues, eigenvectors, radial grids); the finite-volume modes
-    # m != 1 carry eigenvalues only, with None for the other two
-    modes: dict
+    modes: dict  # m -> (eigenvalues,): the eigenvalue list is modes[m][0]
     morse_index: int
 
     def eigenvalues_near_zero(self) -> list[tuple[float, int]]:
         """The NEAR_ZERO_COUNT (eigenvalue, m) pairs nearest zero, repeated
         for m >= 1 multiplicity."""
         items = []
-        for m, (vals, _, _) in self.modes.items():
+        for m, (vals,) in self.modes.items():
             for lam in vals:
                 items.append((lam, m))
                 if m >= 1:
@@ -461,35 +331,38 @@ class DiskSpectrum:
         return min(abs(lam) for lam, _ in self.eigenvalues_near_zero())
 
 
-def disk_spectrum(rad: RadialSolution, m_max: int = 3, n: int = 4000) -> DiskSpectrum:
-    """Eigenvalues nearest zero for modes m = 0..m_max and the Morse index.
+def disk_spectrum(rad: RadialSolution, m_max: int = 3, n: int = PENCIL_NODES) -> DiskSpectrum:
+    """Eigenvalues nearest zero for modes m = 0..m_max and the Morse index,
+    every mode on the same n-node grid and by the same LAPACK bisection.
 
     m = 0 and m >= 2 use the finite-volume pencil (their eigenvalues are
     cancellation-free on the scale-free geometric grid): its negative
     eigenvalues give the Morse count, and the lowest of them, the
     concentrated ground mode, is reported ahead of the PER_MODE eigenvalues
     nearest zero; their pencils share one potential per (solution, n).
-    m = 1 uses factorized shooting, positive definite on the disk for every
-    p: its PER_MODE pairs are shot together, once per solution, and do not
-    depend on n.
+    m = 1 uses the factorized form, positive definite on the disk for every
+    p: its lowest PER_MODE eigenvalues.
     """
     modes = {}
     morse = 0
     for m in range(m_max + 1):
         if m == 1:
-            lams, grids, xis = zip(*_mode1_pairs(rad, PER_MODE))
-            modes[m] = (list(lams), list(xis), list(grids))
+            off = _mode1_golub_kahan(rad, n)[0]
+            sv = eigvalsh_tridiagonal(np.zeros(2 * n), off, select="i",
+                                      select_range=(n, n + PER_MODE - 1), tol=BISECTION_TOL)
+            modes[m] = ((sv**2).tolist(),)
             continue
         pencil = mode_pencil(rad, m, n=n)
         neg = pencil_eigenvalues(pencil, "v", (-np.inf, 0.0))
         morse += neg.size * (1 if m == 0 else 2)
         first = max(neg.size - PER_MODE, 0)
-        window = pencil_eigenvalues(pencil, "i", (first, min(neg.size + PER_MODE, n) - 1))
+        above = pencil_eigenvalues(pencil, "i", (neg.size, min(neg.size + PER_MODE, n) - 1))
+        window = np.concatenate([neg[first:], above])
         keep = np.sort(np.argsort(np.abs(window), kind="stable")[:PER_MODE])
         vals = window[keep].tolist()
         if neg.size and first + keep[0] > 0:  # the ground mode, unless already kept
             vals.insert(0, float(neg[0]))
-        modes[m] = (vals, None, None)
+        modes[m] = (vals,)
     return DiskSpectrum(rad.p, modes, morse)
 
 

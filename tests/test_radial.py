@@ -114,17 +114,19 @@ def test_grid_refinement_stability(rad20):
 
 
 def test_finite_volume_modes_refine_at_p80(rad80):
-    # every m = 0, 2, 3 eigenvalue, the ground mode near -2.4e18 included
+    # every eigenvalue of m = 0..3, the ground mode near -2.4e18 included
     s1 = radial.disk_spectrum(rad80, m_max=3, n=4000)
     s2 = radial.disk_spectrum(rad80, m_max=3, n=8000)
-    for m in (0, 2, 3):
+    for m in range(4):
         assert len(s1.modes[m][0]) == len(s2.modes[m][0])
         assert s1.modes[m][0] == pytest.approx(s2.modes[m][0], rel=1e-4)
 
 
 def _staged_rk4(rad, t, lams):
-    """The m = 1 RK4 integration written out stage by stage: g along the
-    log-radial grid t (with half-steps) and the sign flips of g."""
+    """The m = 1 sector xi = phi* g shot in t = log r with flux F = sigma g':
+    dg/dt = F/phi*^2, dF/dt = -lam r^2 phi*^2 g from g = 1, F = 0, by RK4
+    written out stage by stage along the log-radial grid t (with half-steps).
+    Returns g at every step and the sign flips of g."""
     r = np.exp(t)
     phi2 = rad.u_prime(r) ** 2
     b = r * r * phi2
@@ -149,120 +151,78 @@ def _staged_rk4(rad, t, lams):
     return np.array(path), flips
 
 
-@pytest.mark.parametrize("p", [20.0, 80.0])
-@pytest.mark.parametrize("block", [7, radial._BLOCK])
-def test_blocked_propagator_matches_staged_rk4(monkeypatch, p, block):
-    monkeypatch.setattr(radial, "_BLOCK", block)
-    rad = radial.solve_radial(p)
-    sh = radial._Mode1Shooter(rad, n_steps=600)
-    assert sh.n_steps > block and sh.n_steps % block != 0  # boundaries mid-run, a partial last block
-    lams = np.geomspace(1e-6, 64.0, 24)
-    g1, flips, path = sh.run(lams, keep_path=True)
-    ref_path, ref_flips = _staged_rk4(rad, sh.t, lams)
-    scale = np.max(np.abs(ref_path), axis=0)
-    assert np.all(np.abs(g1 - ref_path[-1]) <= 1e-12 * scale)
-    assert np.all(np.abs(path - ref_path) <= 1e-12 * scale)
-    assert np.array_equal(flips, ref_flips)
-    assert flips.max() >= 2  # the batch reaches past the second eigenvalue
-
-
-def _one_step_run(sh, lams, keep_path=False):
-    """The shooter advanced one RK4 step propagator per iteration: g(1), the
-    sign flips of g and, with keep_path, g at every step."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    g = np.ones_like(lams)
-    F = np.zeros_like(lams)
-    flips = np.zeros(lams.shape, dtype=int)
-    path = [g]
-    for i in range(sh.n_steps):
-        gg, gF, Fg, FF = sh.C0[:, i, None] + lams * (sh.C1[:, i, None] + lams * sh.C2[:, i, None])
-        g_new, F = gg * g + gF * F, Fg * g + FF * F
-        flips += g * g_new < 0
-        g = g_new
-        path.append(g)
-    return g, flips, np.array(path) if keep_path else None
+def _shot_mode1_eigenvalues(rad, count, n_steps=3000):
+    """The lowest count m = 1 eigenvalues by shooting: brackets from the sign
+    flips of g on a scan, then 5 rounds of 16x shrink on the sign change of
+    g(1), all indices in one batch."""
+    t = np.linspace(math.log(rad.eps0 * radial.R_MIN_FACTOR), 0.0, 2 * n_steps + 1)
+    scan = np.geomspace(1e-2, 64.0, 48)
+    flips = _staged_rk4(rad, t, scan)[1]
+    brackets = [(scan[k - 1], scan[k]) for k in (np.argmax(flips >= i) for i in range(1, count + 1))]
+    for _ in range(5):
+        grids = [np.linspace(lo, hi, 17) for lo, hi in brackets]
+        g1 = _staged_rk4(rad, t, np.concatenate(grids))[0][-1].reshape(count, 17)
+        brackets = []
+        for grid, g in zip(grids, g1):
+            k = np.nonzero(g[:-1] * g[1:] < 0)[0][0]
+            brackets.append((grid[k], grid[k + 1]))
+    return np.array([0.5 * (lo + hi) for lo, hi in brackets])
 
 
 @pytest.mark.parametrize("p", [20.0, 80.0])
-def test_composed_steps_match_the_one_step_shooter(monkeypatch, p):
-    # the bracket scans and refinement grids _mode1_pairs shoots: the same
-    # sign flips and signs of g(1) as one step per iteration, so the same
-    # eigenvalues bit for bit, and the eigenfunctions to rounding
+def test_mode1_pencil_matches_staged_rk4(p):
+    # at n = 8000: the second eigenvalue at p = 80 is 3e-5 off at n = 4000
     rad = radial.solve_radial(p)
-    grids = []
-    run = radial._Mode1Shooter.run
-
-    def recording_run(sh, lams, keep_path=False):
-        if not keep_path:
-            grids.append(np.array(lams))
-        return run(sh, lams, keep_path)
-
-    monkeypatch.setattr(radial._Mode1Shooter, "run", recording_run)
-    composed = radial._mode1_pairs(rad, 2)
-    assert [g.size for g in grids] == [96] + [2 * 17] * 4
-    sh = rad.__dict__["_mode1_shooter"]
-    for lams in grids:
-        g1, flips, _ = run(sh, lams)
-        ref_g1, ref_flips, _ = _one_step_run(sh, lams)
-        assert np.array_equal(flips, ref_flips)
-        assert np.array_equal(np.sign(g1), np.sign(ref_g1))
-    monkeypatch.setattr(radial._Mode1Shooter, "run", _one_step_run)
-    reference = radial._mode1_pairs(radial.solve_radial(p), 2)
-    for (lam, rgrid, xi), (ref_lam, ref_rgrid, ref_xi) in zip(composed, reference):
-        assert lam == ref_lam
-        assert np.array_equal(rgrid, ref_rgrid)
-        assert np.max(np.abs(xi - ref_xi)) <= 1e-13 * np.max(np.abs(ref_xi))
+    pencil = radial.disk_spectrum(rad, m_max=1, n=8000).modes[1][0]
+    assert pencil == pytest.approx(_shot_mode1_eigenvalues(rad, 2), rel=2e-5)
 
 
-def test_disk_spectrum_shoots_mode1_once(monkeypatch):
-    rad = radial.solve_radial(20.0)
-    calls = []
-    run = radial._Mode1Shooter.run
-
-    def counting_run(sh, *args, **kwargs):
-        calls.append(args)
-        return run(sh, *args, **kwargs)
-
-    monkeypatch.setattr(radial._Mode1Shooter, "run", counting_run)
-    s1 = radial.disk_spectrum(rad, m_max=1, n=4000)
-    # one bracket scan shared by both indices, then 4 refinements and one path
-    # run, each carrying both indices
-    assert len(calls) == 1 + 4 + 1
-    assert len(rad.__dict__["_mode1_shooter"].scans) == 1
-    assert [np.size(args[0]) for args in calls[1:]] == [2 * 17] * 4 + [2]
-    s2 = radial.disk_spectrum(rad, m_max=1, n=2000)
-    assert len(calls) == 6
-    assert s2.modes[1][0] == s1.modes[1][0]
-    assert all(not xi.flags.writeable for xi in s2.modes[1][1])
-
-
-def _shoot_alone(rad, index):
-    """Index refined alone on a fresh shooter: 4 rounds of a 17-point grid in
-    its bracket, then one path run at the midpoint."""
-    sh = radial._Mode1Shooter(rad)
-    grid, k = sh.bracket(index)
-    blo, bhi = (grid[k - 1] if k > 0 else 1e-9), grid[k]
-    for _ in range(4):
-        grid = np.linspace(blo, bhi, 17)
-        g1 = sh.run(grid)[0]
-        crossings = np.nonzero(g1[:-1] * g1[1:] < 0)[0]
-        if crossings.size == 0:
-            break
-        blo, bhi = grid[crossings[0]], grid[crossings[0] + 1]
-    lam = 0.5 * (blo + bhi)
-    path = sh.run(np.array([lam]), keep_path=True)[2]
-    return lam, sh.r, -rad.u_prime(sh.r) * path[:, 0]
+def _factorized_mode1_pencil(rad, n):
+    """K and M of the factorized m = 1 sector -(sigma g')' = lam sigma g,
+    sigma = r phi*^2, assembled as dense matrices on mode_pencil's grid."""
+    nodes, edges, kappa, mass = radial._finite_volume_grid(rad, n)
+    kappa = kappa * rad.u_prime(edges) ** 2
+    K = np.diag(kappa[:-1] + kappa[1:]) - np.diag(kappa[1:-1], 1) - np.diag(kappa[1:-1], -1)
+    return K, np.diag(mass * rad.u_prime(nodes[:-1]) ** 2)
 
 
 @pytest.mark.parametrize("p", [20.0, 80.0])
-def test_mode1_pairs_shot_together_equal_each_shot_alone(p):
+def test_golub_kahan_values_are_the_factorized_pencil(p):
     rad = radial.solve_radial(p)
-    together = radial._mode1_pairs(rad, 2)
-    for index in (1, 2):
-        lam, rgrid, xi = _shoot_alone(rad, index)
-        assert together[index - 1][0] == lam
-        assert together[index - 1][1].tobytes() == rgrid.tobytes()
-        assert together[index - 1][2].tobytes() == xi.tobytes()
+    n = 300
+    K, M = _factorized_mode1_pencil(rad, n)
+    off = radial._mode1_golub_kahan(rad, n)[0]
+    C = np.diag(off[::2]) + np.diag(off[1::2], 1)
+    C[np.arange(n), np.arange(n)] *= -1.0
+    root_m = np.sqrt(np.diag(M))
+    T = K / np.outer(root_m, root_m)
+    assert np.all(np.abs(C.T @ C - T) <= 1e-12 * np.abs(T).max(axis=1, keepdims=True))
+    low = scipy.linalg.eigvalsh_tridiagonal(np.zeros(2 * n), off, select="i", select_range=(n, n + 7),
+                                            tol=radial.BISECTION_TOL) ** 2
+    svd = np.sort(scipy.linalg.svdvals(C))[:8] ** 2
+    assert np.all(np.abs(low - svd) <= 1e-13 * svd)
+    if p == 20.0:
+        # dense eigh(K, M) agrees where the translation eigenvalue is a mild
+        # cancellation; at p = 80 it returns a negative value
+        lams = scipy.linalg.eigh(K, M, eigvals_only=True)[:8]
+        assert np.all(np.abs(low - lams) <= 1e-8 * lams)
+
+
+@pytest.mark.parametrize("p", [3.0, 6.0])
+def test_factorized_and_plain_mode1_pencils_agree_at_small_p(p):
+    # at small p no cancellation spoils the plain form of the m = 1 sector
+    rad = radial.solve_radial(p)
+    plain = radial.pencil_eigenvalues(radial.mode_pencil(rad, 1), "i", (0, radial.PER_MODE - 1))
+    factorized = radial.disk_spectrum(rad, m_max=1).modes[1][0]
+    assert factorized == pytest.approx(plain.tolist(), rel=1e-5)
+
+
+def test_mode1_grid_refinement():
+    # n refines the m = 1 sector like every other mode
+    for p in (20.0, 80.0):
+        rad = radial.solve_radial(p)
+        lam4, lam8 = (radial.disk_spectrum(rad, m_max=1, n=n).modes[1][0][0] for n in (4000, 8000))
+        assert 0 < abs(lam4 - lam8) <= 1e-5 * lam8
 
 
 def test_disk_spectrum_evaluates_the_profile_once_per_n(monkeypatch):
@@ -299,19 +259,13 @@ def test_sturm_count_is_exact_inertia(rad20, rad80, m):
         assert _negatives(rad, m, n=300).size == np.count_nonzero(lams < 0)
 
 
-def test_mode1_step_refinement():
-    # n refines only m = 0, 2, 3; the m = 1 sector refines with the RK4 step
-    vals = []
-    for n_steps in (3000, 6000):
-        rad = radial.solve_radial(20.0)
-        rad.__dict__["_mode1_shooter"] = radial._Mode1Shooter(rad, n_steps=n_steps)
-        vals.append([radial.mode1_eigenvalue(rad, index=k)[0] for k in (1, 2)])
-    assert vals[0] == pytest.approx(vals[1], rel=1e-6)
-
-
 def test_mode1_kernel_data(rad80):
     lam, rg, xi = radial.mode1_eigenvalue(rad80, index=1)
+    assert lam == pytest.approx(radial.disk_spectrum(rad80, m_max=1).modes[1][0][0], rel=1e-12)
+    assert rg[-1] == 1.0 and xi[-1] == 0.0
+    assert xi[0] == pytest.approx(-rad80.u_prime(rg[0]), rel=1e-12)  # g = 1 at the innermost node
     kd = radial.mode1_kernel_data(rad80, xi, rg)
+    assert kd["b"] == pytest.approx(-1.4122, rel=1e-4)  # xi > 0 in the core fixes the sign
     assert kd["residual"] < 0.02
     assert abs(kd["B"] + 8 * np.pi * kd["b"]) < 0.05 * abs(8 * np.pi * kd["b"])
 
