@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import greens, liouville
 from .kirchhoff_routh import NewtonDivergedError, SpikeConfig
@@ -125,6 +124,9 @@ class LaneEmdenProblem:
 
     def __init__(self, mesh: GridMesh):
         self.A = greens.laplacian_operator(mesh)
+        # every Laplacian column stores its diagonal; these are its positions
+        cols = np.repeat(np.arange(self.A.shape[1], dtype=self.A.indices.dtype), np.diff(self.A.indptr))
+        self._diag = np.flatnonzero(self.A.indices == cols)
 
     def residual(self, u: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
         """(F(u, p), u_+^p); an overflowing power reads inf."""
@@ -140,8 +142,11 @@ class LaneEmdenProblem:
 
     def jacobian(self, u: np.ndarray, p: float) -> SparseOperator:
         """dF/du = -Δ_h - diag(p u_+^(p-1)), a CSC matrix like the Laplacian,
-        so ``factorize`` passes it to SuperLU without a copy."""
-        return self.A + sp.diags(-self.potential(u, p))
+        so ``factorize`` passes it to SuperLU without a copy.  It shares the
+        Laplacian's index arrays and owns only its values."""
+        data = self.A.data.copy()
+        data[self._diag] -= self.potential(u, p)
+        return SparseOperator((data, self.A.indices, self.A.indptr), shape=self.A.shape)
 
     def d_dp(self, u: np.ndarray, p: float) -> np.ndarray:
         """dF/dp = -u_+^p log u_+, zero where u <= 0."""

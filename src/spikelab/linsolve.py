@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 
 MMAP_THRESHOLD = 4 << 20  # bytes; heap blocks this large get their own mapping
 DIAG_PIVOT_THRESH = 0.1  # a diagonal pivot within this factor of its column's largest entry is kept
+PANEL_SIZE = 2  # columns SuperLU updates together; its dense scratch grows with n times this
 
 
 def pin_malloc_thresholds() -> bool:
@@ -59,8 +60,9 @@ class ShiftBreakdownError(SolverError):
 class SparseOperator(sp.csc_matrix):
     """A plain ``scipy.sparse.csc_matrix``, the column form SuperLU factorizes.
 
-    The mesh Laplacian is built as one, once per mesh.  A Jacobian
-    ``A + sp.diags(...)`` or a shift ``A - sigma I`` of it is one again, so
+    The mesh Laplacian is built as one, once per mesh.  A Jacobian (the
+    Laplacian's index arrays with its own values) or a shift ``A - sigma I``
+    of it is one again, so
     ``factorize`` hands every operator of the program to ``splu`` as it is,
     without a second copy.  ``to_scipy`` is kept only because the
     benchmark's checks (``perfbench/test_checks.py``) call it on
@@ -84,6 +86,18 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> spla.SuperLU:
     Jacobian at 30,533 nodes partial pivoting needs 2.9M LU nonzeros,
     this rule 1.42M (X. S. Li, ACM TOMS 31, 2005).
 
+    SuperLU updates PANEL_SIZE = 2 columns at a time, where its default is
+    20.  A panel's dense scratch space is about 16 bytes times n times the
+    width (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal.
+    Appl. 20, 1999), and the supernodes of a five-point stencil are too
+    small for a wide panel to pay.  With the same fill and pivots, the
+    memory an LU holds above its finished factor fell from 17 MB to about
+    0 on the 51,429-node disk Laplacian and from 68 to 12 MB on the
+    205,857-node one, and the LU of the 122,029-node graded p = 20
+    Jacobian took 356-360 ms where it took 434-473 (2 cores, one BLAS
+    thread).  A width of 1 peaks up to 3 MB lower but is about 7% slower on
+    the 487,901-node graded Jacobian (3.4 s against 3.2).
+
     A CSC matrix, such as every ``SparseOperator``, reaches ``splu`` itself;
     ``tocsc`` copies only another format.
     """
@@ -91,7 +105,7 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> spla.SuperLU:
     if sigma != 0.0:
         m = m - sigma * sp.identity(m.shape[0], format="csc")
     return spla.splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                     options=dict(SymmetricMode=True))
+                     panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
 
 
 @dataclass

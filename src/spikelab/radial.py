@@ -24,7 +24,7 @@ Golub-Kahan tridiagonal of its bidiagonal factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -45,6 +45,38 @@ RADIAL_TOL = 1e-12  # relative tolerance of the DOP853 integration
 SPIKE_BALL_RADIUS = 0.25
 
 
+class _DensePolynomials:
+    """DOP853's dense output of one ``solve_ivp`` run, evaluated in bulk.
+
+    ``OdeSolution`` hands each run of query points in one step to that
+    step's interpolant in a Python loop (about 200 steps at p = 80).  Here
+    every point finds its step with one ``searchsorted``, on the same side
+    ``OdeSolution`` takes for an ascending run, and all the step
+    polynomials are evaluated together, each in the interpolant's own
+    operation order, so every value is bit-identical to ``OdeSolution``'s.
+    """
+
+    def __init__(self, sol):
+        steps = sol.interpolants
+        self.ts = sol.ts
+        self.t_old = np.array([s.t_old for s in steps])
+        self.h = np.array([s.h for s in steps])
+        self.y_old = np.array([s.y_old for s in steps])  # (steps, states)
+        self.coef = np.array([s.F[::-1] for s in steps])  # (steps, power, states), highest first
+
+    def __call__(self, t, k: int) -> np.ndarray:
+        """State component k at the points t, which lie in [ts[0], ts[-1]]."""
+        step = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, self.h.size - 1)
+        x = (t - self.t_old[step]) / self.h[step]
+        x1 = 1 - x
+        y = np.zeros(x.shape)
+        for i, c in enumerate(self.coef[step, :, k].T):
+            y += c
+            y *= x1 if i % 2 else x
+        y += self.y_old[step, k]
+        return y
+
+
 @dataclass
 class RadialSolution:
     """Unit-disk radial solution in rescaled peak variables."""
@@ -61,6 +93,10 @@ class RadialSolution:
     # cumulative integrals at y_far: mass int (1+w/p)^p y dy, energy int w'^2 y dy
     mass_cum: float
     energy_cum: float
+    _poly: _DensePolynomials = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._poly = _DensePolynomials(self._dense.sol)
 
     def w(self, y):
         y = np.asarray(y, dtype=float)
@@ -70,9 +106,9 @@ class RadialSolution:
         far = y > self.y_far
         out[small] = -y[small] ** 2 / 4.0 + y[small] ** 4 / 64.0
         if np.any(mid):
-            out[mid] = self._dense.sol(y[mid])[0]
+            out[mid] = self._poly(y[mid], 0)
         if np.any(far):
-            wf = float(self._dense.sol(self.y_far)[0])
+            wf = float(self._poly(self.y_far, 0))
             out[far] = wf - self.alpha * np.log(y[far] / self.y_far)
         return out
 
@@ -84,7 +120,7 @@ class RadialSolution:
         far = y > self.y_far
         out[small] = -y[small] / 2.0 + y[small] ** 3 / 16.0
         if np.any(mid):
-            out[mid] = self._dense.sol(y[mid])[1]
+            out[mid] = self._poly(y[mid], 1)
         if np.any(far):
             out[far] = -self.alpha / y[far]
         return out
@@ -104,8 +140,7 @@ class RadialSolution:
         """2 pi * integral of (1 + w/p)^p y dy up to y_upper (default: all)."""
         if y_upper is None or y_upper >= self.y_far:
             return 2.0 * np.pi * self.mass_cum  # tail mass is below integration tolerance
-        m = float(self._dense.sol(y_upper)[2])
-        return 2.0 * np.pi * m
+        return 2.0 * np.pi * float(self._poly(y_upper, 2))
 
     def energy(self) -> float:
         """p * integral of |grad u|^2 over the unit disk."""

@@ -60,6 +60,24 @@ def test_factorize_hands_splu_the_callers_matrix(monkeypatch):
     assert seen[0] is A and seen[1] is J
 
 
+def test_jacobian_shares_the_laplacian_structure():
+    # J owns only its values: the index arrays are the Laplacian's, the
+    # values those of A - diag(p u_+^(p-1)), and factorizing J leaves A alone
+    msh = build_mesh(make_domain("disk", r=1.0), 1.0 / 32)
+    problem = lane_emden.LaneEmdenProblem(msh)
+    A = problem.A
+    saved = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    u = np.random.default_rng(2).uniform(-0.5, 1.5, msh.n_nodes)
+    J = problem.jacobian(u, 5.0)
+    assert np.shares_memory(J.indices, A.indices) and np.shares_memory(J.indptr, A.indptr)
+    ref = A + sp.diags(-problem.potential(u, 5.0))
+    assert ref.format == "csc" and ref.nnz == J.nnz
+    assert all(a.tobytes() == b.tobytes() for a, b in
+               zip((J.data, J.indices, J.indptr), (ref.data, ref.indices, ref.indptr)))
+    factorize(J)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((A.data, A.indices, A.indptr), saved))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.floats(-2, 2), st.floats(-2, 2))
 def test_matvec_linearity(n, alpha, beta):
@@ -165,3 +183,31 @@ def test_freed_large_block_leaves_resident_set():
     out = subprocess.run([sys.executable, "-c", _FREED_BLOCK_RSS], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
     assert int(out.stdout) < 1024
+
+
+_LU_SCRATCH_RSS = """
+from spikelab import greens, linsolve
+from spikelab.mesh import build_mesh, make_domain
+
+def status_kb(key):
+    for line in open("/proc/self/status"):
+        if line.startswith(key):
+            return int(line.split()[1])
+
+A = greens.laplacian_operator(build_mesh(make_domain("disk", r=1.0), 1.0 / 128))
+lu = linsolve.factorize(A)
+print(status_kb("VmHWM") - status_kb("VmRSS"))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_lu_scratch_space_stays_small():
+    # the peak while SuperLU runs may exceed the finished factor by a few MB
+    # only: the h = 1/128 disk Laplacian (51,429 nodes) peaks 17 MB above it
+    # with SuperLU's default 20-column panels and about 0 with PANEL_SIZE.
+    # VmHWM is the peak of this process's own image; ru_maxrss would start
+    # from the resident set of the test process that spawned it
+    src = str(Path(linsolve.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _LU_SCRATCH_RSS], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert int(out.stdout) <= 4096

@@ -74,6 +74,21 @@ def test_decay_envelope(rad80):
     assert np.max(margin) < 10.0
 
 
+@pytest.mark.parametrize("p", [20.0, 80.0])
+def test_profile_is_bit_identical_to_the_dense_output(p):
+    # the bulk step-polynomial evaluation against OdeSolution: a geometric
+    # grid, every step endpoint and y_far itself
+    rad = radial.solve_radial(p)
+    ts = rad._dense.sol.ts
+    y = np.concatenate([np.geomspace(radial.Y_START, rad.y_far, 8001), ts, [rad.y_far]])
+    ref = rad._dense.sol(y)
+    assert rad.w(y).tobytes() == ref[0].tobytes()
+    assert rad.w_prime(y).tobytes() == ref[1].tobytes()
+    far = rad._dense.sol(rad.y_far)[0] - rad.alpha * np.log(2.0)  # the log tail from y_far
+    assert rad.w(np.array([2.0 * rad.y_far]))[0] == far
+    assert rad.mass(0.5 * rad.y_far) == 2.0 * np.pi * float(rad._dense.sol(0.5 * rad.y_far)[2])
+
+
 def test_flux_follows_mass_deficit(rad20, rad80):
     # total flux = mass/(2 pi), so alpha = 4(1 - 3/p) + o(1/p)
     assert rad20.alpha < rad80.alpha < 4.0
