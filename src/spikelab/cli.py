@@ -169,7 +169,6 @@ def cmd_spectrum(args) -> int:
                 "residuals": rep.residuals.tolist(),
                 "morse_index": rep.morse_index,
                 "nondeg_margin": rep.nondeg_margin,
-                "giants": rep.giants,
                 "projections": rep.projections,
                 "coefficients": rep.coefficients,
                 "notes": rep.notes,

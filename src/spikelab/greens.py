@@ -41,8 +41,9 @@ def fundamental(x0: np.ndarray, x, y):
 
 
 def laplacian_operator(mesh: GridMesh) -> SparseOperator:
-    """Shortley-Weller -Δ for the mesh, assembled once and cached on it: the
-    one copy of the matrix, in the CSC form its factorization reads."""
+    """Gibou-Fedkiw -Δ for the mesh (``mesh.assemble_laplacian``), assembled
+    once and cached on it: the one copy of the matrix, in the CSC form its
+    factorization reads."""
     op = mesh.__dict__.get("_lap_op")
     if op is None:
         op = assemble_laplacian(mesh)

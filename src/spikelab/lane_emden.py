@@ -1,9 +1,11 @@
 """Newton solves and p-continuation for -Δu = u^p with zero Dirichlet data,
 spike extraction and peak rescaling.
 
-Solutions are represented on the Shortley-Weller mesh; the nonlinearity is
-evaluated on the positive part u_+ so the Jacobian -Δ - p u_+^(p-1) keeps its
-closed form while Newton trial steps may briefly undershoot zero.
+Solutions are represented on the mesh nodes, with the Gibou-Fedkiw Laplacian
+(``mesh.assemble_laplacian``), so D J is symmetric for every Jacobian J
+(D = ``node_area``); the nonlinearity is evaluated on the positive part u_+
+so the Jacobian -Δ - p u_+^(p-1) keeps its closed form while Newton trial
+steps may briefly undershoot zero.
 """
 
 from __future__ import annotations

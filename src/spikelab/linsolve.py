@@ -1,5 +1,6 @@
-"""The one sparse LU of a scipy matrix (``factorize``, which holds the pivot
-rule) and the few eigenpairs nearest a target by ARPACK shift-invert on it."""
+"""The sparse LU of a scipy matrix (``factorize``, which holds the pivot rule
+of the solves), and the few eigenpairs nearest zero of a symmetric matrix by
+ARPACK shift-invert on its diagonally pivoted LU, with its inertia."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -53,28 +53,23 @@ class NoConvergenceError(SolverError):
         self.achieved = achieved
 
 
-class ShiftBreakdownError(SolverError):
-    """The shift is numerically indistinguishable from an eigenvalue."""
-
-
 class SparseOperator(sp.csc_matrix):
     """A plain ``scipy.sparse.csc_matrix``, the column form SuperLU factorizes.
 
     The mesh Laplacian is built as one, once per mesh.  A Jacobian (the
-    Laplacian's index arrays with its own values) or a shift ``A - sigma I``
-    of it is one again, so
-    ``factorize`` hands every operator of the program to ``splu`` as it is,
-    without a second copy.  ``to_scipy`` is kept only because the
-    benchmark's checks (``perfbench/test_checks.py``) call it on
-    ``greens.laplacian_operator``.
+    Laplacian's index arrays with its own values) and its symmetric form in
+    ``spectrum.bottom_spectrum`` are one again, so ``splu`` gets every
+    operator of the program as it is, without a second copy.  ``to_scipy``
+    is kept only because the benchmark's checks
+    (``perfbench/test_checks.py``) call it on ``greens.laplacian_operator``.
     """
 
     def to_scipy(self) -> sp.csc_matrix:
         return self
 
 
-def factorize(A: sp.spmatrix, sigma: float = 0.0) -> spla.SuperLU:
-    """Sparse LU of (A - sigma I); the one place a SuperLU factor is made.
+def factorize(A: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of A for linear solves.
 
     Every operator here has the symmetric sparsity of a five-point
     stencil, so the columns are ordered by minimum degree on A^T + A.
@@ -97,83 +92,61 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> spla.SuperLU:
     Jacobian took 356-360 ms where it took 434-473 (2 cores, one BLAS
     thread).  A width of 1 peaks up to 3 MB lower but is about 7% slower on
     the 487,901-node graded Jacobian (3.4 s against 3.2).
-
-    A CSC matrix, such as every ``SparseOperator``, reaches ``splu`` itself;
-    ``tocsc`` copies only another format.
     """
-    m = A.tocsc()
-    if sigma != 0.0:
-        m = m - sigma * sp.identity(m.shape[0], format="csc")
-    return spla.splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+    return _superlu(A, DIAG_PIVOT_THRESH)
+
+
+def _superlu(A: sp.spmatrix, diag_pivot_thresh: float) -> spla.SuperLU:
+    """The one place a SuperLU factor is made: minimum degree on A^T + A,
+    symmetric mode, PANEL_SIZE columns per panel.  A CSC matrix, such as
+    every ``SparseOperator``, reaches ``splu`` itself; ``tocsc`` copies only
+    another format."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=diag_pivot_thresh,
                      panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
 
 
 @dataclass
 class EigenPairs:
-    """Eigenvalues ascending; eigenvectors column-stacked with unit L2 norm.
+    """Eigenvalues ascending; eigenvectors column-stacked, orthonormal.
 
     residuals[i] = ||A v_i - lambda_i v_i|| / max(1, |lambda_i|).
+    negatives is the count of A's negative eigenvalues, nearest zero or not
+    (its inertia), or None where the LU took an off-diagonal pivot.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
+    negatives: int | None
 
 
-def smallest_eigenpairs(
-    A: sp.spmatrix,
-    m: int = 1,
-    sigma: float = 0.0,
-    tol: float = 1e-8,
-) -> EigenPairs:
-    """m eigenpairs nearest sigma by ARPACK shift-invert (scipy ``eigs``).
+def smallest_eigenpairs(A: sp.spmatrix, m: int = 1, tol: float = 1e-8) -> EigenPairs:
+    """The m eigenpairs nearest zero of the symmetric matrix A, by ARPACK
+    shift-invert (scipy ``eigsh``), and A's inertia.
 
-    (A - sigma I) is factorized once by ``factorize``; when
-    sigma is exactly an eigenvalue the shift is nudged.  The operator may be
-    mildly nonsymmetric (cut-cell Laplacians), so the Arnoldi variant runs.
-    ARPACK needs m < n - 1; above that the dense eigenproblem is solved.
-    Raises ``NoConvergenceError`` when a pair's residual exceeds tol.
+    A is factorized once, in SuperLU's symmetric mode with diagonal pivots
+    only (threshold 0).  When every pivot is diagonal (perm_r == perm_c),
+    P A P^T = L U with U = diag(U) L^T, so A is congruent to diag(U) and the
+    count of negative entries on U's diagonal is the count of A's negative
+    eigenvalues (Sylvester's law of inertia).  A zero diagonal entry forces an
+    off-diagonal pivot, and then no count is read.  Raises
+    ``NoConvergenceError`` when a pair's residual exceeds tol.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = A.shape[0]
-    m = min(m, n)
-    if m >= n - 1:
-        vals, vecs = la.eig(A.toarray())
-        keep = np.argsort(np.abs(vals - sigma))[:m]
-        vals, vecs = vals[keep], vecs[:, keep]
-    else:
-        lu = None
-        shift = sigma
-        for attempt in range(4):
-            try:
-                lu = factorize(A, shift)
-                break
-            except RuntimeError:
-                scale = max(abs(sigma), float(np.max(np.abs(A.diagonal()))), 1.0)
-                shift = sigma + (10.0 ** (attempt - 8)) * scale
-        if lu is None:
-            raise ShiftBreakdownError(f"factorization of (A - {sigma} I) failed")
-        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        v0 = np.random.default_rng(0).standard_normal(n)
-        vals, vecs = spla.eigs(A, k=m, sigma=shift, OPinv=OPinv, v0=v0, tol=0.0)
-
-    order = np.argsort(vals.real)
-    vals, vecs = vals.real[order], vecs[:, order]
-    # the eigenvector of a real eigenvalue is a real vector times a phase
-    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    vecs = (vecs * (np.abs(peak) / peak)).real
-    vecs /= np.linalg.norm(vecs, axis=0)
-    # a multiple eigenvalue comes back as an arbitrary basis of its
-    # eigenspace; eigenvalues equal to within tol share one orthonormal basis
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol * max(1.0, abs(vals[i])):
-            if i - start > 1:
-                vecs[:, start:i] = np.linalg.qr(vecs[:, start:i])[0]
-            start = i
+    lu = _superlu(A, 0.0)
+    OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals, vecs = spla.eigsh(A, k=m, sigma=0.0, OPinv=OPinv, v0=v0, tol=0.0)
+    # reading U copies L and U beside the factor, so it waits for ARPACK to finish
+    negatives = None
+    if np.array_equal(lu.perm_r, lu.perm_c):
+        negatives = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
     resid = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.maximum(1.0, np.abs(vals))
     worst = float(np.max(resid))
     if not worst <= tol:
-        raise NoConvergenceError(f"eigenpairs near sigma={sigma:.3e} missed tol={tol:.1e}", worst)
-    return EigenPairs(vals, vecs, resid)
+        raise NoConvergenceError(f"eigenpairs nearest zero missed tol={tol:.1e}", worst)
+    return EigenPairs(vals, vecs, resid, negatives)

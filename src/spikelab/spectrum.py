@@ -17,11 +17,10 @@ import numpy as np
 
 from . import liouville
 from .lane_emden import BranchEntry, LaneEmdenProblem, SpikeData
-from .linsolve import SparseOperator, factorize, smallest_eigenpairs
+from .linsolve import smallest_eigenpairs
 from .mesh import GridMesh
 
-EIGEN_TOL = 1e-8  # analyse_entry's eigensolver tolerance; the giant-mode hunt's residual
-RAYLEIGH_ITERS = 10  # most Rayleigh-quotient steps of a giant-mode hunt
+EIGEN_TOL = 1e-8  # analyse_entry's eigensolver tolerance, on residuals in the mesh's L2 norm
 # the polar grid, n_r radii by n_theta angles over |y| <= KERNEL_FIT_RADIUS,
 # on which kernel_projection samples an eigenfunction
 KERNEL_N_R = 24
@@ -33,87 +32,48 @@ class SpectrumReport:
     p: float
     eigenvalues: np.ndarray  # modes nearest zero, ascending
     residuals: np.ndarray
-    morse_index: int
+    morse_index: int | None  # the Jacobian's inertia; None where the LU could not give it
     nondeg_margin: float
-    giants: list  # strongly negative concentrated modes (one per spike)
     notes: list = field(default_factory=list)
     projections: list = field(default_factory=list)  # per analysed mode
     coefficients: list = field(default_factory=list)
     eigenvectors: np.ndarray | None = field(default=None, repr=False)  # columns, as eigenvalues
 
 
-def _rayleigh_quotient(Lp: SparseOperator, v: np.ndarray) -> tuple[float, float]:
-    """Rayleigh quotient sigma of the unit vector v and the eigen-residual
-    |Lp v - sigma v| / |sigma|."""
-    Lv = Lp @ v
-    sigma = float(v @ Lv)
-    return sigma, float(np.linalg.norm(Lv - sigma * v)) / max(abs(sigma), np.finfo(float).tiny)
-
-
-def _rayleigh_iterate(Lp: SparseOperator, v0: np.ndarray) -> tuple[float, float]:
-    """Rayleigh-quotient iteration from a concentrated seed; converges to the
-    eigenvalue whose eigenvector the seed overlaps most (the giant).
-
-    Stops once the eigen-residual |Lp v - sigma v| / |sigma| is at most
-    EIGEN_TOL; returns sigma and that residual.
-    """
-    v = v0 / np.linalg.norm(v0)
-    sigma, resid = _rayleigh_quotient(Lp, v)
-    for _ in range(RAYLEIGH_ITERS):
-        if resid <= EIGEN_TOL:
-            break
-        try:
-            lu = factorize(Lp, sigma * (1.0 + 1e-12))
-        except RuntimeError:
-            break
-        w = lu.solve(v)
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            break
-        v = w / nw
-        sigma, resid = _rayleigh_quotient(Lp, v)
-    return sigma, resid
-
-
 def bottom_spectrum(entry: BranchEntry, m: int, tol: float) -> SpectrumReport:
-    """The m eigenvalues nearest zero of the entry's Jacobian, to tol, plus
-    the Morse count.
+    """The m eigenvalues nearest zero of the entry's Jacobian J, to tol, and
+    its Morse index.
 
-    The concentrated negative modes (one per spike, eigenvalue of order
-    -1/eps^2) sit far from zero and are hunted separately with
-    Rayleigh-quotient iteration seeded by bubble bumps at the spikes; the
-    Morse index combines them with any negatives among the near-zero modes.
+    D J is symmetric (D = ``mesh.node_area``, the Gibou-Fedkiw Laplacian), so
+    J is similar to S = D^(1/2) J D^(-1/2), which is symmetric.  S is built
+    once, in one data array on J's index arrays, and ``smallest_eigenpairs``
+    solves it: its eigenvectors y map back as v = D^(-1/2) y, of unit L2 norm
+    on the mesh, and the residuals are those of J v = lambda v in that norm.
+    The Morse index is S's inertia, the count of every negative eigenvalue
+    (the concentrated ones of order -1/eps^2 included); it is None, with a
+    note, where the LU took an off-diagonal pivot.
     """
     mesh = entry.mesh
-    Lp = LaneEmdenProblem(mesh).jacobian(entry.u, entry.p)
-    pairs = smallest_eigenpairs(Lp, m=m, sigma=0.0, tol=tol)
+    S = LaneEmdenProblem(mesh).jacobian(entry.u, entry.p)
     notes = []
-    dmin = float(np.min(Lp.diagonal()))
+    dmin = float(np.min(S.diagonal()))
     if dmin < 0:
         notes.append(f"diagonal dominance lost near peaks (min diagonal {dmin:.3e})")
-
-    giants: list[float] = []
-    for s in entry.spikes:
-        rho = np.hypot(mesh.coords[:, 0] - s.position[0], mesh.coords[:, 1] - s.position[1])
-        width = max(s.eps, mesh.h)
-        seed = np.exp(liouville.U(rho / width))
-        lam, resid = _rayleigh_iterate(Lp, seed)
-        if not resid <= EIGEN_TOL:
-            notes.append(f"giant-mode hunt at {s.position.tolist()} stopped at eigen-residual "
-                         f"{resid:.1e} (eigenvalue {lam:.6e})")
-        if lam < 0 and all(abs(lam - g) > 1e-6 * abs(lam) for g in giants):
-            giants.append(lam)
-    near_negatives = int(np.sum(pairs.eigenvalues < 0))
-    # a giant that converged into the near-zero batch would be double counted
-    giants = [g for g in giants if all(abs(g - lv) > 1e-9 * max(1, abs(g)) for lv in pairs.eigenvalues)]
-    morse = len(giants) + near_negatives
+    # the Jacobian's values are this call's own copy, so S is scaled in place
+    root = np.sqrt(mesh.node_area)
+    S.data *= root[S.indices]
+    S.data /= np.repeat(root, np.diff(S.indptr))
+    pairs = smallest_eigenpairs(S, m=m, tol=tol)
+    if pairs.negatives is None:
+        notes.append("the LU of the symmetric Jacobian took an off-diagonal pivot, "
+                     "so its diagonal gives no Morse index")
+    pairs.eigenvectors /= root[:, None]
     return SpectrumReport(
         p=entry.p,
         eigenvalues=pairs.eigenvalues,
         residuals=pairs.residuals,
-        morse_index=morse,
+        morse_index=pairs.negatives,
         nondeg_margin=float(np.min(np.abs(pairs.eigenvalues))),
-        giants=giants,
         notes=notes,
         eigenvectors=pairs.eigenvectors,
     )

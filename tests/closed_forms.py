@@ -59,17 +59,18 @@ def Z0_second(r):
 
 
 def coo_laplacian(mesh) -> sp.csc_matrix:
-    """The Shortley-Weller -Δ of ``mesh.assemble_laplacian``, assembled row
-    by row from (row, column, value) triplets: the diagonal
-    2/(aE aW) + 2/(aN aS) and -2/(a (a + a_opposite)) toward each neighbour."""
+    """The Gibou-Fedkiw -Δ of ``mesh.assemble_laplacian``, assembled row by
+    row from (row, column, value) triplets: with wx, wy the node's lattice
+    dual widths, the diagonal (1/aE + 1/aW)/wx + (1/aN + 1/aS)/wy and
+    -1/(a w) toward each neighbour, w the dual width along the arm."""
     n = mesh.n_nodes
     a = mesh.arms
+    wx, wy = mesh.dual_widths()
     rows = [np.arange(n)]
     cols = [np.arange(n)]
-    vals = [2.0 / (a[:, 0] * a[:, 1]) + 2.0 / (a[:, 2] * a[:, 3])]
-    for d, opp in enumerate((1, 0, 3, 2)):
-        ao = a[:, d]
-        coef = -2.0 / (ao * (ao + a[:, opp]))
+    vals = [(1.0 / a[:, 0] + 1.0 / a[:, 1]) / wx + (1.0 / a[:, 2] + 1.0 / a[:, 3]) / wy]
+    for d, w in enumerate((wx, wx, wy, wy)):
+        coef = -1.0 / (a[:, d] * w)
         mask = mesh.nbr[:, d] >= 0
         rows.append(np.nonzero(mask)[0])
         cols.append(mesh.nbr[mask, d])

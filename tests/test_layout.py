@@ -5,7 +5,12 @@ belongs in the tests.  Dunder methods are exempt: Python calls them by
 protocol, not by name.
 
 Each sparse matrix is held once: no code in src/spikelab converts one to
-another format, except ``linsolve.factorize`` on its way to SuperLU."""
+another format, except on its way to SuperLU in ``linsolve._superlu``, the
+one call of ``splu``.
+
+The Jacobian is symmetric in the mesh's inner product, so the program has
+one eigensolver, for symmetric matrices: no code in src/spikelab names a
+nonsymmetric one."""
 
 import ast
 import io
@@ -64,10 +69,34 @@ def test_sparse_format_conversions_only_in_factorize():
         allowed = set()
         if f.name == "linsolve.py":
             for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "factorize":
+                if isinstance(node, ast.FunctionDef) and node.name == "_superlu":
                     allowed.update(range(node.lineno, node.end_lineno + 1))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr in SPARSE_CONVERSIONS and node.lineno not in allowed):
                 found.append(f"{f.relative_to(ROOT)}:{node.lineno} .{node.func.attr}(")
     assert not found, "a sparse format conversion copies the matrix:\n" + "\n".join(found)
+
+
+NONSYMMETRIC_EIGENSOLVERS = {"eigs", "eig", "eigvals"}
+
+
+def _called_or_imported(tree):
+    """The names of every function the code calls, and of every name it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, (ast.Name, ast.Attribute)):
+                yield (func.id if isinstance(func, ast.Name) else func.attr), node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1], node.lineno
+
+
+def test_only_symmetric_eigensolvers_and_splu_only_in_linsolve():
+    found = []
+    for f in sorted(PACKAGE.glob("*.py")):
+        for name, line in _called_or_imported(ast.parse(f.read_text())):
+            if name in NONSYMMETRIC_EIGENSOLVERS or (name == "splu" and f.name != "linsolve.py"):
+                found.append(f"{f.relative_to(ROOT)}:{line} {name}")
+    assert not found, "a nonsymmetric eigensolver, or an LU made outside linsolve:\n" + "\n".join(found)

@@ -92,7 +92,7 @@ def test_matvec_linearity(n, alpha, beta):
 
 def test_diagonal_matrix_eigenpairs():
     A = sp.diags([1.0, 2.0, 3.0], format="csr")
-    ep = linsolve.smallest_eigenpairs(A, m=2, sigma=0.0, tol=1e-12)
+    ep = linsolve.smallest_eigenpairs(A, m=2, tol=1e-12)
     assert np.allclose(ep.eigenvalues, [1.0, 2.0])
     for k, col in enumerate(ep.eigenvectors.T):
         assert abs(abs(col[k]) - 1.0) < 1e-8
@@ -101,30 +101,45 @@ def test_diagonal_matrix_eigenpairs():
 def test_disk_smallest_eigenvalue():
     m = build_mesh(make_domain("disk", r=1.0), 1.0 / 24)
     A = assemble_laplacian(m)
-    ep = linsolve.smallest_eigenpairs(A, m=1, sigma=0.0, tol=1e-10)
+    ep = linsolve.smallest_eigenpairs(A, m=1, tol=1e-10)
     assert ep.eigenvalues[0] == pytest.approx(2.404825557695773**2, rel=0.02)
     assert np.all(ep.residuals <= 1e-10)
 
 
 def test_deflation_orthogonality_symmetric():
     A = square_interior_laplacian(10)
-    ep = linsolve.smallest_eigenpairs(A, m=4, sigma=0.0, tol=1e-10)
+    ep = linsolve.smallest_eigenpairs(A, m=4, tol=1e-10)
     V = ep.eigenvectors
     gram = V.T @ V - np.eye(4)
     assert np.max(np.abs(gram)) < 1e-8
     assert np.all(np.diff(ep.eigenvalues) >= -1e-12)
 
 
-def test_shift_retry_on_exact_eigenvalue():
-    A = sp.diags([1.0, 2.0, 3.0], format="csr")
-    ep = linsolve.smallest_eigenpairs(A, m=1, sigma=1.0, tol=1e-10)
-    assert ep.eigenvalues[0] == pytest.approx(1.0)
+def test_inertia_counts_every_negative_eigenvalue():
+    # -Δ - 800 on the 20 x 20 square has 64 negative eigenvalues, from -780.3
+    # to the pair at -4.78 nearest zero; the inertia counts every one of them
+    n = 20
+    A = (square_interior_laplacian(n) - 800.0 * sp.identity(n * n)).tocsc()
+    exact = np.linalg.eigvalsh(A.toarray())
+    ep = linsolve.smallest_eigenpairs(A, m=2, tol=1e-10)
+    assert ep.negatives == np.count_nonzero(exact < 0) == 64
+    assert np.allclose(ep.eigenvalues, np.sort(exact[np.argsort(np.abs(exact))[:2]]), rtol=1e-10)
+
+
+def test_inertia_is_read_only_from_diagonal_pivots():
+    # a zero diagonal entry forces an off-diagonal pivot: the pairs still
+    # come, but U's diagonal is no inertia
+    A = sp.csc_matrix(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                                [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]]))
+    ep = linsolve.smallest_eigenpairs(A, m=2, tol=1e-10)
+    assert np.allclose(ep.eigenvalues, [-1.0, 1.0])
+    assert ep.negatives is None
 
 
 def test_residual_guard_reports_achieved():
     A = square_interior_laplacian(6)
     with pytest.raises(NoConvergenceError) as err:
-        linsolve.smallest_eigenpairs(A, m=2, sigma=0.0, tol=1e-300)
+        linsolve.smallest_eigenpairs(A, m=2, tol=1e-300)
     assert 0.0 < err.value.achieved < 1e-8
 
 

@@ -35,7 +35,7 @@ def test_Lp_action_identity(disk96, entry_p6):
 
 
 def test_laplacian_only_spectrum_positive(disk96):
-    # u = 0 leaves -Δ alone: no spike, so no giant mode to hunt
+    # u = 0 leaves -Δ alone, positive definite: no negative eigenvalue to count
     zero = le.BranchEntry(2.0, np.zeros(disk96.n_nodes), [], 0.0, 0.0, 0.25, disk96)
     rep = sp.bottom_spectrum(zero, 3, 1e-8)
     assert np.all(rep.eigenvalues > 0)
@@ -49,8 +49,6 @@ def test_spectrum_matches_radial_instrument(disk96, entry_p6):
     lam1d = [lam for lam, _ in spec1d.eigenvalues_near_zero()]
     assert rep.morse_index == 1 == spec1d.morse_index
     assert np.allclose(np.sort(rep.eigenvalues), np.sort(lam1d), rtol=0.02)
-    assert len(rep.giants) == 1
-    assert rep.giants[0] == pytest.approx(spec1d.modes[0][0][0], rel=0.02)
 
 
 def test_margin_h_stability(entry_p6):
@@ -80,7 +78,7 @@ def test_kernel_projection_self_fit(disk96):
 
 def test_translation_modes_project_on_b(disk96, entry_p6):
     Lp = _Lp(disk96, entry_p6.u, 6.0)
-    pairs = smallest_eigenpairs(Lp, m=2, sigma=0.0, tol=2e-6)
+    pairs = smallest_eigenpairs(Lp, m=2, tol=2e-6)
     for col in range(2):
         out = sp.kernel_projection(disk96, pairs.eigenvectors[:, col], entry_p6.spikes[0])
         assert abs(out["a"]) < 0.05 * np.hypot(out["b1"], out["b2"])
@@ -88,7 +86,7 @@ def test_translation_modes_project_on_b(disk96, entry_p6):
 
 def test_projection_bounded(disk96, entry_p6):
     Lp = _Lp(disk96, entry_p6.u, 6.0)
-    pairs = smallest_eigenpairs(Lp, m=4, sigma=0.0, tol=2e-6)
+    pairs = smallest_eigenpairs(Lp, m=4, tol=2e-6)
     for col in range(4):
         out = sp.kernel_projection(disk96, pairs.eigenvectors[:, col], entry_p6.spikes[0])
         assert max(abs(out["a"]), abs(out["b1"]), abs(out["b2"])) < 10.0
@@ -104,7 +102,7 @@ def test_spike_coefficients_locality(disk96, entry_p6):
 
 def test_rayleigh_consistency(disk96, entry_p6):
     Lp = _Lp(disk96, entry_p6.u, 6.0)
-    pairs = smallest_eigenpairs(Lp, m=3, sigma=0.0, tol=2e-6)
+    pairs = smallest_eigenpairs(Lp, m=3, tol=2e-6)
     for i in range(3):
         v = pairs.eigenvectors[:, i]
         rq = float(v @ (Lp @ v))
@@ -132,22 +130,36 @@ def test_diagonal_dominance_note(disk96, entry_p6):
     assert np.all(np.isfinite(rep.eigenvalues))
 
 
-def test_giant_mode_converges_on_a_graded_mesh():
-    # lines graded toward the p = 20 spike: the giant-mode hunt takes more
-    # than six Rayleigh steps here and stops on its eigen-residual
-    msh = build_graded_mesh(make_domain("disk", r=1.0), 1.0 / 64, np.zeros(2),
-                            radial.solve_radial(20.0).eps0)
-    u, info = le.newton_solve(msh, le.ansatz(msh, kr.psi_eval(msh, [(0.0, 0.0)]), 20.0), 20.0)
-    entry = le.make_entry(msh, u, 20.0, 1, le.default_spike_radius(msh, np.zeros((1, 2))),
-                          info["residual"])
-    rep = sp.bottom_spectrum(entry, 2, 2e-6)
-    assert len(rep.giants) == 1
-    assert not any("giant" in n for n in rep.notes)
-    nearest = smallest_eigenpairs(_Lp(msh, u, 20.0), m=1, sigma=rep.giants[0], tol=1e-12)
-    assert rep.giants[0] == pytest.approx(nearest.eigenvalues[0], rel=1e-10)
+def _disk_entry(mesh, p):
+    u, info = le.newton_solve(mesh, le.ansatz(mesh, kr.psi_eval(mesh, [(0.0, 0.0)]), p), p)
+    return le.make_entry(mesh, u, p, 1, le.default_spike_radius(mesh, np.zeros((1, 2))),
+                         info["residual"])
 
 
-def test_unconverged_giant_mode_is_noted(monkeypatch, entry_p6):
-    monkeypatch.setattr(sp, "RAYLEIGH_ITERS", 1)
-    rep = sp.bottom_spectrum(entry_p6, 2, 2e-6)
-    assert any("giant-mode hunt" in n for n in rep.notes)
+def test_morse_index_is_the_inertia_on_uniform_and_graded_meshes():
+    # uniform h = 1/64, p = 10: the concentrated mode alone is negative.  On
+    # the graded h = 1/64, p = 20 mesh the translation pair is negative too
+    # (-40.87, twice), far below the four eigenvalues nearest zero
+    disk = make_domain("disk", r=1.0)
+    uniform = _disk_entry(build_mesh(disk, 1.0 / 64), 10.0)
+    graded = _disk_entry(build_graded_mesh(disk, 1.0 / 64, np.zeros(2),
+                                           radial.solve_radial(20.0).eps0), 20.0)
+    rep = sp.bottom_spectrum(uniform, 4, 2e-6)
+    assert rep.morse_index == 1 and np.all(rep.eigenvalues > 0)
+    rep = sp.bottom_spectrum(graded, 4, 2e-6)
+    assert rep.morse_index == 3 and np.all(rep.eigenvalues > 0)
+    assert rep.notes == []
+
+
+def test_eigenvectors_are_unit_in_the_mesh_norm():
+    # v = D^(-1/2) y for the symmetric form's orthonormal y: the pairs of J
+    # are orthonormal in the mesh's inner product, and their residuals are
+    # ||J v - lambda v|| in the mesh's L2 norm
+    msh = build_graded_mesh(make_domain("disk", r=1.0), 1.0 / 32, np.zeros(2), 0.02)
+    entry = _disk_entry(msh, 6.0)
+    rep = sp.bottom_spectrum(entry, 3, 1e-8)
+    V = rep.eigenvectors
+    assert np.allclose(V.T @ (msh.node_area[:, None] * V), np.eye(3), atol=1e-10)
+    J = _Lp(msh, entry.u, 6.0)
+    for lam, v, res in zip(rep.eigenvalues, V.T, rep.residuals):
+        assert msh.norm(J @ v - lam * v) / max(1.0, abs(lam)) == pytest.approx(res, rel=1e-3, abs=1e-12)

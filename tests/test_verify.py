@@ -1,6 +1,14 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 
 from spikelab import kirchhoff_routh, lane_emden, verify
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_entry_ladder_solves_each_level_once(monkeypatch):
@@ -33,3 +41,15 @@ def test_release_drops_an_entry_with_its_mesh():
     ctx.oracle(20.0)
     ctx.release(("entry", "disk", 64, 10.0, False))
     assert set(ctx._cache) == {("kr", "disk"), ("oracle", 20.0)}
+
+
+def test_quick_verify_writes_nothing_to_stderr(tmp_path):
+    # C12's h = 1/32 sweep warns that its p = 10 spike is under-resolved; the
+    # warning is a note on C12's records, not a line on stderr
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-m", "spikelab.cli", "verify", "--quick", "--out",
+                          str(tmp_path)], capture_output=True, text=True, env=env)
+    assert run.returncode == 1  # C6-energy and C7-leading, the expected reds
+    assert run.stderr == ""
+    notes = {r["identifier"]: r["notes"] for r in json.loads((tmp_path / "checks.json").read_text())}
+    assert notes["C12-determinism"].count("narrower than the lattice cell") == 1
