@@ -211,7 +211,8 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("liouville", help="bubble constants and w0 table")
     sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--dump-w0", default=None, metavar="FILE.csv")
+    sp.add_argument("--dump-w0", default=None, metavar="FILE.csv",
+                    help="write r, w0, w0' at each step of the w0 integration")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_liouville)
 

@@ -7,9 +7,10 @@ correction w0 solves
 
     w'' + w'/r + e^U w = (U^2 / 2) e^U,   w(0) = w'(0) = 0,
 
-integrated outward by classical RK4 from a series seed (the forcing vanishes
-to fourth order at the origin, so the series start keeps full order).  The
-value gauge w(0) = 0 removes the radial kernel direction since Z0(0) = 1.
+integrated outward by DOP853 (``solve_ivp``, as the radial oracle is) from a
+series seed at r = 1e-3 (the forcing vanishes to fourth order at the origin,
+so the series start keeps full order).  The value gauge w(0) = 0 removes the
+radial kernel direction since Z0(0) = 1.
 """
 
 from __future__ import annotations
@@ -18,18 +19,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.integrate import quad, solve_ivp
 
 EIGHT_PI = 8.0 * np.pi
 # radius, in the rescaled variable y, of the disk |y| <= R on which
 # eigenfunctions are fitted against the kernel basis (2-D and radial alike)
 KERNEL_FIT_RADIUS = 10.0
-# the w0 table: RK4 out to W0_R_MAX, where its flux r w0'(r) is read, on steps
-# W0_BASE_STEP + W0_STEP_GROWTH r
+# w0 is integrated out to W0_R_MAX, where its flux r w0'(r) is read
 W0_R_MAX = 1e3
-W0_BASE_STEP = 2e-3
-W0_STEP_GROWTH = 4e-3
+W0_TOL = 1e-12  # relative tolerance of the DOP853 integration
 
 
 class QuadratureError(RuntimeError):
@@ -69,81 +67,52 @@ def Z0_xy(x1, x2):
     return Z0(np.hypot(x1, x2))
 
 
-def _forcing(r):
-    u = U(r)
-    return 0.5 * u * u * eU(r)
-
-
 @dataclass
 class LiouvilleProfile:
-    """Radial table of w0 on [r0, W0_R_MAX] with cubic interpolation."""
+    """w0 on [r0, W0_R_MAX]: the integrator's accepted steps and its dense
+    output, which ``w0`` and ``w0_prime`` evaluate."""
 
     r: np.ndarray
     w0_values: np.ndarray
     w0_prime_values: np.ndarray
-
-    def __post_init__(self):
-        self._w0 = CubicSpline(self.r, self.w0_values)
-        self._w0p = CubicSpline(self.r, self.w0_prime_values)
+    _dense: object  # solve_ivp's OdeSolution over [r0, W0_R_MAX]
 
     def w0(self, r):
-        return self._w0(np.asarray(r, dtype=float))
+        return self._dense(np.asarray(r, dtype=float))[0]
 
     def w0_prime(self, r):
-        return self._w0p(np.asarray(r, dtype=float))
+        return self._dense(np.asarray(r, dtype=float))[1]
 
     def flux(self) -> float:
         """r * w0'(r) at r = W0_R_MAX; tends to 12 as r grows."""
-        return float(W0_R_MAX * self.w0_prime(W0_R_MAX))
+        return float(W0_R_MAX * self.w0_prime_values[-1])
 
     def boundary_flux_integral(self) -> float:
         """Circle integral of the normal derivative, 2 pi r w0'(r) -> 24 pi,
         at r = W0_R_MAX."""
-        return float(2.0 * np.pi * W0_R_MAX * self.w0_prime(W0_R_MAX))
+        return float(2.0 * np.pi * W0_R_MAX * self.w0_prime_values[-1])
 
 
 def solve_w0() -> LiouvilleProfile:
-    """Integrate the w0 equation outward to W0_R_MAX with RK4 on a graded step.
+    """Integrate the w0 equation outward to W0_R_MAX with DOP853 at W0_TOL."""
 
-    Steps grow proportionally to r (the solution is logarithmic at infinity),
-    capped so the bubble core near r ~ sqrt(8) stays finely resolved.  The
-    step grid does not depend on the solution, so e^U and the forcing are
-    tabulated once at every stage point (step start, midpoint and end) and
-    the pair (w0, w0') is stepped in plain floats.
-    """
+    def rhs(r, s):
+        w, wp = s
+        e = (1.0 + r * r / 8.0) ** -2
+        u = -2.0 * math.log1p(r * r / 8.0)
+        return (wp, 0.5 * u * u * e - e * w - wp / r)
+
     r0 = 1e-3
     # series: w = r^6/1152 - 29 r^8/147456 + O(r^10)
-    w = r0**6 / 1152.0 - 29.0 * r0**8 / 147456.0
-    wp = 6.0 * r0**5 / 1152.0 - 29.0 * 8.0 * r0**7 / 147456.0
-
-    rs = [r0]
-    drs = []
-    while rs[-1] < W0_R_MAX:
-        drs.append(min(W0_BASE_STEP + W0_STEP_GROWTH * rs[-1], W0_R_MAX - rs[-1]))
-        rs.append(rs[-1] + drs[-1])
-    # r, e^U and the forcing at every RK4 stage point: step start, midpoint, end
-    start = np.array(rs[:-1])
-    dr = np.array(drs)
-    stages = np.stack([start, start + 0.5 * dr, start + dr])
-    table = np.concatenate([stages, eU(stages), _forcing(stages)]).tolist()
-    ws = [w]
-    wps = [wp]
-    for h, r_0, r_m, r_1, e_0, e_m, e_1, f_0, f_m, f_1 in zip(drs, *table):
-        # w'' = f - e w - w'/r, stage by stage
-        k1w, k1p = wp, f_0 - e_0 * w - wp / r_0
-        k2w = wp + 0.5 * h * k1p
-        k2p = f_m - e_m * (w + 0.5 * h * k1w) - k2w / r_m
-        k3w = wp + 0.5 * h * k2p
-        k3p = f_m - e_m * (w + 0.5 * h * k2w) - k3w / r_m
-        k4w = wp + h * k3p
-        k4p = f_1 - e_1 * (w + h * k3w) - k4w / r_1
-        w = w + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-        wp = wp + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        ws.append(w)
-        wps.append(wp)
-    if not (math.isfinite(w) and math.isfinite(wp)):
-        raise AssertionError("w0 integration produced non-finite values")
-    return LiouvilleProfile(np.array(rs), np.array(ws), np.array(wps))
+    s0 = (
+        r0**6 / 1152.0 - 29.0 * r0**8 / 147456.0,
+        6.0 * r0**5 / 1152.0 - 29.0 * 8.0 * r0**7 / 147456.0,
+    )
+    sol = solve_ivp(rhs, (r0, W0_R_MAX), s0, method="DOP853",
+                    rtol=W0_TOL, atol=W0_TOL * 1e-2, dense_output=True)
+    if not (sol.success and np.all(np.isfinite(sol.y[:, -1]))):
+        raise AssertionError(f"w0 integration failed: {sol.message}")
+    return LiouvilleProfile(sol.t, sol.y[0], sol.y[1], sol.sol)
 
 
 def _quad(f, a, b, tol):

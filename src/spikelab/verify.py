@@ -522,44 +522,46 @@ def criterion_12_property_suites(ctx: AcceptanceContext) -> list[VerificationRec
     return out
 
 
+def run_criterion(criterion, ctx: AcceptanceContext) -> list[VerificationRecord]:
+    """The records of one criterion on ctx.  A warning it raises (an
+    ``UnderResolvedSpikeWarning``, say) joins the notes of its records
+    instead of going to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", lane_emden.UnderResolvedSpikeWarning)
+        records = criterion(ctx)
+    # the two sweeps of C12-determinism raise the same warning twice
+    raised = [f"warning: {m}" for m in dict.fromkeys(str(w.message) for w in caught)]
+    for rec in records:
+        rec.notes = "; ".join(filter(None, [rec.notes, *raised]))
+    return records
+
+
 def acceptance_records(full: bool = True) -> list[VerificationRecord]:
     """All acceptance records; ``full=False`` skips the 2-D sweeps at the
     finest grids (criteria 4, the 9-refinement study, and 10).
 
     The records keep the criteria's order, but C9-pform runs right after C2
     and the run releases C2's uniform h = 1/256 mesh with its LU before C4
-    factorizes; C4 itself releases its p = 10 and p = 40 ladders.  A warning
-    a criterion raises (an ``UnderResolvedSpikeWarning``, say) joins the
-    notes of that criterion's records instead of going to stderr.
+    factorizes; C4 itself releases its p = 10 and p = 40 ladders.  Each
+    criterion runs through ``run_criterion``, so its warnings join its notes.
     """
     ctx = AcceptanceContext()
-
-    def run(criterion) -> list[VerificationRecord]:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", lane_emden.UnderResolvedSpikeWarning)
-            records = criterion(ctx)
-        # the two sweeps of C12-determinism raise the same warning twice
-        raised = [f"warning: {m}" for m in dict.fromkeys(str(w.message) for w in caught)]
-        for rec in records:
-            rec.notes = "; ".join(filter(None, [rec.notes, *raised]))
-        return records
-
     records = []
-    records += run(criterion_1_universal_constants)
-    records += run(criterion_2_green_oracle) if full else []
-    c9_pform = run(criterion_9_pform)
+    records += run_criterion(criterion_1_universal_constants, ctx)
+    records += run_criterion(criterion_2_green_oracle, ctx) if full else []
+    c9_pform = run_criterion(criterion_9_pform, ctx)
     ctx.release(("mesh", "disk", 256, None))
-    records += run(criterion_3_kr_certification)
+    records += run_criterion(criterion_3_kr_certification, ctx)
     if full:
-        records += run(criterion_4_solver_vs_oracle)
-    records += run(criterion_5_peak_law)
-    records += run(criterion_6_energy_mass)
-    records += run(criterion_7_eps_law)
-    records += run(criterion_8_profile_correction)
+        records += run_criterion(criterion_4_solver_vs_oracle, ctx)
+    records += run_criterion(criterion_5_peak_law, ctx)
+    records += run_criterion(criterion_6_energy_mass, ctx)
+    records += run_criterion(criterion_7_eps_law, ctx)
+    records += run_criterion(criterion_8_profile_correction, ctx)
     records += c9_pform
     if full:
-        records += run(criterion_9_identities)
-        records += run(criterion_10_gradient_balance)
-    records += run(criterion_11_spectrum)
-    records += run(criterion_12_property_suites)
+        records += run_criterion(criterion_9_identities, ctx)
+        records += run_criterion(criterion_10_gradient_balance, ctx)
+    records += run_criterion(criterion_11_spectrum, ctx)
+    records += run_criterion(criterion_12_property_suites, ctx)
     return records

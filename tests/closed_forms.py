@@ -1,7 +1,8 @@
 """Closed forms the tests check the program against: the unit disk's Green
 function and Robin derivatives (image charges), the derivatives of the
-radial kernel element Z0 of the Liouville bubble, and a reference assembly
-of the mesh Laplacian from COO triplets."""
+radial kernel element Z0 of the Liouville bubble, the forcing of its 1/p
+correction w0, and a reference assembly of the mesh Laplacian from COO
+triplets."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +57,12 @@ def Z0_prime(r):
 def Z0_second(r):
     r = np.asarray(r, dtype=float)
     return -32.0 * (8.0 - 3.0 * r * r) / (8.0 + r * r) ** 3
+
+
+def w0_forcing(r):
+    """(U^2 / 2) e^U, the right-hand side of the w0 equation."""
+    u = -2.0 * np.log1p(np.asarray(r, dtype=float) ** 2 / 8.0)
+    return 0.5 * u * u * np.exp(u)
 
 
 def coo_laplacian(mesh) -> sp.csc_matrix:

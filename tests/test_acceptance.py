@@ -20,7 +20,12 @@ import pytest
 
 from spikelab import verify
 
-pytestmark = pytest.mark.acceptance
+# each criterion runs through verify.run_criterion, which turns its
+# UnderResolvedSpikeWarnings into record notes; one that escapes fails the test
+pytestmark = [
+    pytest.mark.acceptance,
+    pytest.mark.filterwarnings("error::spikelab.lane_emden.UnderResolvedSpikeWarning"),
+]
 
 # clauses whose windows the exact solution provably misses at p = 80 (the
 # verify records carry the numbers); strict xfail so an unexpected pass
@@ -62,22 +67,22 @@ def _assert_with_expectations(records):
 
 
 def test_c01_universal_constants(ctx):
-    records = verify.criterion_1_universal_constants(ctx)
+    records = verify.run_criterion(verify.criterion_1_universal_constants, ctx)
     assert not _report(records)
 
 
 def test_c02_green_oracle(ctx):
-    records = verify.criterion_2_green_oracle(ctx)
+    records = verify.run_criterion(verify.criterion_2_green_oracle, ctx)
     assert not _report(records)
 
 
 def test_c03_kirchhoff_routh(ctx):
-    records = verify.criterion_3_kr_certification(ctx)
+    records = verify.run_criterion(verify.criterion_3_kr_certification, ctx)
     assert not _report(records)
 
 
 def test_c04_solver_vs_oracle(ctx):
-    records = verify.criterion_4_solver_vs_oracle(ctx)
+    records = verify.run_criterion(verify.criterion_4_solver_vs_oracle, ctx)
     failed = _report(records)
     by_id = {r.identifier: r for r in records}
     assert by_id["C4-p10"].passed, "resolved-regime match must hold"
@@ -89,38 +94,39 @@ def test_c04_solver_vs_oracle(ctx):
 
 
 def test_c05_peak_law(ctx):
-    records = verify.criterion_5_peak_law(ctx)
+    records = verify.run_criterion(verify.criterion_5_peak_law, ctx)
     assert not _report(records)
 
 
 def test_c06_energy_and_mass(ctx):
-    _assert_with_expectations(verify.criterion_6_energy_mass(ctx))
+    _assert_with_expectations(verify.run_criterion(verify.criterion_6_energy_mass, ctx))
 
 
 def test_c07_eps_law(ctx):
-    _assert_with_expectations(verify.criterion_7_eps_law(ctx))
+    _assert_with_expectations(verify.run_criterion(verify.criterion_7_eps_law, ctx))
 
 
 def test_c08_profile_correction(ctx):
-    records = verify.criterion_8_profile_correction(ctx)
+    records = verify.run_criterion(verify.criterion_8_profile_correction, ctx)
     assert not _report(records)
 
 
 def test_c09_pohozaev(ctx):
-    records = verify.criterion_9_pform(ctx) + verify.criterion_9_identities(ctx)
+    records = (verify.run_criterion(verify.criterion_9_pform, ctx)
+               + verify.run_criterion(verify.criterion_9_identities, ctx))
     assert not _report(records)
 
 
 def test_c10_gradient_balance(ctx):
-    records = verify.criterion_10_gradient_balance(ctx)
+    records = verify.run_criterion(verify.criterion_10_gradient_balance, ctx)
     assert not _report(records)
 
 
 def test_c11_spectrum(ctx):
-    records = verify.criterion_11_spectrum(ctx)
+    records = verify.run_criterion(verify.criterion_11_spectrum, ctx)
     assert not _report(records)
 
 
 def test_c12_property_suites(ctx):
-    records = verify.criterion_12_property_suites(ctx)
+    records = verify.run_criterion(verify.criterion_12_property_suites, ctx)
     assert not _report(records)

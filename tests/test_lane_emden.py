@@ -10,6 +10,11 @@ from spikelab.linsolve import factorize
 from spikelab.mesh import build_graded_mesh, build_mesh, make_domain
 
 
+def _under_resolved(p: int):
+    """The warning of a solve at p whose spike is narrower than the grid's cell."""
+    return pytest.warns(le.UnderResolvedSpikeWarning, match=f"at p = {p} ")
+
+
 def node_at(mesh, x, y) -> int:
     """Index of the mesh node nearest (x, y)."""
     return int(np.argmin(np.hypot(mesh.coords[:, 0] - x, mesh.coords[:, 1] - y)))
@@ -280,7 +285,8 @@ def test_peak_mass_approaches_limit(disk64, solved_p10):
 
 @pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
 def test_continuation_records_targets(disk64, kr_disk):
-    br = le.continue_in_p(disk64, kr_disk, 10.0, [10.0, 12.0, 14.0])
+    with _under_resolved(12), _under_resolved(14):
+        br = le.continue_in_p(disk64, kr_disk, 10.0, [10.0, 12.0, 14.0])
     assert br.p_values == [10.0, 12.0, 14.0]
     assert [e.strategy for e in br.entries] == ["ansatz", "ansatz", "arclength"]
     umax = [e.spikes[0].u_max for e in br.entries]
@@ -300,7 +306,8 @@ def test_continuation_solves_p_start_only_when_needed(disk64, kr_disk, monkeypat
         return solve(mesh, u0, p, **kwargs)
 
     monkeypatch.setattr(le, "newton_solve", counted)
-    br = le.continue_in_p(disk64, kr_disk, 10.0, [12.0])
+    with _under_resolved(12):
+        br = le.continue_in_p(disk64, kr_disk, 10.0, [12.0])
     assert calls == [12.0]
     assert br.p_values == [12.0] and br.entries[0].strategy == "ansatz"
 
@@ -310,8 +317,10 @@ def test_unlisted_p_start_seeds_the_arclength_march():
     # solved then and the march from it is the one a listed p = 8 starts
     m = build_mesh(make_domain("disk", r=1.0), 1.0 / 32)
     cfg = kr.psi_eval(m, [(0.0, 0.0)])
-    alone = le.continue_in_p(m, cfg, 8.0, [10.0])
-    listed = le.continue_in_p(m, cfg, 8.0, [8.0, 10.0])
+    with _under_resolved(10):
+        alone = le.continue_in_p(m, cfg, 8.0, [10.0])
+    with _under_resolved(10):
+        listed = le.continue_in_p(m, cfg, 8.0, [8.0, 10.0])
     assert alone.p_values == [10.0] and alone.entries[0].strategy == "arclength"
     assert np.array_equal(alone.entries[0].u, listed.entries[1].u)
     assert alone.entries[0].march == listed.entries[1].march
@@ -321,7 +330,8 @@ def test_arclength_march_carries_its_factor(monkeypatch):
     m = build_mesh(make_domain("disk", r=1.0), 1.0 / 32)
     cfg = kr.psi_eval(m, [(0.0, 0.0)])
     calls = _patch_factorize(monkeypatch)
-    br = le.continue_in_p(m, cfg, 8.0, [8.0, 10.0])
+    with _under_resolved(10):
+        br = le.continue_in_p(m, cfg, 8.0, [8.0, 10.0])
     monkeypatch.undo()
     # a corrector that refactorizes every step, and up to 3 more times in
     # steps it then rejects, makes 115 factorizations here

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from spikelab import liouville as lv
 
-from closed_forms import Z0_prime, Z0_second
+from closed_forms import Z0_prime, Z0_second, w0_forcing
+
+# the reference RK4's steps: BASE_STEP + STEP_GROWTH r, 1,904 of them to W0_R_MAX
+BASE_STEP = 2e-3
+STEP_GROWTH = 4e-3
+# the radii C8 compares v_p with w0 on
+C8_GRID = np.linspace(1e-3, 10.0, 400)
 
 
 @pytest.fixture(scope="module")
@@ -12,33 +19,51 @@ def profile():
 
 
 def _per_step_w0():
-    """w0 and w0' by RK4 with the coefficients evaluated at each stage, on
-    solve_w0's grid and series seed."""
+    """r, w0 and w0' by classical RK4 on steps graded with r, from
+    solve_w0's series seed."""
     r = 1e-3
     y = np.array([r**6 / 1152.0 - 29.0 * r**8 / 147456.0,
                   6.0 * r**5 / 1152.0 - 29.0 * 8.0 * r**7 / 147456.0])
 
     def rhs(r, y):
-        return np.array([y[1], lv._forcing(r) - lv.eU(r) * y[0] - y[1] / r])
+        return np.array([y[1], w0_forcing(r) - lv.eU(r) * y[0] - y[1] / r])
 
-    out = [y]
+    rs, out = [r], [y]
     while r < lv.W0_R_MAX:
-        dr = min(lv.W0_BASE_STEP + lv.W0_STEP_GROWTH * r, lv.W0_R_MAX - r)
+        dr = min(BASE_STEP + STEP_GROWTH * r, lv.W0_R_MAX - r)
         k1 = rhs(r, y)
         k2 = rhs(r + 0.5 * dr, y + 0.5 * dr * k1)
         k3 = rhs(r + 0.5 * dr, y + 0.5 * dr * k2)
         k4 = rhs(r + dr, y + dr * k3)
         y = y + (dr / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         r += dr
+        rs.append(r)
         out.append(y)
-    return np.array(out).T
+    return np.array(rs), *np.array(out).T
 
 
-def test_tabulated_coefficients_match_per_step_rk4(profile):
-    ref_w, ref_wp = _per_step_w0()
-    assert profile.r.size == ref_w.size
-    assert np.all(np.abs(profile.w0_values - ref_w) <= 1e-14 * np.abs(ref_w))
-    assert np.all(np.abs(profile.w0_prime_values - ref_wp) <= 1e-14 * np.abs(ref_wp))
+def _w0_second(profile, r):
+    """w0'' as the central difference of w0' at steps of 1e-4 r."""
+    dr = 1e-4 * r
+    return (profile.w0_prime(r + dr) - profile.w0_prime(r - dr)) / (2.0 * dr)
+
+
+def test_dop853_matches_per_step_rk4(profile):
+    ref_r, ref_w, ref_wp = _per_step_w0()
+    assert ref_r.size == 1905
+    ref = CubicSpline(ref_r, ref_w)(C8_GRID)
+    assert np.max(np.abs(profile.w0(C8_GRID) - ref)) <= 1e-9
+    assert profile.flux() == pytest.approx(lv.W0_R_MAX * ref_wp[-1], rel=1e-9, abs=0)
+
+
+def test_profile_is_the_integrators_steps(profile):
+    # the table holds the accepted steps, and the dense output passes through them
+    assert profile.r[0] == 1e-3 and profile.r[-1] == lv.W0_R_MAX
+    assert np.all(np.diff(profile.r) > 0)
+    assert profile.r.size < 200
+    np.testing.assert_allclose(profile.w0(profile.r), profile.w0_values, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(profile.w0_prime(profile.r), profile.w0_prime_values,
+                               rtol=1e-14, atol=0)
 
 
 def test_small_r_series(profile):
@@ -59,7 +84,8 @@ def test_growth_bound(profile):
 
 def test_ode_residual(profile):
     r = np.linspace(1.0, lv.W0_R_MAX / 2, 4000)
-    resid = profile._w0p(r, 1) + profile.w0_prime(r) / r + lv.eU(r) * profile.w0(r) - lv._forcing(r)
+    resid = (_w0_second(profile, r) + profile.w0_prime(r) / r + lv.eU(r) * profile.w0(r)
+             - w0_forcing(r))
     assert np.max(np.abs(resid)) < 1e-6
 
 
@@ -70,7 +96,7 @@ def test_rescaled_equation(profile):
     s = np.sqrt(8.0) * y
     wt = profile.w0(s)
     wtp = np.sqrt(8.0) * profile.w0_prime(s)
-    wtpp = 8.0 * profile._w0p(s, 1)
+    wtpp = 8.0 * _w0_second(profile, s)
     lhs = wtpp + wtp / y + 8.0 * lv.eU(s) * wt
     assert np.max(np.abs(lhs - lv.w0_forcing_rescaled(y))) < 8e-6
 
