@@ -51,7 +51,9 @@ def bottom_spectrum(entry: BranchEntry, m: int, tol: float) -> SpectrumReport:
     on the mesh, and the residuals are those of J v = lambda v in that norm.
     The Morse index is S's inertia, the count of every negative eigenvalue
     (the concentrated ones of order -1/eps^2 included); it is None, with a
-    note, where the LU took an off-diagonal pivot.
+    note, where the LU took an off-diagonal pivot.  Each spike narrower than
+    the lattice cell at its peak (``SpikeData.resolved`` False) gets a note:
+    the grid, not the spike, sets the modes concentrated there.
     """
     mesh = entry.mesh
     S = LaneEmdenProblem(mesh).jacobian(entry.u, entry.p)
@@ -59,6 +61,12 @@ def bottom_spectrum(entry: BranchEntry, m: int, tol: float) -> SpectrumReport:
     dmin = float(np.min(S.diagonal()))
     if dmin < 0:
         notes.append(f"diagonal dominance lost near peaks (min diagonal {dmin:.3e})")
+    for spike in entry.spikes:
+        if not spike.resolved:
+            x, y = spike.position
+            notes.append(f"spike at ({x:.3f}, {y:.3f}) under-resolved: eps = {spike.eps:.2e} "
+                         f"below the lattice cell {spike.cell:.2e} at its peak, so the grid "
+                         "sets the modes concentrated there")
     # the Jacobian's values are this call's own copy, so S is scaled in place
     root = np.sqrt(mesh.node_area)
     S.data *= root[S.indices]

@@ -10,7 +10,12 @@ one call of ``splu``.
 
 The Jacobian is symmetric in the mesh's inner product, so the program has
 one eigensolver, for symmetric matrices: no code in src/spikelab names a
-nonsymmetric one."""
+nonsymmetric one.
+
+Every LAPACK tridiagonal bisection in src/spikelab searches a value window
+at the relative tolerance BISECTION_TOL: scipy's default tolerance is
+absolute in the matrix norm, which the graded radial tridiagonals put near
+1e30, and an index-selected search starts from that ~1e30-wide interval."""
 
 import ast
 import io
@@ -100,3 +105,29 @@ def test_only_symmetric_eigensolvers_and_splu_only_in_linsolve():
             if name in NONSYMMETRIC_EIGENSOLVERS or (name == "splu" and f.name != "linsolve.py"):
                 found.append(f"{f.relative_to(ROOT)}:{line} {name}")
     assert not found, "a nonsymmetric eigensolver, or an LU made outside linsolve:\n" + "\n".join(found)
+
+
+TRIDIAGONAL_SOLVERS = {"eigvalsh_tridiagonal", "eigh_tridiagonal"}
+
+
+def _keyword(call, name):
+    return next((k.value for k in call.keywords if k.arg == name), None)
+
+
+def test_tridiagonal_bisections_select_by_value_at_bisection_tol():
+    found = []
+    for f in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            if name not in TRIDIAGONAL_SOLVERS:
+                continue
+            select, tol = _keyword(node, "select"), _keyword(node, "tol")
+            by_value = (len(node.args) <= 2 and isinstance(select, ast.Constant)
+                        and select.value == "v")
+            at_tol = getattr(tol, "id", getattr(tol, "attr", None)) == "BISECTION_TOL"
+            if not (by_value and at_tol):
+                found.append(f"{f.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not found, ("a tridiagonal bisection without select=\"v\" and tol=BISECTION_TOL:\n"
+                       + "\n".join(found))

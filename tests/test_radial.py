@@ -113,8 +113,24 @@ def test_mode1_eigenvalue_scales_like_8_over_p():
     assert lams[0] == pytest.approx(2 * lams[1], rel=0.15)
 
 
+def _index_bisection(d, e, first, last):
+    """The first..last eigenvalues (0-based) of the tridiagonal (d, e), by
+    index-selected bisection from its Gershgorin interval."""
+    return scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(first, last),
+                                             tol=radial.BISECTION_TOL)
+
+
+def _scaled(pencil):
+    """T = M^(-1/2) K M^(-1/2) of a mode_pencil: (diagonal, off-diagonal)."""
+    d, e, mass = pencil
+    return d / mass, e / np.sqrt(mass[:-1] * mass[1:])
+
+
+ULP = np.finfo(float).eps
+
+
 def _negatives(rad, m, n=4000):
-    return radial.pencil_eigenvalues(radial.mode_pencil(rad, m, n=n), "v", (-np.inf, 0.0))
+    return radial.pencil_eigenvalues(radial.mode_pencil(rad, m, n=n), m)[0]
 
 
 def test_mode0_sturm_count(rad20):
@@ -227,7 +243,7 @@ def test_golub_kahan_values_are_the_factorized_pencil(p):
 def test_factorized_and_plain_mode1_pencils_agree_at_small_p(p):
     # at small p no cancellation spoils the plain form of the m = 1 sector
     rad = radial.solve_radial(p)
-    plain = radial.pencil_eigenvalues(radial.mode_pencil(rad, 1), "i", (0, radial.PER_MODE - 1))
+    plain = np.concatenate(radial.pencil_eigenvalues(radial.mode_pencil(rad, 1), 1))[:radial.PER_MODE]
     factorized = radial.disk_spectrum(rad, m_max=1).modes[1][0]
     assert factorized == pytest.approx(plain.tolist(), rel=1e-5)
 
@@ -269,9 +285,78 @@ def test_sturm_count_is_exact_inertia(rad20, rad80, m):
         d, e, mass = pencil
         K = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         lams = scipy.linalg.eigh(K, np.diag(mass), eigvals_only=True)
-        low = radial.pencil_eigenvalues(pencil, "i", (0, 7))
+        low = _index_bisection(*_scaled(pencil), 0, 7)
         assert np.all(np.abs(low - lams[:8]) <= 1e-10 * np.abs(lams[:8]))
+        windows = np.concatenate(radial.pencil_eigenvalues(pencil, m))
+        assert np.all(np.abs(windows - low[:windows.size]) <= 4 * ULP * np.abs(low[:windows.size]))
         assert _negatives(rad, m, n=300).size == np.count_nonzero(lams < 0)
+
+
+@pytest.mark.parametrize("n", [300, 4000])
+@pytest.mark.parametrize("p", [6.0, 20.0, 80.0])
+def test_windows_agree_with_index_selected_bisection(p, n):
+    # the bracketed windows and bisection from the Gershgorin interval give
+    # the same eigenvalues to 4 ulp and the same Sturm counts
+    rad = radial.solve_radial(p)
+    spec = radial.disk_spectrum(rad, m_max=3, n=n)
+    morse = 0
+    for m in range(4):
+        vals = np.array(spec.modes[m][0])
+        if m == 1:
+            off = radial._mode1_golub_kahan(rad, n)[0]
+            ref = _index_bisection(np.zeros(2 * n), off, n, n + radial.PER_MODE - 1) ** 2
+            assert np.all(np.abs(vals - ref) <= 4 * ULP * ref)
+            continue
+        low = _index_bisection(*_scaled(radial.mode_pencil(rad, m, n=n)), 0, 7)
+        neg = np.count_nonzero(low <= 0)
+        morse += neg * (1 if m == 0 else 2)
+        ref = low[: neg + radial.PER_MODE]
+        k = np.argmin(np.abs(vals[:, None] - ref[None, :]), axis=1)
+        assert np.all(np.abs(vals - ref[k]) <= 4 * ULP * np.abs(ref[k]))
+        above = k[vals > 0]  # the lowest positives, in order
+        assert above.tolist() == list(range(neg, neg + above.size))
+    assert spec.morse_index == morse
+
+
+@pytest.mark.parametrize("n", [300, 4000])
+def test_floor_lies_below_every_eigenvalue(rad20, rad80, n):
+    for rad in (rad20, rad80):
+        for m in range(4):
+            pencil = radial.mode_pencil(rad, m, n=n)
+            floor = radial.pencil_floor(pencil)
+            below = scipy.linalg.eigvalsh_tridiagonal(*_scaled(pencil), select="v", select_range=(-np.inf, floor),
+                                                      tol=radial.BISECTION_TOL)
+            assert below.size == 0 and floor < 0
+    ground = _negatives(rad80, 0, n=n)[0]  # the concentrated mode, near -2.4e18
+    assert radial.pencil_floor(radial.mode_pencil(rad80, 0, n=n)) < ground < -1e18
+
+
+def test_a_first_bound_below_the_first_positive_still_finds_them(rad20):
+    # the doubling windows, not the Bessel bound, guarantee the count
+    n = 300
+    d, e = _scaled(radial.mode_pencil(rad20, 2, n=n))
+    ref = _index_bisection(d, e, 0, radial.PER_MODE - 1)
+    low = radial._lowest_above_zero(d, e, radial.PER_MODE, n, 1e-3)
+    assert np.all(np.abs(low - ref) <= 4 * ULP * ref)
+    off = radial._mode1_golub_kahan(rad20, n)[0]
+    sv, vec = radial._lowest_above_zero(np.zeros(2 * n), off, radial.PER_MODE, n, 1e-3, vectors=True)
+    ref = _index_bisection(np.zeros(2 * n), off, n, n + radial.PER_MODE - 1)
+    assert np.all(np.abs(sv - ref) <= 4 * ULP * ref)
+    T = np.diag(off, 1) + np.diag(off, -1)
+    assert vec.shape == (2 * n, radial.PER_MODE)
+    assert np.all(np.abs(T @ vec - vec * sv) <= 1e-10 * np.abs(off).max())
+
+
+def test_too_few_positives_returns_what_exists(rad80):
+    # three eigenvalues 2 - sqrt 2, 2, 2 + sqrt 2, all above the first window
+    low = radial._lowest_above_zero(np.full(3, 2.0), -np.ones(2), 5, 3, 0.1)
+    assert low == pytest.approx([2 - math.sqrt(2), 2, 2 + math.sqrt(2)], rel=1e-15)
+    # one node per mode: at p = 80 the m = 0 node is negative and no positive is left
+    spec = radial.disk_spectrum(rad80, m_max=3, n=1)
+    assert [len(spec.modes[m][0]) for m in range(4)] == [1, 1, 1, 1]
+    assert spec.modes[0][0][0] < 0 and spec.morse_index == 1
+    spec = radial.disk_spectrum(rad80, m_max=3, n=2)
+    assert [len(spec.modes[m][0]) for m in range(4)] == [2, 2, 2, 2]
 
 
 def test_mode1_kernel_data(rad80):

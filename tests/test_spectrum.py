@@ -151,6 +151,18 @@ def test_morse_index_is_the_inertia_on_uniform_and_graded_meshes():
     assert rep.notes == []
 
 
+def test_unresolved_spike_is_noted(entry_p6):
+    # uniform h = 1/64 at p = 20: eps = 3.4e-3 against a 1.6e-2 cell
+    with pytest.warns(le.UnderResolvedSpikeWarning, match="at p = 20 "):
+        coarse = _disk_entry(build_mesh(make_domain("disk", r=1.0), 1.0 / 64), 20.0)
+    rep = sp.bottom_spectrum(coarse, 4, 2e-6)
+    noted = [n for n in rep.notes if "under-resolved" in n]
+    assert len(noted) == 1 and "eps = 3.36e-03 below the lattice cell 1.56e-02" in noted[0]
+    # the resolved p = 6 spike at h = 1/96 gets no note
+    assert entry_p6.spikes[0].resolved
+    assert sp.bottom_spectrum(entry_p6, 4, 2e-6).notes == []
+
+
 def test_eigenvectors_are_unit_in_the_mesh_norm():
     # v = D^(-1/2) y for the symmetric form's orthonormal y: the pairs of J
     # are orthonormal in the mesh's inner product, and their residuals are
