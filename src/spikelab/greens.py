@@ -5,10 +5,17 @@ Kirchhoff-Routh search also uses).
 
 The unit disk's Robin function has the closed form R(x) = -(1/2pi)
 log(1 - |x|^2) (image charges), against which C2 checks the solves.
+
+The module holds one Laplacian factor at a time, that of the mesh whose Green
+solves ran last: a factor is the largest object a mesh can keep alive (13.66M
+L+U nonzeros, about 150 MB, on the h = 1/256 disk), and a caller that still
+holds a finished mesh should not also hold its LU.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from itertools import product
 
@@ -43,7 +50,8 @@ def fundamental(x0: np.ndarray, x, y):
 def laplacian_operator(mesh: GridMesh) -> SparseOperator:
     """Gibou-Fedkiw -Δ for the mesh (``mesh.assemble_laplacian``), assembled
     once and cached on it: the one copy of the matrix, in the CSC form its
-    factorization reads."""
+    factorization reads.  The matrix lives as long as its mesh; its LU does
+    not (``laplacian_factorization``)."""
     op = mesh.__dict__.get("_lap_op")
     if op is None:
         op = assemble_laplacian(mesh)
@@ -51,13 +59,43 @@ def laplacian_operator(mesh: GridMesh) -> SparseOperator:
     return op
 
 
+# the one held Laplacian factor, as (weak reference to its mesh, LU), or None
+_held = None
+# re-entrant: a mesh may die, and its callback run, inside a locked section
+_held_lock = threading.RLock()
+
+
+def _forget(mesh_ref: weakref.ref) -> None:
+    """A dying mesh takes its held factor with it."""
+    global _held
+    with _held_lock:
+        if _held is not None and _held[0] is mesh_ref:
+            _held = None
+
+
+def release_factorization(keep: GridMesh) -> None:
+    """Free the held Laplacian factor unless it belongs to ``keep``."""
+    global _held
+    with _held_lock:
+        if _held is not None and _held[0]() is not keep:
+            _held = None
+
+
 def laplacian_factorization(mesh: GridMesh):
-    """Cached sparse LU of the mesh Laplacian (one factorization, many sources)."""
-    lu = mesh.__dict__.get("_lap_lu")
-    if lu is None:
-        lu = factorize(laplacian_operator(mesh))
-        mesh.__dict__["_lap_lu"] = lu
-    return lu
+    """Sparse LU of the mesh Laplacian (one factorization, many sources).
+
+    The module holds one such factor: the mesh's own when it is held, else
+    the held one is freed first and the mesh's Laplacian factorized in its
+    place.  The hold is weak on the mesh, so a mesh that dies frees its
+    factor.  A factor already returned stays valid after the hold moves on;
+    it lives as long as its caller keeps it.
+    """
+    global _held
+    with _held_lock:
+        release_factorization(keep=mesh)  # before the new factor is built
+        if _held is None:
+            _held = (weakref.ref(mesh, _forget), factorize(laplacian_operator(mesh)))
+        return _held[1]
 
 
 @dataclass

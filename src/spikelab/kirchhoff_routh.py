@@ -2,9 +2,10 @@
 critical point search, and Hessian-based non-degeneracy certification.
 
 Psi_k(a) = sum_j [ R(a_j) - sum_{m != j} G(a_j, a_m) ];  its gradient and
-Hessian come from ``greens.central_differences`` over Green re-solves (the
-mesh Laplacian is factorized once, so each re-solve is a cheap triangular
-solve).
+Hessian come from ``greens.central_differences`` over Green re-solves.
+``greens`` holds one Laplacian factor, that of the mesh it solved on last,
+so a search factorizes its mesh's Laplacian at most once (not at all when
+that factor is already held), and each re-solve is a triangular solve.
 """
 
 from __future__ import annotations

@@ -122,9 +122,13 @@ def ansatz(mesh: GridMesh, cfg: SpikeConfig, p: float) -> np.ndarray:
 class LaneEmdenProblem:
     """F(u, p) = -Δ_h u - u_+^p on a mesh, with its Jacobian in u and its
     derivative in p.  The Laplacian is the mesh's cached one; p is an
-    argument of every method because continuation moves it."""
+    argument of every method because continuation moves it.  A Laplacian
+    factor that ``greens`` holds for another mesh is freed, so Newton, the
+    arclength march and the spectrum factorize beside the mesh's own factor
+    at most."""
 
     def __init__(self, mesh: GridMesh):
+        greens.release_factorization(keep=mesh)
         self.A = greens.laplacian_operator(mesh)
         # every Laplacian column stores its diagonal; these are its positions
         cols = np.repeat(np.arange(self.A.shape[1], dtype=self.A.indices.dtype), np.diff(self.A.indptr))

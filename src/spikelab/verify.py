@@ -91,7 +91,8 @@ class AcceptanceContext:
 
     def release(self, *keys) -> None:
         """Forget cached artifacts whose last reader has run.  A ladder entry
-        takes its mesh along, and with it the mesh's cached Laplacian and LU."""
+        takes its mesh along, and with it the mesh's cached Laplacian, and
+        its LU if ``greens`` still holds that one."""
         for key in keys:
             value = self._cache.pop(key)
             if key[0] == "entry":
@@ -541,9 +542,11 @@ def acceptance_records(full: bool = True) -> list[VerificationRecord]:
     finest grids (criteria 4, the 9-refinement study, and 10).
 
     The records keep the criteria's order, but C9-pform runs right after C2
-    and the run releases C2's uniform h = 1/256 mesh with its LU before C4
-    factorizes; C4 itself releases its p = 10 and p = 40 ladders.  Each
-    criterion runs through ``run_criterion``, so its warnings join its notes.
+    and the run releases C2's uniform h = 1/256 mesh, and with it the
+    Laplacian factor ``greens`` holds for it, before C3 factorizes the
+    h = 1/128 Laplacian; C4 itself releases its p = 10 and p = 40 ladders.
+    Each criterion runs through ``run_criterion``, so its warnings join its
+    notes.
     """
     ctx = AcceptanceContext()
     records = []

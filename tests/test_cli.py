@@ -134,11 +134,14 @@ def test_sweep_row_is_the_one_spike_solve(swept):
 
 
 def test_sweep_failures_print_their_error(tmp_path, monkeypatch, capsys):
-    # on the h = 1/32 disk the p = 10 ansatz solve fails and nothing below it
-    # is listed to march from
+    def no_landing(mesh, u0, p):
+        raise lane_emden.NewtonDivergedError(f"no landing at p = {p:g}")
+
+    # every solve fails, the fallback march's p = 8 seed too
+    monkeypatch.setattr(lane_emden, "newton_solve", no_landing)
     assert cli.main(["sweep", "--h", "1/32", "--p", "10,20", "--out", str(tmp_path)]) == 1
     assert ("[FAIL] continuation: branch continuation over the p list\n"
-            "       note: NewtonDivergedError: damping failed at residual 2.285e-02"
+            "       note: NewtonDivergedError: no landing at p = 8"
             in capsys.readouterr().out)
 
     def no_point(mesh, starts):
@@ -148,6 +151,21 @@ def test_sweep_failures_print_their_error(tmp_path, monkeypatch, capsys):
     assert cli.main(["sweep", "--h", "1/32", "--p", "10", "--out", str(tmp_path)]) == 1
     assert ("[FAIL] kr-critical-point: Kirchhoff-Routh search\n"
             "       note: NewtonDivergedError: no point" in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("h, factorizations", [("1/32", 40), ("1/24", 30)])
+def test_sweep_marches_to_a_first_p_whose_ansatz_fails(tmp_path, capsys, h, factorizations):
+    # the p = 10 ansatz solve fails on these disks; the march from the
+    # unlisted p = 8 seed reaches it, and p = 20 lands from its ansatz
+    with pytest.warns(lane_emden.UnderResolvedSpikeWarning):
+        assert cli.main(["sweep", "--h", h, "--p", "10,20", "--out", str(tmp_path)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    records = {r["identifier"]: r for r in json.loads((tmp_path / "checks.json").read_text())}
+    assert "continuation" not in records
+    law = records["peak-law"]["measured"]
+    assert law["p"] == [10.0, 20.0]
+    assert law["strategy"] == ["arclength", "ansatz"]
+    assert law["factorizations"] == [factorizations, 0]
 
 
 def test_spectrum_takes_a_p_list_and_the_deleted_options_are_gone(capsys):

@@ -1,7 +1,13 @@
+import gc
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 
-from spikelab import greens
+from spikelab import greens, kirchhoff_routh, lane_emden, linsolve
 from spikelab.greens import QueryAtSourceError, SourceNearBoundaryError, unit_disk_R
 from spikelab.mesh import build_mesh, make_domain
 
@@ -116,3 +122,128 @@ def test_closed_form_sanity():
     assert unit_disk_G(np.zeros(2), x) == pytest.approx(0.110318, abs=1e-6)
     assert unit_disk_grad_R(np.array([0.3, 0.0]))[0] == pytest.approx(0.104937, abs=1e-6)
     assert unit_disk_hess_R(np.zeros(2))[0, 0] == pytest.approx(1 / np.pi)
+
+
+# ---- the one held Laplacian factor -----------------------------------------
+
+
+class _Tracked:
+    """A SuperLU object cannot be weakly referenced; this stand-in can."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+@pytest.fixture
+def tracked(monkeypatch):
+    """Route greens' factorizations through weakly referenced stand-ins;
+    returns the weak references, one per factorization.  Each test builds
+    its own meshes, so its first request always factorizes."""
+    refs = []
+
+    def factorize(A):
+        lu = _Tracked(linsolve.factorize(A))
+        refs.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(greens, "factorize", factorize)
+    return refs
+
+
+def _disk(n):
+    return build_mesh(make_domain("disk", r=1.0), 1.0 / n)
+
+
+def test_factorization_is_held_for_its_mesh(tracked):
+    m = _disk(24)
+    lu = greens.laplacian_factorization(m)
+    assert greens.laplacian_factorization(m) is lu
+    greens.regular_part(m, (0.3, 0.2))
+    assert len(tracked) == 1
+
+
+def test_a_second_mesh_frees_the_first_factor(tracked):
+    m1, m2 = _disk(24), _disk(32)
+    greens.laplacian_factorization(m1)
+    greens.laplacian_factorization(m2)
+    assert tracked[0]() is None and tracked[1]() is not None
+    # m1 is alive and keeps its matrix; only the factor went
+    assert "_lap_op" in m1.__dict__
+
+
+def test_a_factor_handed_out_outlives_the_hold(tracked):
+    m1, m2 = _disk(24), _disk(32)
+    b = np.random.default_rng(3).random(m1.n_nodes)
+    lu = greens.laplacian_factorization(m1)
+    before = lu.solve(b)
+    greens.laplacian_factorization(m2)
+    assert tracked[0]() is lu
+    assert np.array_equal(lu.solve(b), before)
+
+
+def test_newton_frees_another_meshs_factor_and_keeps_its_own(tracked):
+    m1, m2 = _disk(24), _disk(32)
+    cfg = kirchhoff_routh.psi_eval(m2, [(0.0, 0.0)])  # holds m2's factor
+    u0 = lane_emden.ansatz(m2, cfg, 6.0)
+    lane_emden.newton_solve(m2, u0, 6.0)
+    assert len(tracked) == 1 and tracked[0]() is not None
+    greens.laplacian_factorization(m1)
+    lane_emden.newton_solve(m2, u0, 6.0)
+    assert tracked[1]() is None
+
+
+def test_a_dropped_mesh_takes_its_factor_along(tracked):
+    m = _disk(24)
+    greens.laplacian_factorization(m)
+    del m
+    gc.collect()
+    assert tracked[0]() is None
+
+
+def test_robin_values_from_a_remade_factor_are_identical():
+    m1, m2 = _disk(24), _disk(32)
+    pts = [(0.0, 0.0), (0.3, 0.2), (-0.45, 0.1)]
+    first = [greens.regular_part(m1, q).R_value for q in pts]
+    greens.laplacian_factorization(m2)
+    assert [greens.regular_part(m1, q).R_value for q in pts] == first
+
+
+def test_concurrent_requests_get_their_own_meshs_factor(tracked, monkeypatch):
+    # the sweep's diagnostics make Green solves from a thread pool; a slow
+    # factorization lets every thread in while the first one factorizes
+    stand_in = greens.factorize
+
+    def slow(A):
+        time.sleep(0.02)
+        return stand_in(A)
+
+    monkeypatch.setattr(greens, "factorize", slow)
+    m1, m2 = _disk(16), _disk(24)
+    rhs = {id(m): greens.laplacian_operator(m) @ np.ones(m.n_nodes) for m in (m1, m2)}
+    got, errors = [], []
+
+    def request(meshes):
+        try:
+            got.extend((m, greens.laplacian_factorization(m)) for m in meshes)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    def run(plans):
+        threads = [threading.Thread(target=request, args=(meshes,)) for meshes in plans]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run([[m1] * 3] * 4)
+        assert len(tracked) == 1  # one mesh: one factorization
+        run([[m1, m2, m1], [m2, m1, m2]] * 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and len(got) == 12 + 12
+    for m, lu in got:
+        assert np.allclose(lu.solve(rhs[id(m)]), 1.0, rtol=0, atol=1e-9)
