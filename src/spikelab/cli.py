@@ -121,14 +121,6 @@ def cmd_liouville(args) -> int:
     return 0
 
 
-def _p_start(p_list) -> float:
-    """Where an arclength fallback before the first recorded p starts: at
-    p = 8 (or the first recorded p, if lower), whose ansatz solve lands on
-    the h = 1/32 and 1/24 disks where p = 10's fails.  It is solved only
-    when a fallback needs it."""
-    return min(p_list[0], 8.0)
-
-
 def _report(records, out_dir: str, t0: float, branch=None, plots=None) -> int:
     """Write checks.json (with branch.csv and the plots when given) to out_dir,
     print a PASS/FAIL line per record, the notes of each failing one and a
@@ -149,9 +141,8 @@ def _report(records, out_dir: str, t0: float, branch=None, plots=None) -> int:
 
 def cmd_sweep(args) -> int:
     t0 = time.time()
-    p_list = parse_p_range(args.p)
     cfg = harness.RunConfig(
-        domain=parse_domain(args.domain), h_list=[args.h], p_list=p_list, p_start=_p_start(p_list),
+        domain=parse_domain(args.domain), h_list=[args.h], p_list=parse_p_range(args.p),
         start_points=None if args.start is None else args.start.tolist(),
     )
     sweep = harness.run_sweep(cfg)
@@ -160,8 +151,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     msh, cfg = _critical_point(args)
-    p_list = sorted(args.p)
-    branch = lane_emden.continue_in_p(msh, cfg, _p_start(p_list), p_list)
+    branch = lane_emden.continue_in_p(msh, cfg, args.p)
     rows = []
     for e in branch.entries:
         rep = spectrum.analyse_entry(e, m=args.m)

@@ -73,7 +73,7 @@ def _forget(mesh_ref: weakref.ref) -> None:
             _held = None
 
 
-def release_factorization(keep: GridMesh) -> None:
+def release_factorization(keep: GridMesh | None = None) -> None:
     """Free the held Laplacian factor unless it belongs to ``keep``."""
     global _held
     with _held_lock:

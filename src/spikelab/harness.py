@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+# the sweep runs in one thread; the name stays only because the benchmark's
+# tracer (perfbench/spans.py) patches it and its tests ask that it exists
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,6 +25,8 @@ class ConfigError(ValueError):
 
 
 def worker_count() -> int:
+    """SPIKELAB_THREADS, or min(4, cpu count).  The sweep runs in one thread;
+    perfbench/run.py records this number with its environment."""
     env = os.environ.get("SPIKELAB_THREADS")
     if env:
         try:
@@ -40,7 +44,7 @@ class RunConfig:
     domain: mesh_mod.DomainSpec = field(default_factory=lambda: mesh_mod.make_domain("disk", r=1.0))
     h_list: list = field(default_factory=lambda: [1.0 / 64])
     p_list: list = field(default_factory=lambda: list(DEFAULT_P_LIST))
-    p_start: float = 10.0
+    p_start: float | None = None  # the least p the list may hold (None: no bound)
     start_points: list | None = None
 
     def validate(self) -> None:
@@ -48,6 +52,8 @@ class RunConfig:
             raise ConfigError("p list must not be empty")
         if sorted(self.p_list) != list(self.p_list):
             raise ConfigError("p list must be ascending")
+        if self.p_start is not None and self.p_list[0] < self.p_start:
+            raise ConfigError(f"p list starts below p_start = {self.p_start:g}")
         if len(self.h_list) != 1:
             raise ConfigError("h list must hold exactly one h: the sweep solves on one mesh")
 
@@ -273,7 +279,7 @@ def run_sweep(cfg: RunConfig) -> dict:
 
     # continuation
     try:
-        branch = lane_emden.continue_in_p(msh, kr_cfg, cfg.p_start, cfg.p_list)
+        branch = lane_emden.continue_in_p(msh, kr_cfg, cfg.p_list)
     except Exception as exc:  # noqa: BLE001
         error = f"{type(exc).__name__}: {exc}"
         records.append(
@@ -284,12 +290,12 @@ def run_sweep(cfg: RunConfig) -> dict:
         )
         return {"records": records, "branch": None, "plots": {}, "kr": kr_cfg}
 
-    # per-entry diagnostics (pure given the entry; safe to thread): one flat
+    # per-entry diagnostics on the entry's own mesh, in p order: one flat
     # row per spike j, its Pohozaev circle and profile disk inside B_d(x_j)
     prof = liouville.solve_w0()
 
     def diagnose(entry):
-        theta = float(min(8 * msh.h, entry.d))
+        theta = float(min(8 * entry.mesh.h, entry.d))
         rows = [{"p": entry.p, "j": j + 1, "theta": theta} for j in range(len(entry.spikes))]
         try:
             gb = pohozaev.gradient_balance(entry)
@@ -301,7 +307,7 @@ def run_sweep(cfg: RunConfig) -> dict:
                 row["gradient_balance_error"] = f"{type(exc).__name__}: {exc}"
         for j, (row, s) in enumerate(zip(rows, entry.spikes)):
             try:
-                rep = pohozaev.pohozaev_residuals(msh, entry.u, entry.p, s.position, theta)
+                rep = pohozaev.pohozaev_residuals(entry.mesh, entry.u, entry.p, s.position, theta)
                 row["q_residuals"] = rep.q_residuals.tolist()
                 row["p_residual"] = float(rep.p_residual)
             except Exception as exc:  # noqa: BLE001
@@ -314,8 +320,7 @@ def run_sweep(cfg: RunConfig) -> dict:
                 row["profile_error"] = f"{type(exc).__name__}: {exc}"
         return rows
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as ex:
-        diags = [row for rows in ex.map(diagnose, branch.entries) for row in rows]
+    diags = [row for entry in branch.entries for row in diagnose(entry)]
     diag_errors = [f"p = {d['p']:g}, j = {d['j']}: {k} = {v}"
                    for d in diags for k, v in d.items() if k.endswith("_error")]
 
@@ -332,10 +337,12 @@ def run_sweep(cfg: RunConfig) -> dict:
             {"p": ps.tolist(), "u_max": umax.tolist(), "residual": peak_resid.tolist(),
              "resolved": [e.spikes[0].resolved for e in branch.entries],
              "strategy": [e.strategy for e in branch.entries],
-             **{key: [e.march[key] for e in branch.entries] for key in lane_emden.MARCH_COUNTS}},
+             "nodes": [e.mesh.n_nodes for e in branch.entries],
+             "factorizations": [e.factorizations for e in branch.entries]},
             "informational",
             True,
-            notes="2-D grid values; where resolved is false, eps is below the lattice cell",
+            notes="2-D grid values, each on its entry's mesh (strategy graded: graded toward the "
+                  "spikes); where resolved is false, eps is below the lattice cell",
         )
     )
     try:

@@ -43,6 +43,8 @@ class SpikeConfig:
     points: np.ndarray  # (k, 2)
     psi_parts: np.ndarray  # (k,)
     psi_total: float
+    # the regular parts H(a_j, .) psi_eval solved, one per point, on its mesh
+    regular_parts: list[greens.GreenData]
     grad: np.ndarray | None = None  # (2k,)
     hess: np.ndarray | None = None  # (2k, 2k)
     nondeg_margin: float | None = None
@@ -69,7 +71,8 @@ def _check_points(mesh: GridMesh, points: np.ndarray) -> None:
 
 
 def psi_eval(mesh: GridMesh, points, *, _solved: dict | None = None) -> SpikeConfig:
-    """Evaluate Psi_{k,j} and Psi_k at the given interior points (values only).
+    """Evaluate Psi_{k,j} and Psi_k at the given interior points (values
+    only); the configuration keeps the regular parts it solved.
 
     ``_solved`` maps a source (as a tuple) to its regular part; a search
     shares one such dict across a stencil so that each source is solved once.
@@ -91,7 +94,8 @@ def psi_eval(mesh: GridMesh, points, *, _solved: dict | None = None) -> SpikeCon
             if m != j:
                 interaction += float(gds[j].values(points[m][None, :])[0])
         parts[j] = gds[j].R_value - interaction
-    return SpikeConfig(k=k, points=points, psi_parts=parts, psi_total=float(parts.sum()))
+    return SpikeConfig(k=k, points=points, psi_parts=parts, psi_total=float(parts.sum()),
+                       regular_parts=gds)
 
 
 def start_points(domain, points) -> np.ndarray:

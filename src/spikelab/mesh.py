@@ -4,7 +4,7 @@ A domain is the region where a level-set function is negative.  The mesh is
 the set of points of a tensor-product lattice inside the domain; at lattice
 edges that cross the boundary the arm is shortened to the zero crossing (found
 by bisection), which is how Dirichlet data enters the 5-point Laplacian.  The
-lattice lines are uniform (``build_mesh``) or graded toward a spike
+lattice lines are uniform (``build_mesh``) or graded toward the spikes
 (``build_graded_mesh``); the unequal-arm stencil serves both, and its
 area-weighted form is symmetric on either.
 """
@@ -481,41 +481,59 @@ def build_mesh(domain: DomainSpec, h: float) -> GridMesh:
 GRADE_SCALE = 1.0 / 16.0  # length scale of the log part of the grading map
 
 
-def graded_lines(lo: float, hi: float, center: float, h: float, eps: float) -> np.ndarray:
-    """Lattice lines over [lo, hi], one beyond each end, crowding toward ``center``.
+def graded_lines(lo: float, hi: float, centers, h: float, eps) -> np.ndarray:
+    """Lattice lines over [lo, hi], one beyond each end, crowding toward each
+    of the coordinates ``centers`` (one scale ``eps``, or one per centre).
 
     The lines sit at steps h of the grading coordinate
-    xi(x) = (x - c) + s asinh((x - c)/eps) with s = GRADE_SCALE, whose
-    spacing h / (1 + s/sqrt(eps^2 + (x - c)^2)) is about h eps/s at the
-    centre and tends to h far from it.  Every spacing shrinks with h and the
-    ratio of neighbouring spacings tends to 1, so the five-point scheme stays
-    second order (Manteuffel & White, Math. Comp. 47, 1986).  ``center`` is
-    itself a line and the lines are mirror-symmetric about it.
+    xi(x) = (x - c_0) + s sum_c asinh((x - c)/eps_c) with s = GRADE_SCALE,
+    one term per distinct centre c (with the least eps of the centres there)
+    and c_0 the lowest; stretchings with several attraction points are
+    Vinokur's (J. Comput. Phys. 50, 1983).  The spacing is at most about
+    h eps_c/s at a centre and tends to h far from every centre.  Every
+    spacing shrinks with h and the ratio of neighbouring spacings tends to
+    1, so the five-point scheme stays second order (Manteuffel & White,
+    Math. Comp. 47, 1986).  A single centre is itself a line and the lines
+    are mirror-symmetric about it.
     """
-    if h <= 0 or eps <= 0:
+    cs = np.atleast_1d(np.asarray(centers, dtype=float))
+    es = np.broadcast_to(np.asarray(eps, dtype=float), cs.shape)
+    if h <= 0 or np.any(es <= 0):
         raise ValueError("h and eps must be positive")
+    uniq = np.unique(cs)
+    terms = [(c - uniq[0], es[cs == c].min()) for c in uniq]
 
-    def xi(z):
-        return z + GRADE_SCALE * np.arcsinh(z / eps)
+    def xi(z):  # z = x - c_0
+        return z + GRADE_SCALE * sum(np.arcsinh((z - o) / e) for o, e in terms)
 
-    k = np.arange(math.floor(xi(lo - center) / h) - 1, math.ceil(xi(hi - center) / h) + 2)
-    target = np.abs(k * h)
-    # xi is odd and increasing with xi(z) >= z on z >= 0, so the root lies in [0, target]
-    a, b = np.zeros_like(target), target.copy()
+    k = np.arange(math.floor(xi(lo - uniq[0]) / h) - 1, math.ceil(xi(hi - uniq[0]) / h) + 2)
+    if len(uniq) == 1:
+        # xi is odd and increasing with xi(z) >= z on z >= 0, so the root
+        # for |k h| lies in [0, |k h|]
+        sign, target = np.sign(k), np.abs(k * h)
+        a, b = np.zeros_like(target), target.copy()
+    else:
+        # xi' >= 1, so each line lies within 2h of [lo, hi]
+        sign, target = 1.0, k * h
+        a, b = np.full_like(target, lo - uniq[0] - 2 * h), np.full_like(target, hi - uniq[0] + 2 * h)
     for _ in range(64):
         mid = 0.5 * (a + b)
         below = xi(mid) < target
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
-    return center + np.sign(k) * 0.5 * (a + b)
+    return uniq[0] + sign * 0.5 * (a + b)
 
 
-def build_graded_mesh(domain: DomainSpec, h: float, center, eps: float) -> GridMesh:
-    """Mesh whose lines are graded toward ``center`` down to cells of about
-    16 h eps (see ``graded_lines``); ``h`` is the grading-coordinate step."""
+def build_graded_mesh(domain: DomainSpec, h: float, centers, eps) -> GridMesh:
+    """Mesh whose lines are graded toward every point of ``centers`` (one
+    x,y point or a (k, 2) array) down to cells of about 16 h eps there
+    (``eps`` one scale, or one per point; see ``graded_lines``); ``h`` is
+    the grading-coordinate step."""
+    pts = np.atleast_2d(np.asarray(centers, dtype=float))
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), len(pts))
     xmin, xmax, ymin, ymax = domain.bbox
-    xs = graded_lines(xmin, xmax, float(center[0]), h, eps)
-    ys = graded_lines(ymin, ymax, float(center[1]), h, eps)
+    xs = graded_lines(xmin, xmax, pts[:, 0], h, eps)
+    ys = graded_lines(ymin, ymax, pts[:, 1], h, eps)
     return mesh_on_lines(domain, xs, ys, h)
 
 

@@ -95,7 +95,7 @@ def test_sweep_writes_the_whole_report(swept):
     msh = build_mesh(dom, 1.0 / 48)
     cfg = kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.start_points(dom, None))
     with _under_resolved_at_p10():
-        branch = lane_emden.continue_in_p(msh, cfg, 8.0, [8.0, 10.0])
+        branch = lane_emden.continue_in_p(msh, cfg, [8.0, 10.0])
     assert (out / "branch.csv").read_text() == harness.branch_csv_text(branch)
     ids = [r["identifier"] for r in json.loads((out / "checks.json").read_text())]
     assert ids == ["kr-critical-point", "peak-law", "peak-law-rate", "sweep-diagnostics"]
@@ -137,11 +137,11 @@ def test_sweep_failures_print_their_error(tmp_path, monkeypatch, capsys):
     def no_landing(mesh, u0, p):
         raise lane_emden.NewtonDivergedError(f"no landing at p = {p:g}")
 
-    # every solve fails, the fallback march's p = 8 seed too
+    # every solve fails, the graded fallback's too
     monkeypatch.setattr(lane_emden, "newton_solve", no_landing)
     assert cli.main(["sweep", "--h", "1/32", "--p", "10,20", "--out", str(tmp_path)]) == 1
     assert ("[FAIL] continuation: branch continuation over the p list\n"
-            "       note: NewtonDivergedError: no landing at p = 8"
+            "       note: NewtonDivergedError: no landing at p = 10"
             in capsys.readouterr().out)
 
     def no_point(mesh, starts):
@@ -153,24 +153,30 @@ def test_sweep_failures_print_their_error(tmp_path, monkeypatch, capsys):
             "       note: NewtonDivergedError: no point" in capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("h, factorizations", [("1/32", 40), ("1/24", 30)])
-def test_sweep_marches_to_a_first_p_whose_ansatz_fails(tmp_path, capsys, h, factorizations):
-    # the p = 10 ansatz solve fails on these disks; the march from the
-    # unlisted p = 8 seed reaches it, and p = 20 lands from its ansatz
-    with pytest.warns(lane_emden.UnderResolvedSpikeWarning):
+@pytest.mark.parametrize("h", ["1/32", "1/24"])
+def test_sweep_grades_a_first_p_whose_ansatz_fails(tmp_path, capsys, h):
+    # the p = 10 ansatz solve fails on these disks and lands on a mesh graded
+    # toward the spike, where the spike is resolved; p = 20 lands from its
+    # ansatz on the sweep's mesh, under-resolved
+    with pytest.warns(lane_emden.UnderResolvedSpikeWarning, match="at p = 20 "):
         assert cli.main(["sweep", "--h", h, "--p", "10,20", "--out", str(tmp_path)]) == 0
     assert "[FAIL]" not in capsys.readouterr().out
     records = {r["identifier"]: r for r in json.loads((tmp_path / "checks.json").read_text())}
     assert "continuation" not in records
     law = records["peak-law"]["measured"]
     assert law["p"] == [10.0, 20.0]
-    assert law["strategy"] == ["arclength", "ansatz"]
-    assert law["factorizations"] == [factorizations, 0]
+    assert law["strategy"] == ["graded", "ansatz"]
+    assert law["resolved"] == [True, False]
+    n_sweep = build_mesh(cli.parse_domain("disk,r=1"), cli.parse_h(h)).n_nodes
+    assert law["nodes"][0] > n_sweep == law["nodes"][1]
+    assert 1 <= law["factorizations"][0] <= 2
+    # the diagnostics run on each entry's own mesh
+    assert records["sweep-diagnostics"]["passed"]
 
 
 def test_spectrum_takes_a_p_list_and_the_deleted_options_are_gone(capsys):
-    with _under_resolved_at_p10():
-        assert cli.main(["spectrum", "--domain", "disk,r=1", "--h", "1/32", "--p", "8,10"]) == 0
+    # p = 10 is analysed on the graded mesh its solve landed on
+    assert cli.main(["spectrum", "--domain", "disk,r=1", "--h", "1/32", "--p", "8,10"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["p"] for r in rows] == [8.0, 10.0]
     assert all(len(r["eigenvalues"]) == 4 for r in rows)

@@ -181,15 +181,20 @@ def test_a_factor_handed_out_outlives_the_hold(tracked):
     assert np.array_equal(lu.solve(b), before)
 
 
-def test_newton_frees_another_meshs_factor_and_keeps_its_own(tracked):
+def test_newton_frees_every_factor(tracked):
     m1, m2 = _disk(24), _disk(32)
     cfg = kirchhoff_routh.psi_eval(m2, [(0.0, 0.0)])  # holds m2's factor
-    u0 = lane_emden.ansatz(m2, cfg, 6.0)
-    lane_emden.newton_solve(m2, u0, 6.0)
+    u0 = lane_emden.ansatz(m2, cfg, 6.0)  # on the regular part psi_eval solved
     assert len(tracked) == 1 and tracked[0]() is not None
+    lane_emden.newton_solve(m2, u0, 6.0)
+    # its own mesh's factor goes too, so no Jacobian LU sits beside it
+    assert tracked[0]() is None
     greens.laplacian_factorization(m1)
     lane_emden.newton_solve(m2, u0, 6.0)
     assert tracked[1]() is None
+    # a Green solve that follows on m2 factorizes its Laplacian again
+    greens.regular_part(m2, (0.3, 0.2))
+    assert len(tracked) == 3 and tracked[2]() is not None
 
 
 def test_a_dropped_mesh_takes_its_factor_along(tracked):
@@ -209,8 +214,8 @@ def test_robin_values_from_a_remade_factor_are_identical():
 
 
 def test_concurrent_requests_get_their_own_meshs_factor(tracked, monkeypatch):
-    # the sweep's diagnostics make Green solves from a thread pool; a slow
-    # factorization lets every thread in while the first one factorizes
+    # callers in several threads share the one hold; a slow factorization
+    # lets every thread in while the first one factorizes
     stand_in = greens.factorize
 
     def slow(A):

@@ -66,6 +66,10 @@ def test_run_config_rejects_bad_values():
     # the sweep solves on one mesh: a second h would be dropped silently
     with pytest.raises(ConfigError, match="h list"):
         RunConfig(h_list=[1.0 / 64, 1.0 / 128]).validate()
+    # p_start bounds the p list from below; by default there is no bound
+    with pytest.raises(ConfigError, match="below p_start = 10"):
+        RunConfig(p_list=[8.0, 10.0], p_start=10.0).validate()
+    RunConfig(p_list=[8.0, 10.0]).validate()
 
 
 def test_record_roundtrip(tmp_path):
@@ -112,11 +116,12 @@ def test_branch_csv_columns():
 
 @pytest.mark.slow
 def test_run_sweep_deterministic(tmp_path):
+    # p = 10 lands on a mesh graded toward the spike (its ansatz fails on
+    # the h = 1/32 grid), and every spike is resolved
     cfg = RunConfig(h_list=[1.0 / 32], p_list=[8.0, 10.0], p_start=8.0)
-    with _under_resolved_at_p10():
-        out1 = harness.run_sweep(cfg)
-    with _under_resolved_at_p10():
-        out2 = harness.run_sweep(cfg)
+    out1 = harness.run_sweep(cfg)
+    out2 = harness.run_sweep(cfg)
+    assert [e.strategy for e in out1["branch"].entries] == ["ansatz", "graded"]
     csv1 = harness.branch_csv_text(out1["branch"])
     csv2 = harness.branch_csv_text(out2["branch"])
     assert csv1 == csv2

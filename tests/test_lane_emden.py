@@ -174,7 +174,7 @@ def test_newton_frees_its_factor_when_it_fails(disk64, kr_disk, monkeypatch):
     u0 = le.ansatz(disk64, kr_disk, 14.0)
     _patch_factorize(monkeypatch, tracked)
     # on the uniform h = 1/64 grid p = 14 lies beyond a fold of the discrete
-    # branch, so the ansatz solve fails (continue_in_p then marches there)
+    # branch, so the ansatz solve fails (continue_in_p then grades the mesh)
     with pytest.raises(le.NewtonDivergedError) as caught:
         le.newton_solve(disk64, u0, 14.0)
     # the kept exception's traceback holds newton_solve's frame
@@ -238,15 +238,6 @@ def test_jacobian_matches_directional_difference(disk64, solved_p10):
     assert np.linalg.norm(fd - Jv) / np.linalg.norm(Jv) <= 1e-5
 
 
-def test_d_dp_matches_central_difference(disk64, solved_p10):
-    u, _ = solved_p10
-    p, dp = 10.0, 1e-4
-    problem = le.LaneEmdenProblem(disk64)
-    fd = (problem.residual(u, p + dp)[0] - problem.residual(u, p - dp)[0]) / (2.0 * dp)
-    Fp = problem.d_dp(u, p)
-    assert np.linalg.norm(fd - Fp) / np.linalg.norm(Fp) <= 1e-5
-
-
 def test_extract_spikes_wrong_count(disk64, solved_p10):
     u, _ = solved_p10
     with pytest.raises(le.WrongPeakCountError):
@@ -283,68 +274,108 @@ def test_peak_mass_approaches_limit(disk64, solved_p10):
     assert s.C * 10.0 < 8 * np.pi * math.sqrt(math.e)
 
 
+def _graded_like_the_fallback(mesh, cfg, p):
+    """The mesh continue_in_p grades for p: the sweep's h, toward the spike
+    points, with the eps of the oracle heights."""
+    eps = [math.exp(le.log_eps(p, u)) for u in le.oracle_heights(cfg, radial.solve_radial(p))]
+    return build_graded_mesh(mesh.domain, mesh.h, cfg.points, eps)
+
+
 @pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
 def test_continuation_records_targets(disk64, kr_disk):
-    with _under_resolved(12), _under_resolved(14):
-        br = le.continue_in_p(disk64, kr_disk, 10.0, [10.0, 12.0, 14.0])
-    assert br.p_values == [10.0, 12.0, 14.0]
-    assert [e.strategy for e in br.entries] == ["ansatz", "ansatz", "arclength"]
-    umax = [e.spikes[0].u_max for e in br.entries]
-    assert umax[0] > umax[-1] or umax[0] < 2.0
+    # p = 14 lies beyond the uniform h = 1/64 grid's fold cascade; it lands
+    # from its ansatz on a mesh graded toward the spike, where it is resolved
+    with _under_resolved(12):
+        br = le.continue_in_p(disk64, kr_disk, [14.0, 10.0, 12.0])
+    assert br.p_values == [10.0, 12.0, 14.0] and br.mesh is disk64
+    assert [e.strategy for e in br.entries] == ["ansatz", "ansatz", "graded"]
+    assert [e.spikes[0].resolved for e in br.entries] == [True, False, True]
+    assert br.entries[0].mesh is br.entries[1].mesh is disk64
+    graded = br.entries[2].mesh
+    assert np.array_equal(graded.xs, _graded_like_the_fallback(disk64, kr_disk, 14.0).xs)
+    assert graded.n_nodes > disk64.n_nodes
+    for e in br.entries:
+        assert e.residual <= le.NEWTON_TOL and 1 <= e.factorizations <= 8
+        assert np.hypot(*e.spikes[0].position) < disk64.h
+    # the resolved peak is the oracle's
+    orc = radial.solve_radial(14.0)
+    assert br.entries[2].spikes[0].u_max == pytest.approx(orc.u0, rel=2e-3)
     rows = harness.branch_csv_text(br).splitlines()[1:]
     assert [float(r.split(",")[0]) for r in rows] == [10.0, 12.0, 14.0]
 
 
-def test_continuation_solves_p_start_only_when_needed(disk64, kr_disk, monkeypatch):
-    # p = 12 lands from its ansatz, so the unlisted p_start = 10 seed is never
-    # needed (solving it first made two calls)
-    calls = []
+def test_continuation_grades_only_where_the_ansatz_fails(disk64, kr_disk, monkeypatch):
+    # p = 12 lands from its ansatz on the sweep's mesh: one solve, no graded mesh
+    calls, graded = [], []
     solve = le.newton_solve
 
-    def counted(mesh, u0, p, **kwargs):
+    def counted(mesh, u0, p):
         calls.append(p)
-        return solve(mesh, u0, p, **kwargs)
+        return solve(mesh, u0, p)
 
     monkeypatch.setattr(le, "newton_solve", counted)
+    monkeypatch.setattr(le, "build_graded_mesh", lambda *args: graded.append(args))
     with _under_resolved(12):
-        br = le.continue_in_p(disk64, kr_disk, 10.0, [12.0])
-    assert calls == [12.0]
+        br = le.continue_in_p(disk64, kr_disk, [12.0])
+    assert calls == [12.0] and not graded
     assert br.p_values == [12.0] and br.entries[0].strategy == "ansatz"
 
 
-def test_unlisted_p_start_seeds_the_arclength_march():
-    # on the h = 1/32 disk the p = 10 ansatz solve fails, so the p = 8 seed is
-    # solved then and the march from it is the one a listed p = 8 starts
-    m = build_mesh(make_domain("disk", r=1.0), 1.0 / 32)
-    cfg = kr.psi_eval(m, [(0.0, 0.0)])
-    with _under_resolved(10):
-        alone = le.continue_in_p(m, cfg, 8.0, [10.0])
-    with _under_resolved(10):
-        listed = le.continue_in_p(m, cfg, 8.0, [8.0, 10.0])
-    assert alone.p_values == [10.0] and alone.entries[0].strategy == "arclength"
-    assert np.array_equal(alone.entries[0].u, listed.entries[1].u)
-    assert alone.entries[0].march == listed.entries[1].march
-
-
-def test_arclength_march_carries_its_factor(monkeypatch):
+def test_graded_fallback_lands_p10_on_the_h32_disk(monkeypatch):
+    # on the h = 1/32 disk the p = 10 ansatz solve fails; the graded re-solve
+    # lands from its ansatz in one Jacobian LU and resolves the spike
     m = build_mesh(make_domain("disk", r=1.0), 1.0 / 32)
     cfg = kr.psi_eval(m, [(0.0, 0.0)])
     calls = _patch_factorize(monkeypatch)
-    with _under_resolved(10):
-        br = le.continue_in_p(m, cfg, 8.0, [8.0, 10.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", le.UnderResolvedSpikeWarning)
+        br = le.continue_in_p(m, cfg, [10.0])
     monkeypatch.undo()
-    # a corrector that refactorizes every step, and up to 3 more times in
-    # steps it then rejects, makes 115 factorizations here
-    assert len(calls) <= 75
-    assert [e.strategy for e in br.entries] == ["ansatz", "arclength"]
-    assert br.entries[0].march == dict.fromkeys(le.MARCH_COUNTS, 0)
-    march = br.entries[1].march
-    assert 0 < march["rejected_steps"] < march["accepted_steps"]
-    # accepted steps hand their factor on, so there are fewer factors than steps
-    assert march["factorizations"] < march["accepted_steps"] + march["rejected_steps"]
-    e = br.entries[1]
-    assert e.residual <= 1e-10
+    e = br.entries[0]
+    assert e.strategy == "graded" and e.spikes[0].resolved
+    # the failed attempt on the h = 1/32 grid takes 9 more
+    assert e.factorizations == 1 and len(calls) <= 12
+    # graded toward the centre with eps0(10): the disk's Psi is R(0) = 0
+    orc = radial.solve_radial(10.0)
+    eps = math.exp(le.log_eps(10.0, le.oracle_heights(cfg, orc)[0]))
+    assert eps == pytest.approx(orc.eps0, rel=1e-4)
+    assert np.array_equal(e.mesh.ys, _graded_like_the_fallback(m, cfg, 10.0).ys)
+    assert e.residual <= le.NEWTON_TOL
     assert len(e.spikes) == 1 and np.hypot(*e.spikes[0].position) < m.h
+    assert e.spikes[0].u_max == pytest.approx(orc.u0, rel=2e-3)
+
+
+def test_two_spike_fallback_grades_toward_both_points():
+    # on the h = 1/24 annulus the k = 2 ansatz solve fails at p = 20; a mesh
+    # graded toward both points lands it with both spikes resolved
+    m = build_mesh(make_domain("annulus", r_in=0.4, r_out=1.0), 1.0 / 24)
+    cfg = kr.psi_eval(m, [(0.68, 0.0), (-0.68, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", le.UnderResolvedSpikeWarning)
+        e = le.continue_in_p(m, cfg, [20.0]).entries[0]
+    assert e.strategy == "graded" and all(s.resolved for s in e.spikes)
+    assert np.array_equal(e.mesh.xs, _graded_like_the_fallback(m, cfg, 20.0).xs)
+    for s, a in zip(e.spikes, [(-0.68, 0.0), (0.68, 0.0)]):
+        assert np.hypot(*(s.position - a)) < m.h
+        assert s.cell < 0.1 * m.h
+    assert e.residual <= le.NEWTON_TOL
+
+
+def test_ansatz_reuses_the_regular_parts_psi_eval_solved(disk64, kr_disk, monkeypatch):
+    assert [gd.mesh for gd in kr_disk.regular_parts] == [disk64]
+    solve, solved_on = greens.regular_part, []
+
+    def counted(mesh, x0):
+        solved_on.append(mesh)
+        return solve(mesh, x0)
+
+    monkeypatch.setattr(greens, "regular_part", counted)
+    le.ansatz(disk64, kr_disk, 12.0)
+    assert solved_on == []
+    # on another mesh the far field needs that mesh's regular part
+    other = build_mesh(make_domain("disk", r=1.0), 1.0 / 48)
+    le.ansatz(other, kr_disk, 12.0)
+    assert solved_on == [other]
 
 
 def test_rescale_profile_gauge(disk64, kr_disk, solved_p10):

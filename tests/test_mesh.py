@@ -9,6 +9,7 @@ from closed_forms import coo_laplacian
 from spikelab import greens, linsolve
 from spikelab.mesh import (
     DIRS,
+    GRADE_SCALE,
     InvalidParamsError,
     TooCoarseError,
     assemble_laplacian,
@@ -346,6 +347,62 @@ def test_graded_lines_shape():
     growth = [np.max(np.maximum(g[1:] / g[:-1], g[:-1] / g[1:]))
               for g in (np.diff(graded_lines(-1.04, 1.04, 0.0, h, EPS20)) for h in (1 / 64, 1 / 128, 1 / 256))]
     assert growth[0] > growth[1] > growth[2] and growth[2] < 1.06
+
+
+def _mirrored_lines(lo, hi, center, h, eps):
+    """The single-centre construction: lines at steps h of
+    xi(z) = z + s asinh(z/eps), z = x - center, each solved for |k h| on
+    [0, |k h|] and mirrored about the centre."""
+    def xi(z):
+        return z + GRADE_SCALE * np.arcsinh(z / eps)
+
+    k = np.arange(np.floor(xi(lo - center) / h) - 1, np.ceil(xi(hi - center) / h) + 2)
+    target = np.abs(k * h)
+    a, b = np.zeros_like(target), target.copy()
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        below = xi(mid) < target
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    return center + np.sign(k) * 0.5 * (a + b)
+
+
+def test_one_centre_lines_are_the_mirrored_asinh_lines():
+    for c, eps in ((0.0, EPS20), (0.2, 3e-3), (-0.37, 0.05)):
+        for h in (1 / 24, 1 / 64, 1 / 128):
+            assert np.array_equal(graded_lines(-1.04, 1.04, c, h, eps),
+                                  _mirrored_lines(-1.04, 1.04, c, h, eps))
+    # a point or a (1, 2) array, one eps or one per point: the same mesh
+    disk = make_domain("disk", r=1.0)
+    m = build_graded_mesh(disk, 1.0 / 32, (0.2, -0.1), 1e-2)
+    for same in (build_graded_mesh(disk, 1.0 / 32, [[0.2, -0.1]], [1e-2]),
+                 build_graded_mesh(disk, 1.0 / 32, np.array([0.2, -0.1]), np.float64(1e-2))):
+        assert np.array_equal(m.xs, same.xs) and np.array_equal(m.ys, same.ys)
+    assert np.array_equal(m.ys, _mirrored_lines(-1.04, 1.04, -0.1, 1.0 / 32, 1e-2))
+
+
+def test_two_centre_lines_crowd_toward_both_centres():
+    # the k = 2 annulus points (+-0.68, 0), with a scale each: the x lines
+    # get one asinh term per centre, the y lines one for the shared y = 0
+    h, eps = 1.0 / 32, (4e-3, 8e-3)
+    m = build_graded_mesh(make_domain("annulus", r_in=0.4, r_out=1.0), h,
+                          [[0.68, 0.0], [-0.68, 0.0]], eps)
+    gaps = np.diff(m.xs)
+    mids = 0.5 * (m.xs[1:] + m.xs[:-1])
+    assert m.xs[0] < -1.04 and m.xs[-1] > 1.04 and np.all(gaps > 0)
+    for c, e in zip((0.68, -0.68), eps):
+        # spacing h / xi'(c), xi'(c) = 1 + s/eps_c + s/sqrt(eps_o^2 + 1.36^2)
+        near = gaps[np.argmin(np.abs(mids - c))]
+        assert near == pytest.approx(h / (1 + GRADE_SCALE / e), rel=0.1)
+    # midway between the centres and far out the spacing is close to h
+    assert gaps[np.argmin(np.abs(mids))] > 0.8 * h and gaps.max() < h
+    # neighbouring spacings grow no faster than toward one centre alone
+    def growth(g):
+        return np.max(np.maximum(g[1:] / g[:-1], g[:-1] / g[1:]))
+
+    assert growth(gaps) <= growth(np.diff(graded_lines(-1.04, 1.04, 0.68, h, eps[0])))
+    # the shared y = 0 takes the lesser eps and stays mirror-symmetric
+    assert np.array_equal(m.ys, _mirrored_lines(-1.04, 1.04, 0.0, h, min(eps)))
 
 
 def test_graded_mesh_laplacian_exact_on_quadratics(graded):

@@ -3,10 +3,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
-from spikelab import kirchhoff_routh, lane_emden, verify
+from spikelab import harness, kirchhoff_routh, lane_emden, verify
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -44,12 +45,26 @@ def test_release_drops_an_entry_with_its_mesh():
 
 
 def test_quick_verify_writes_nothing_to_stderr(tmp_path):
-    # C12's h = 1/32 sweep warns that its p = 10 spike is under-resolved; the
-    # warning is a note on C12's records, not a line on stderr
+    # C12's h = 1/32 sweep lands p = 10 on a mesh graded toward the spike, so
+    # no spike is under-resolved; a warning would be a note, not stderr
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     run = subprocess.run([sys.executable, "-m", "spikelab.cli", "verify", "--quick", "--out",
                           str(tmp_path)], capture_output=True, text=True, env=env)
     assert run.returncode == 1  # C6-energy and C7-leading, the expected reds
     assert run.stderr == ""
     notes = {r["identifier"]: r["notes"] for r in json.loads((tmp_path / "checks.json").read_text())}
-    assert notes["C12-determinism"].count("narrower than the lattice cell") == 1
+    assert notes["C12-determinism"] == ""
+
+
+def test_a_criterions_warnings_join_its_notes():
+    def criterion(ctx):
+        for _ in range(2):
+            warnings.warn("a spike is narrower than the lattice cell",
+                          lane_emden.UnderResolvedSpikeWarning)
+        return [harness.VerificationRecord("X", "x", None, {}, "none", True, notes="kept")]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", lane_emden.UnderResolvedSpikeWarning)
+        records = verify.run_criterion(criterion, None)
+    # the same warning raised twice is one note
+    assert records[0].notes == "kept; warning: a spike is narrower than the lattice cell"
