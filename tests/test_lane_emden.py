@@ -345,6 +345,24 @@ def test_graded_fallback_lands_p10_on_the_h32_disk(monkeypatch):
     assert e.spikes[0].u_max == pytest.approx(orc.u0, rel=2e-3)
 
 
+def test_graded_p10_lands_alone_as_after_p8():
+    # each p is solved from its own ansatz: on the h = 1/32 disk the graded
+    # p = 10 solve lands the same whether or not p = 8 is listed before it
+    m = build_mesh(make_domain("disk", r=1.0), 1.0 / 32)
+    cfg = kr.psi_eval(m, [(0.0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", le.UnderResolvedSpikeWarning)
+        alone = le.continue_in_p(m, cfg, [10.0])
+        listed = le.continue_in_p(m, cfg, [8.0, 10.0])
+    assert alone.p_values == [10.0] and listed.p_values == [8.0, 10.0]
+    assert [e.strategy for e in listed.entries] == ["ansatz", "graded"]
+    assert alone.entries[0].strategy == "graded"
+    assert np.array_equal(alone.entries[0].mesh.xs, listed.entries[1].mesh.xs)
+    assert np.array_equal(alone.entries[0].mesh.ys, listed.entries[1].mesh.ys)
+    assert np.array_equal(alone.entries[0].u, listed.entries[1].u)
+    assert alone.entries[0].factorizations == listed.entries[1].factorizations
+
+
 def test_two_spike_fallback_grades_toward_both_points():
     # on the h = 1/24 annulus the k = 2 ansatz solve fails at p = 20; a mesh
     # graded toward both points lands it with both spikes resolved
