@@ -63,14 +63,13 @@ def cmd_green(args) -> int:
     dom = parse_domain(args.domain)
     msh = mesh_mod.build_mesh(dom, args.h)
     x0 = np.array([float(t) for t in args.source.split(",")])
-    gd = greens.regular_part(msh, x0)
-    grad, hess = greens.robin_derivatives(msh, x0, gd.R_value)
+    gd = greens.robin_derivatives(msh, x0)
     _emit(
         {
             "source": x0.tolist(),
             "R": gd.R_value,
-            "grad_R": grad.tolist(),
-            "hess_R": hess.tolist(),
+            "grad_R": gd.R_grad.tolist(),
+            "hess_R": gd.R_hess.tolist(),
             "mesh": msh.summary(),
         },
         args.out,
@@ -231,8 +230,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (greens.SourceNearBoundaryError, greens.StencilLeavesDomainError,
-            kirchhoff_routh.PointNearBoundaryError) as exc:
+    except (greens.SourceNearBoundaryError, kirchhoff_routh.PointNearBoundaryError) as exc:
         # a point the geometry rejects is bad input: one line and exit 2, as argparse does
         ap.exit(2, f"{ap.prog}: error: {exc}\n")
 

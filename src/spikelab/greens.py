@@ -1,7 +1,13 @@
 """Green function G = S - H on a meshed domain: regular part by a harmonic
-solve with log Dirichlet data, Robin function and its derivatives by
-source-perturbation central differences (the one stencil the
-Kirchhoff-Routh search also uses).
+solve with log Dirichlet data, and the Robin function R(x) = H(x, x) with
+its gradient and Hessian from source-derivative fields.
+
+``robin_derivatives`` solves H(x0, .) and d/dx0_i H(x0, .), whose data are
+the closed forms d/dx0_i S, as three columns of one solve.  By the symmetry
+H(x, y) = H(y, x), at y = x0: grad R = d_x0 H + grad_y H and Hess R =
+2 Hess_y H + G + G^T, G_ij = d/dy_j d/dx0_i H, each y-derivative read from
+the field's biquadratic patch (M. Flucher, Variational Problems with
+Concentration, Birkhauser 1999).
 
 The unit disk's Robin function has the closed form R(x) = -(1/2pi)
 log(1 - |x|^2) (image charges), against which C2 checks the solves.
@@ -17,7 +23,6 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -34,10 +39,6 @@ class SourceNearBoundaryError(ValueError):
     pass
 
 
-class StencilLeavesDomainError(ValueError):
-    pass
-
-
 class QueryAtSourceError(ValueError):
     pass
 
@@ -45,6 +46,11 @@ class QueryAtSourceError(ValueError):
 def fundamental(x0: np.ndarray, x, y):
     """S(x0, (x,y)) = -(1/2pi) log |x0 - (x,y)|."""
     return -np.log(np.hypot(x - x0[0], y - x0[1])) / TWO_PI
+
+
+def fundamental_source_derivative(x0: np.ndarray, i: int, x, y):
+    """d/dx0_i S(x0, (x,y)) = ((x,y) - x0)_i / (2pi |x0 - (x,y)|^2)."""
+    return ((x, y)[i] - x0[i]) / (TWO_PI * ((x - x0[0]) ** 2 + (y - x0[1]) ** 2))
 
 
 def laplacian_operator(mesh: GridMesh) -> SparseOperator:
@@ -107,6 +113,10 @@ class GreenData:
     source: np.ndarray
     H_field: np.ndarray
     R_value: float
+    # filled by robin_derivatives: d/dx0_i H(x0, .) as column i, grad R, Hess R
+    dH_fields: np.ndarray | None = None
+    R_grad: np.ndarray | None = None
+    R_hess: np.ndarray | None = None
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -120,58 +130,36 @@ class GreenData:
         return grad_S - self.mesh.interp_gradient(self.H_field, pts)
 
 
-def regular_part(mesh: GridMesh, x0) -> GreenData:
-    """Solve ΔH = 0 with H = S(x0, .) on the boundary; fill R(x0) by interpolation.
-
-    The source must sit at least MIN_DEPTH h inside the domain.
-    """
+def source_point(mesh: GridMesh, x0) -> np.ndarray:
+    """x0 as a float array; it must sit at least MIN_DEPTH h inside the domain."""
     x0 = np.asarray(x0, dtype=float)
     if not bool(mesh.domain.inside(x0[0], x0[1])):
         raise SourceNearBoundaryError(f"source {x0} is not inside the domain")
     if mesh.boundary_distance(x0[0], x0[1]) < MIN_DEPTH * mesh.h:
         raise SourceNearBoundaryError(f"source {x0} is closer than {MIN_DEPTH}h to the boundary")
+    return x0
+
+
+def regular_part(mesh: GridMesh, x0) -> GreenData:
+    """Solve ΔH = 0 with H = S(x0, .) on the boundary; fill R(x0) by interpolation."""
+    x0 = source_point(mesh, x0)
     b = dirichlet_rhs(mesh, lambda x, y: fundamental(x0, x, y))
     H = laplacian_factorization(mesh).solve(b)
-    R = float(mesh.interp(H, x0[None, :])[0])
-    return GreenData(mesh, x0, H, R)
+    return GreenData(mesh, x0, H, float(mesh.interp(H, x0[None, :])[0]))
 
 
-def central_differences(f, x0: np.ndarray, delta: float, f0: float | None = None):
-    """Gradient and Hessian of f at x0 by central differences of step delta.
-
-    f is evaluated once at each of the 1 + 2d + 2d(d-1) stencil points: x0
-    (skipped when its value f0 is given), x0 +- delta e_i and
-    x0 +- delta e_i +- delta e_j for i < j.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    d = x0.size
-    if f0 is None:
-        f0 = f(x0)
-    steps = delta * np.eye(d)
-    fp = np.array([f(x0 + e) for e in steps])
-    fm = np.array([f(x0 - e) for e in steps])
-    grad = (fp - fm) / (2 * delta)
-    hess = np.diag((fp - 2 * f0 + fm) / delta**2)
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei, ej = steps[i], steps[j]
-            hess[i, j] = hess[j, i] = (
-                f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)
-            ) / (4 * delta**2)
-    return grad, hess
-
-
-def robin_derivatives(mesh: GridMesh, x0, R0: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the Robin function at x0: central differences
-    of step 2h over 9 solves of the regular part (8 when R0 = R(x0) is given)."""
-    x0 = np.asarray(x0, dtype=float)
-    delta = 2.0 * mesh.h
-    for s in product((-1, 0, 1), repeat=2):
-        p = x0 + delta * np.array(s)
-        if s != (0, 0) and (mesh.boundary_distance(p[0], p[1]) < MIN_DEPTH * mesh.h
-                            or not bool(mesh.domain.inside(*p))):
-            raise StencilLeavesDomainError(f"Robin FD stencil point {p} leaves the domain")
-    return central_differences(lambda x: regular_part(mesh, x).R_value, x0, delta, R0)
+def robin_derivatives(mesh: GridMesh, x0) -> GreenData:
+    """H(x0, .) and d/dx0_i H(x0, .) from one three-column solve, with R,
+    grad R and Hess R at x0 by the formulas of the module docstring."""
+    x0 = source_point(mesh, x0)
+    data = [lambda x, y: fundamental(x0, x, y)] + [
+        lambda x, y, i=i: fundamental_source_derivative(x0, i, x, y) for i in (0, 1)]
+    b = np.column_stack([dirichlet_rhs(mesh, g) for g in data])
+    fields = laplacian_factorization(mesh).solve(b)
+    (R, grad_y, hess_y), *dH = [mesh.patch_derivatives(f, x0) for f in fields.T]
+    G = np.array([g for _, g, _ in dH])  # row i: the y-gradient of d/dx0_i H
+    return GreenData(mesh, x0, fields[:, 0], R, fields[:, 1:],
+                     np.array([v for v, _, _ in dH]) + grad_y, 2.0 * hess_y + G + G.T)
 
 
 def green_eval(gd: GreenData, y) -> tuple[float, np.ndarray]:

@@ -338,7 +338,8 @@ def run_sweep(cfg: RunConfig) -> dict:
              "resolved": [e.spikes[0].resolved for e in branch.entries],
              "strategy": [e.strategy for e in branch.entries],
              "nodes": [e.mesh.n_nodes for e in branch.entries],
-             "factorizations": [e.factorizations for e in branch.entries]},
+             "factorizations": [e.factorizations for e in branch.entries],
+             "failed_factorizations": [e.failed_factorizations for e in branch.entries]},
             "informational",
             True,
             notes="2-D grid values, each on its entry's mesh (strategy graded: graded toward the "

@@ -2,17 +2,20 @@
 critical point search, and Hessian-based non-degeneracy certification.
 
 Psi_k(a) = sum_j [ R(a_j) - sum_{m != j} G(a_j, a_m) ];  its gradient and
-Hessian come from ``greens.central_differences`` over Green re-solves.
-``greens`` holds one Laplacian factor, that of the mesh it solved on last,
-so a search factorizes its mesh's Laplacian at most once (not at all when
-that factor is already held), and each re-solve is a triangular solve.
+Hessian come from the fields ``greens.robin_derivatives`` solves at each
+a_j, one three-column triangular solve per spike and point.  ``greens``
+holds one Laplacian factor, that of the mesh it solved on last, so a search
+factorizes its mesh's Laplacian at most once (not at all when that factor
+is already held).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import greens
 from .mesh import GridMesh
@@ -32,7 +35,11 @@ class PointNearBoundaryError(ValueError):
 
 
 class NewtonDivergedError(RuntimeError):
-    pass
+    """A Newton iteration stopped short after ``factorizations`` Jacobian LUs."""
+
+    def __init__(self, message: str, factorizations: int = 0):
+        super().__init__(message)
+        self.factorizations = factorizations
 
 
 @dataclass
@@ -43,7 +50,7 @@ class SpikeConfig:
     points: np.ndarray  # (k, 2)
     psi_parts: np.ndarray  # (k,)
     psi_total: float
-    # the regular parts H(a_j, .) psi_eval solved, one per point, on its mesh
+    # the regular parts H(a_j, .) solved for it, one per point, on its mesh
     regular_parts: list[greens.GreenData]
     grad: np.ndarray | None = None  # (2k,)
     hess: np.ndarray | None = None  # (2k, 2k)
@@ -52,50 +59,64 @@ class SpikeConfig:
     classification: str | None = None
 
 
-def _check_points(mesh: GridMesh, points: np.ndarray) -> None:
-    k = points.shape[0]
-    for j in range(k):
-        for m in range(j + 1, k):
-            if np.hypot(*(points[j] - points[m])) <= MIN_SEPARATION_FACTOR * mesh.h:
-                raise CoincidentPointsError(
-                    f"points {j} and {m} are closer than {MIN_SEPARATION_FACTOR}h"
-                )
-    for j in range(k):
-        try:
-            depth = mesh.boundary_distance(points[j, 0], points[j, 1])
-            depth_ok = depth >= greens.MIN_DEPTH * mesh.h
-        except ValueError:
-            depth_ok = False
-        if not (bool(mesh.domain.inside(points[j, 0], points[j, 1])) and depth_ok):
-            raise PointNearBoundaryError(f"point {points[j]} too close to the boundary")
-
-
-def psi_eval(mesh: GridMesh, points, *, _solved: dict | None = None) -> SpikeConfig:
-    """Evaluate Psi_{k,j} and Psi_k at the given interior points (values
-    only); the configuration keeps the regular parts it solved.
-
-    ``_solved`` maps a source (as a tuple) to its regular part; a search
-    shares one such dict across a stencil so that each source is solved once.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    _check_points(mesh, points)
-    k = points.shape[0]
-    solved = {} if _solved is None else _solved
-    gds = []
+def _spike_points(mesh: GridMesh, points) -> np.ndarray:
+    """The points as a (k, 2) float array, checked to lie apart and inside."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    for j, m in itertools.combinations(range(len(points)), 2):
+        if np.hypot(*(points[j] - points[m])) <= MIN_SEPARATION_FACTOR * mesh.h:
+            raise CoincidentPointsError(f"points {j} and {m} are closer than {MIN_SEPARATION_FACTOR}h")
     for a in points:
-        key = tuple(a)
-        if key not in solved:
-            solved[key] = greens.regular_part(mesh, a)
-        gds.append(solved[key])
-    parts = np.empty(k)
-    for j in range(k):
-        interaction = 0.0
-        for m in range(k):
-            if m != j:
-                interaction += float(gds[j].values(points[m][None, :])[0])
-        parts[j] = gds[j].R_value - interaction
+        try:
+            greens.source_point(mesh, a)
+        except ValueError:
+            raise PointNearBoundaryError(f"point {a} too close to the boundary") from None
+    return points
+
+
+def psi_eval(mesh: GridMesh, points) -> SpikeConfig:
+    """Evaluate Psi_{k,j} and Psi_k at the given interior points (values
+    only); the configuration keeps the regular parts it solved."""
+    points = _spike_points(mesh, points)
+    k = len(points)
+    gds = [greens.regular_part(mesh, a) for a in points]
+    parts = np.array([gds[j].R_value - sum(float(gds[j].values(points[m][None, :])[0])
+                                           for m in range(k) if m != j) for j in range(k)])
     return SpikeConfig(k=k, points=points, psi_parts=parts, psi_total=float(parts.sum()),
                        regular_parts=gds)
+
+
+def psi_derivatives(mesh: GridMesh, points) -> SpikeConfig:
+    """Psi_{k,j} and Psi_k with the gradient and Hessian of Psi_k.
+
+    With S(x0, y) = s(y - x0), the pair (j, m) reads the fields of a_j at
+    a_m (d = a_m - a_j): G(a_j, a_m) = s(d) - H, d/dx0 G = -grad s - dH and
+    grad_y G = grad s - grad_y H.  Hessian block (j, m) takes Hess s + D,
+    D_il = d/dy_l dH_i, and block (m, m) takes -2 (Hess s - Hess_y H), for
+    d^2/dy^2 G(a_j, a_m) and, by H's symmetry, d^2/dx0^2 G(a_m, a_j).
+    """
+    points = _spike_points(mesh, points)
+    k = len(points)
+    gds = [greens.robin_derivatives(mesh, a) for a in points]
+    parts = np.array([gd.R_value for gd in gds])
+    grad = np.concatenate([gd.R_grad for gd in gds])
+    hess = block_diag(*[gd.R_hess for gd in gds])
+    for j, m in itertools.permutations(range(k), 2):
+        gd, sj, sm = gds[j], slice(2 * j, 2 * j + 2), slice(2 * m, 2 * m + 2)
+        d = points[m] - points[j]
+        r2 = float(d @ d)
+        grad_s = -d / (greens.TWO_PI * r2)
+        hess_s = (2.0 * np.outer(d, d) - r2 * np.eye(2)) / (greens.TWO_PI * r2 * r2)
+        H, grad_H, hess_H = mesh.patch_derivatives(gd.H_field, points[m])
+        dH = [mesh.patch_derivatives(gd.dH_fields[:, i], points[m]) for i in (0, 1)]
+        mixed = hess_s + np.array([g for _, g, _ in dH])
+        parts[j] -= -0.5 * np.log(r2) / greens.TWO_PI - H
+        grad[sj] += grad_s + np.array([v for v, _, _ in dH])
+        grad[sm] += grad_H - grad_s
+        hess[sj, sm] += mixed
+        hess[sm, sj] += mixed.T
+        hess[sm, sm] -= 2.0 * (hess_s - hess_H)
+    return SpikeConfig(k=k, points=points, psi_parts=parts, psi_total=float(parts.sum()),
+                       regular_parts=gds, grad=grad, hess=hess)
 
 
 def start_points(domain, points) -> np.ndarray:
@@ -109,64 +130,36 @@ def start_points(domain, points) -> np.ndarray:
 
 
 def find_critical_point(mesh: GridMesh, initial) -> SpikeConfig:
-    """Damped Newton on grad Psi_k to KR_TOL.  Steps are halved (down to
-    1/8) until the gradient norm decreases; the returned configuration
-    carries gradient, Hessian and the non-degeneracy margin at the critical
-    point.
-
-    Gradient and Hessian come from one central-difference stencil of step 2h
-    at the start and at each trial point, so no stencil point is solved twice.
-    A stencil point moves one or two spikes and leaves the others where they
-    are, so within one stencil each source's regular part is solved once.
+    """Damped Newton on grad Psi_k to KR_TOL, with gradient and Hessian from
+    ``psi_derivatives`` at the start and at each trial point.  Steps are
+    halved (down to 1/8) until the gradient norm decreases; the returned
+    configuration carries gradient, Hessian, the Hessian's eigenvalues, their
+    least modulus (the non-degeneracy margin) and the point's classification.
     """
-    delta = 2.0 * mesh.h
-
-    def stencil(flat: np.ndarray) -> SpikeConfig:
-        solved = {}
-        psi = lambda x: psi_eval(mesh, x.reshape(-1, 2), _solved=solved).psi_total
-        cfg = psi_eval(mesh, flat.reshape(-1, 2), _solved=solved)
-        cfg.grad, cfg.hess = greens.central_differences(psi, flat, delta, cfg.psi_total)
-        return cfg
-
-    cfg = stencil(np.asarray(initial, dtype=float).reshape(-1))
+    cfg = psi_derivatives(mesh, initial)
     for _ in range(KR_MAX_ITER):
         gnorm = float(np.linalg.norm(cfg.grad))
         if gnorm <= KR_TOL:
             break
-        x = cfg.points.reshape(-1)
         try:
             step = np.linalg.solve(cfg.hess, -cfg.grad)
         except np.linalg.LinAlgError:
             step = -cfg.grad
         for alpha in (1.0, 0.5, 0.25, 0.125):
-            trial = x + alpha * step
             try:
-                _check_points(mesh, trial.reshape(-1, 2))
+                trial = psi_derivatives(mesh, cfg.points.reshape(-1) + alpha * step)
             except (CoincidentPointsError, PointNearBoundaryError):
                 continue
-            trial_cfg = stencil(trial)
-            if np.linalg.norm(trial_cfg.grad) < gnorm:
-                cfg = trial_cfg
+            if np.linalg.norm(trial.grad) < gnorm:
+                cfg = trial
                 break
         else:
-            raise NewtonDivergedError(
-                f"no damping step reduced |grad Psi| (stuck at {gnorm:.3e})"
-            )
+            raise NewtonDivergedError(f"no damping step reduced |grad Psi| (stuck at {gnorm:.3e})")
     else:
         raise NewtonDivergedError(f"Newton did not reach tol={KR_TOL} in {KR_MAX_ITER} iterations")
-
-    _fill_nondegeneracy(cfg)
+    # psi_derivatives builds the Hessian symmetric
+    eigs = np.linalg.eigvalsh(cfg.hess)
+    cfg.eigenvalues, cfg.nondeg_margin = eigs, float(np.min(np.abs(eigs)))
+    cfg.classification = ("minimum" if np.all(eigs > 0) else "maximum" if np.all(eigs < 0)
+                          else "saddle")
     return cfg
-
-
-def _fill_nondegeneracy(cfg: SpikeConfig) -> None:
-    sym = 0.5 * (cfg.hess + cfg.hess.T)
-    eigs = np.linalg.eigvalsh(sym)
-    cfg.eigenvalues = eigs
-    cfg.nondeg_margin = float(np.min(np.abs(eigs)))
-    if np.all(eigs > 0):
-        cfg.classification = "minimum"
-    elif np.all(eigs < 0):
-        cfg.classification = "maximum"
-    else:
-        cfg.classification = "saddle"

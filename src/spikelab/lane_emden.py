@@ -32,8 +32,8 @@ NEWTON_MAX_ITER = 60
 CHORD_CONTRACTION = 0.5
 
 
-class TrivialSolutionError(RuntimeError):
-    pass
+class TrivialSolutionError(NewtonDivergedError):
+    """Newton landed on the zero solution."""
 
 
 class WrongPeakCountError(RuntimeError):
@@ -196,7 +196,7 @@ def newton_solve(mesh: GridMesh, u0: np.ndarray, p: float) -> tuple[np.ndarray, 
     try:
         for _ in range(NEWTON_MAX_ITER):
             if not np.isfinite(rn):
-                raise NewtonDivergedError("non-finite residual in Newton iteration")
+                raise NewtonDivergedError("non-finite residual in Newton iteration", factorizations)
             if rn <= NEWTON_TOL:
                 break
             if lu is not None:
@@ -225,19 +225,20 @@ def newton_solve(mesh: GridMesh, u0: np.ndarray, p: float) -> tuple[np.ndarray, 
                     accepted = True
                     break
             if not accepted:
-                raise NewtonDivergedError(f"damping failed at residual {rn:.3e}")
+                raise NewtonDivergedError(f"damping failed at residual {rn:.3e}", factorizations)
             if alpha < 1.0:
                 lu = None
             history.append(rn)
         else:
-            raise NewtonDivergedError(f"Newton did not reach tol={NEWTON_TOL:.1e} (at {rn:.3e})")
+            raise NewtonDivergedError(f"Newton did not reach tol={NEWTON_TOL:.1e} (at {rn:.3e})",
+                                      factorizations)
     finally:
         # a caught exception's traceback keeps this frame, and with it any
         # factor, alive for as long as the handler runs
         lu = None
 
     if float(np.max(u)) < 0.5:
-        raise TrivialSolutionError("Newton collapsed to the zero solution")
+        raise TrivialSolutionError("Newton collapsed to the zero solution", factorizations)
     return u, {"residual_history": history, "residual": rn, "iterations": len(history) - 1,
                "factorizations": factorizations, "min_value": float(np.min(u))}
 
@@ -266,10 +267,11 @@ class BranchEntry:
     d: float
     mesh: GridMesh = field(repr=False, default=None)
     # how continue_in_p reached this entry, "ansatz" (on the sweep's mesh) or
-    # "graded" (on a mesh graded toward the spikes), and the Jacobian
-    # factorizations of the Newton solve that landed it
+    # "graded" (on a mesh graded toward the spikes), and the Jacobian LUs of the
+    # solve that landed it and of the ansatz solve that failed before a graded one
     strategy: str | None = None
     factorizations: int = 0
+    failed_factorizations: int = 0
 
 
 @dataclass
@@ -344,10 +346,11 @@ def default_spike_radius(mesh: GridMesh, points: np.ndarray) -> float:
 
 
 def make_entry(mesh: GridMesh, u: np.ndarray, p: float, k: int, d: float, residual: float,
-               strategy: str | None = None, factorizations: int = 0) -> BranchEntry:
+               strategy: str | None = None, factorizations: int = 0,
+               failed_factorizations: int = 0) -> BranchEntry:
     spikes = extract_spikes(mesh, u, p, k, d)
     return BranchEntry(p, u, spikes, energy_functional(mesh, u, p), residual, d, mesh, strategy,
-                       factorizations)
+                       factorizations, failed_factorizations)
 
 
 def continue_in_p(mesh: GridMesh, cfg: SpikeConfig, p_list: list[float]) -> SolutionBranch:
@@ -361,20 +364,21 @@ def continue_in_p(mesh: GridMesh, cfg: SpikeConfig, p_list: list[float]) -> Solu
     same h graded toward the spike points down to cells of about 16 h eps_j,
     with eps_j from the ``oracle_heights`` (strategy "graded"); the entry
     keeps that mesh.  Each entry records the Jacobian factorizations of the
-    solve that landed it.
+    solve that landed it, and those the failed ansatz solve spent.
     """
     d = default_spike_radius(mesh, cfg.points)
     branch = SolutionBranch(mesh, cfg.k)
     for p in sorted(set(p_list)):
-        grid, strategy = mesh, "ansatz"
+        grid, strategy, failed = mesh, "ansatz", 0
         try:
             u, info = newton_solve(grid, ansatz(grid, cfg, p), p)
-        except (NewtonDivergedError, TrivialSolutionError):
+        except NewtonDivergedError as exc:
+            failed = exc.factorizations
             eps = [math.exp(log_eps(p, height)) for height in oracle_heights(cfg, solve_radial(p))]
             grid, strategy = build_graded_mesh(mesh.domain, mesh.h, cfg.points, eps), "graded"
             u, info = newton_solve(grid, ansatz(grid, cfg, p), p)
         branch.entries.append(make_entry(grid, u, p, cfg.k, d, info["residual"], strategy,
-                                         info["factorizations"]))
+                                         info["factorizations"], failed))
     return branch
 
 

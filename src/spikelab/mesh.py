@@ -175,6 +175,17 @@ def _quad_derivatives(r: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     return dw, np.array([2.0 / (r * (r + 1.0)), -2.0 / r, 2.0 / (1.0 + r)])
 
 
+def _patch_derivatives(block: np.ndarray, rx: float, xi: float, ry: float, eta: float):
+    """Value, gradient and Hessian at (xi, eta) of the biquadratic patch through
+    a 3x3 block of node values, in units of the right and upper arms (``_arm_units``)."""
+    wx, wy = _quad_weights(rx, xi), _quad_weights(ry, eta)
+    dwx, ddwx = _quad_derivatives(rx, xi)
+    dwy, ddwy = _quad_derivatives(ry, eta)
+    gxy = dwx @ block @ dwy
+    return (wx @ block @ wy, np.array([dwx @ block @ wy, wx @ block @ dwy]),
+            np.array([[ddwx @ block @ wy, gxy], [gxy, wx @ block @ ddwy]]))
+
+
 def _line_position(lines: np.ndarray, x):
     """Fractional line index of x: k + t for x = lines[k] + t (lines[k+1] - lines[k]),
     extrapolated from the end cells beyond the lattice."""
@@ -335,23 +346,38 @@ class GridMesh:
         jc = _nearest_line(self.ys, pts[:, 1])
         blocks = _blocks(arr, ic - 1, jc - 1, 3)
         for k in np.nonzero(np.isnan(blocks).any(axis=(1, 2)))[0]:
-            ic[k], jc[k] = self._interior_block(arr, pts[k], ic[k], jc[k])
+            ic[k], jc[k] = self._interior_block(np.isnan(arr), pts[k], ic[k], jc[k])
             blocks[k] = arr[ic[k] - 1 : ic[k] + 2, jc[k] - 1 : jc[k] + 2]
         rx, _, tx = _arm_units(self.xs, ic, pts[:, 0])
         ry, _, ty = _arm_units(self.ys, jc, pts[:, 1])
         wx, wy = _quad_weights(rx, tx), _quad_weights(ry, ty)
         return np.einsum("ik,kij,jk->k", wx, blocks, wy)
 
-    def _interior_block(self, arr: np.ndarray, pt, i0: int, j0: int) -> tuple[int, int]:
+    def _interior_block(self, exterior: np.ndarray, pt, i0: int, j0: int) -> tuple[int, int]:
         """Centre of the first 3x3 block within one line of (i0, j0) that
-        touches no exterior node."""
+        touches no exterior node (True in the lattice mask ``exterior``)."""
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
                 ii, jj = i0 + di, j0 + dj
                 if 1 <= ii < len(self.xs) - 1 and 1 <= jj < len(self.ys) - 1:
-                    if not np.isnan(arr[ii - 1 : ii + 2, jj - 1 : jj + 2]).any():
+                    if not exterior[ii - 1 : ii + 2, jj - 1 : jj + 2].any():
                         return ii, jj
         raise ValueError(f"interpolation stencil at ({pt[0]:.4g},{pt[1]:.4g}) touches the exterior")
+
+    def patch_derivatives(self, values: np.ndarray, pt) -> tuple[float, np.ndarray, np.ndarray]:
+        """Value, gradient and Hessian at pt of the biquadratic patch that
+        ``interp`` reads there: the 3x3 block of the nearest node, shifted
+        by one line when it touches exterior nodes."""
+        x, y = float(pt[0]), float(pt[1])
+        i0, j0 = int(_nearest_line(self.xs, x)), int(_nearest_line(self.ys, y))
+        if (self.node_of[i0 - 1 : i0 + 2, j0 - 1 : j0 + 2] < 0).any():
+            i0, j0 = self._interior_block(self.node_of < 0, pt, i0, j0)
+        rx, bx, xi = _arm_units(self.xs, i0, x)
+        ry, by, eta = _arm_units(self.ys, j0, y)
+        block = values[self.node_of[i0 - 1 : i0 + 2, j0 - 1 : j0 + 2]]
+        val, g, H = _patch_derivatives(block, rx, xi, ry, eta)
+        scale = np.array([1.0 / bx, 1.0 / by])
+        return float(val), g * scale, H * np.outer(scale, scale)
 
     def refine_stationary(self, values: np.ndarray, start):
         """Stationary point of the local biquadratic patch around ``start``.
@@ -361,25 +387,18 @@ class GridMesh:
         stays the one the plain ``interp`` would select.  Returns
         (point, value).
         """
-        arr = self.grid_array(values)
         x0, y0 = float(start[0]), float(start[1])
-        i0 = int(_nearest_line(self.xs, x0))
-        j0 = int(_nearest_line(self.ys, y0))
-        block = arr[i0 - 1 : i0 + 2, j0 - 1 : j0 + 2]
-        if np.isnan(block).any():
+        i0, j0 = int(_nearest_line(self.xs, x0)), int(_nearest_line(self.ys, y0))
+        nodes = self.node_of[i0 - 1 : i0 + 2, j0 - 1 : j0 + 2]
+        if (nodes < 0).any():
             return np.array([x0, y0]), float(values[self.node_of[i0, j0]])
+        block = values[nodes]
         # Newton runs in the units of the right and upper arms
         rx, bx, xi = _arm_units(self.xs, i0, x0)
         ry, by, eta = _arm_units(self.ys, j0, y0)
         lim_x, lim_y = (-0.5 * rx, 0.5), (-0.5 * ry, 0.5)
         for _ in range(4):
-            wx, wy = _quad_weights(rx, xi), _quad_weights(ry, eta)
-            dwx, ddwx = _quad_derivatives(rx, xi)
-            dwy, ddwy = _quad_derivatives(ry, eta)
-            g = np.array([dwx @ block @ wy, wx @ block @ dwy])
-            H = np.array(
-                [[ddwx @ block @ wy, dwx @ block @ dwy], [dwx @ block @ dwy, wx @ block @ ddwy]]
-            )
+            _, g, H = _patch_derivatives(block, rx, xi, ry, eta)
             try:
                 step = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
@@ -389,7 +408,7 @@ class GridMesh:
             if np.hypot(*step) < 1e-12:
                 break
         pt = np.array([self.xs[i0] + xi * bx, self.ys[j0] + eta * by])
-        return pt, float(_quad_weights(rx, xi) @ block @ _quad_weights(ry, eta))
+        return pt, float(_patch_derivatives(block, rx, xi, ry, eta)[0])
 
     def nodal_gradient(self, values: np.ndarray, nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Per-node gradient: three-point differences exact on quadratics

@@ -21,6 +21,10 @@ def test_green_command(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["R"] == pytest.approx(0.0150100, abs=2e-4)
     assert len(out["grad_R"]) == 2 and len(out["hess_R"]) == 2
+    # 0.1 from the boundary is 3.2h, deep enough for a source (grad R closed form)
+    assert cli.main(["green", "--h", "1/32", "--source", "0.9,0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["grad_R"] == pytest.approx([0.9 / (np.pi * 0.19), 0.0], abs=2e-2)
 
 
 def test_h_takes_decimals_and_fractions_only(capsys):
@@ -166,6 +170,8 @@ def test_sweep_grades_a_first_p_whose_ansatz_fails(tmp_path, capsys, h):
     law = records["peak-law"]["measured"]
     assert law["p"] == [10.0, 20.0]
     assert law["strategy"] == ["graded", "ansatz"]
+    # the Jacobian LUs of the p = 10 ansatz solve that failed first
+    assert law["failed_factorizations"][0] >= 1 and law["failed_factorizations"][1] == 0
     assert law["resolved"] == [True, False]
     n_sweep = build_mesh(cli.parse_domain("disk,r=1"), cli.parse_h(h)).n_nodes
     assert law["nodes"][0] > n_sweep == law["nodes"][1]
@@ -241,9 +247,9 @@ def test_domain_parse_errors():
      "point [0.12 0.07] too close to the boundary"),
     (["green", "--h", "1/32", "--source", "0.97,0"],
      "source [0.97 0.  ] is closer than 3.0h to the boundary"),
-    (["green", "--h", "1/32", "--source", "0.9,0"],
-     "Robin FD stencil point [ 0.9625 -0.0625] leaves the domain"),
-], ids=["spectrum-annulus", "kr-annulus", "green-source", "green-stencil"])
+    (["green", "--h", "1/24", "--source", "0.9,0"],
+     "source [0.9 0. ] is closer than 3.0h to the boundary"),
+], ids=["spectrum-annulus", "kr-annulus", "green-source", "green-source-depth"])
 def test_points_the_geometry_rejects_end_in_one_error_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

@@ -72,21 +72,60 @@ def test_symmetry(disk64):
 
 
 def test_robin_derivatives_center(disk64):
-    grad, hess = greens.robin_derivatives(disk64, (0.0, 0.0))
-    assert np.max(np.abs(grad)) < 1e-8
-    assert np.allclose(hess, np.eye(2) / np.pi, atol=6e-3)
+    gd = greens.robin_derivatives(disk64, (0.0, 0.0))
+    assert abs(gd.R_value) < 1e-10
+    assert np.max(np.abs(gd.R_grad)) < 1e-12
+    assert np.allclose(gd.R_hess, np.eye(2) / np.pi, atol=1e-12)
 
 
 def test_robin_derivatives_off_center(disk64):
-    grad, hess = greens.robin_derivatives(disk64, (0.3, 0.0))
-    assert grad == pytest.approx(unit_disk_grad_R(np.array([0.3, 0.0])), abs=5e-4)
-    assert hess == pytest.approx(unit_disk_hess_R(np.array([0.3, 0.0])), abs=3e-3)
+    x = np.array([0.3, 0.0])
+    gd = greens.robin_derivatives(disk64, x)
+    assert gd.R_value == pytest.approx(greens.regular_part(disk64, x).R_value, rel=1e-14)
+    assert gd.R_grad == pytest.approx(unit_disk_grad_R(x), abs=2e-6)
+    assert gd.R_hess == pytest.approx(unit_disk_hess_R(x), abs=2e-4)
+
+
+@pytest.mark.parametrize("x", [(0.3, 0.17), (-0.51, 0.22)])
+def test_robin_derivatives_match_the_disk_closed_form(disk64, x):
+    # the step-2h stencil these fields replace was off by 1.4e-4 and 5.0e-4
+    # in grad R and by 3.8e-4 and 1.7e-3 in Hess R at these two sources
+    x = np.array(x)
+    gd = greens.robin_derivatives(disk64, x)
+    assert np.max(np.abs(gd.R_grad - unit_disk_grad_R(x))) < 2e-5
+    assert np.max(np.abs(gd.R_hess - unit_disk_hess_R(x))) < 1e-3
 
 
 def test_robin_gradient_antisymmetry(disk64):
-    gp, _ = greens.robin_derivatives(disk64, (0.25, 0.15))
-    gm, _ = greens.robin_derivatives(disk64, (-0.25, -0.15))
-    assert np.allclose(gp, -gm, atol=1e-6)
+    gp = greens.robin_derivatives(disk64, (0.25, 0.15)).R_grad
+    gm = greens.robin_derivatives(disk64, (-0.25, -0.15)).R_grad
+    assert np.allclose(gp, -gm, atol=1e-12)
+
+
+def test_source_derivative_fields_are_the_regular_part_derivative(disk64):
+    # the discrete H(x0, .) depends on x0 only through its boundary data, so
+    # d/dx0_i of it is the solve with d/dx0_i S as data: a difference
+    # quotient of regular parts at displaced sources agrees to its rounding
+    x = np.array([0.3, 0.17])
+    gd = greens.robin_derivatives(disk64, x)
+    assert np.max(np.abs(gd.H_field - greens.regular_part(disk64, x).H_field)) < 1e-14
+    delta = 1e-5
+    for i, e in enumerate(np.eye(2) * delta):
+        quotient = (greens.regular_part(disk64, x + e).H_field
+                    - greens.regular_part(disk64, x - e).H_field) / (2 * delta)
+        assert np.max(np.abs(quotient - gd.dH_fields[:, i])) < 1e-8
+
+
+def test_robin_derivatives_make_one_three_column_solve(green_work):
+    m = _disk(32)
+    gd = greens.robin_derivatives(m, (0.3, 0.17))
+    assert green_work == {"lu": 1, "solve": 1}
+    assert gd.dH_fields.shape == (m.n_nodes, 2)
+
+
+def test_robin_derivatives_reject_a_source_near_the_boundary(disk64):
+    with pytest.raises(SourceNearBoundaryError):
+        greens.robin_derivatives(disk64, (0.97, 0.0))
 
 
 def test_oracle_convergence_order():

@@ -289,6 +289,8 @@ def test_continuation_records_targets(disk64, kr_disk):
         br = le.continue_in_p(disk64, kr_disk, [14.0, 10.0, 12.0])
     assert br.p_values == [10.0, 12.0, 14.0] and br.mesh is disk64
     assert [e.strategy for e in br.entries] == ["ansatz", "ansatz", "graded"]
+    # the p = 14 ansatz solve spent 3 Jacobian LUs before it failed
+    assert [e.failed_factorizations for e in br.entries] == [0, 0, 3]
     assert [e.spikes[0].resolved for e in br.entries] == [True, False, True]
     assert br.entries[0].mesh is br.entries[1].mesh is disk64
     graded = br.entries[2].mesh
@@ -333,8 +335,8 @@ def test_graded_fallback_lands_p10_on_the_h32_disk(monkeypatch):
     monkeypatch.undo()
     e = br.entries[0]
     assert e.strategy == "graded" and e.spikes[0].resolved
-    # the failed attempt on the h = 1/32 grid takes 9 more
-    assert e.factorizations == 1 and len(calls) <= 12
+    # the failed attempt on the h = 1/32 grid takes the others
+    assert e.factorizations == 1 and e.failed_factorizations == len(calls) - 1 <= 11
     # graded toward the centre with eps0(10): the disk's Psi is R(0) = 0
     orc = radial.solve_radial(10.0)
     eps = math.exp(le.log_eps(10.0, le.oracle_heights(cfg, orc)[0]))

@@ -460,6 +460,28 @@ def test_graded_mesh_gradient_exact(graded):
     assert np.max(np.abs(gy[full] - (-1.3 * x + 0.8 * y - 0.5))) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["uniform", "graded"])
+def test_patch_derivatives_exact_on_quadratics(graded, kind):
+    # the biquadratic patch reproduces a quadratic, so its value, gradient and
+    # Hessian are exact wherever it is read, next to the boundary included
+    msh = build_mesh(make_domain("disk", r=1.0), 1.0 / 32) if kind == "uniform" else graded
+    f = _quadratic(msh.coords[:, 0], msh.coords[:, 1])
+    rng = np.random.default_rng(7)
+    r = np.concatenate([0.8 * np.sqrt(rng.random(40)), np.full(10, 0.96), 0.01 * rng.random(10)])
+    a = 2 * np.pi * rng.random(r.size)
+    for pt in np.column_stack([r * np.cos(a), r * np.sin(a)]):
+        val, grad, hess = msh.patch_derivatives(f, pt)
+        assert val == pytest.approx(_quadratic(*pt), abs=1e-12)
+        assert np.allclose(grad, [1.4 * pt[0] - 1.3 * pt[1] + 0.2, -1.3 * pt[0] + 0.8 * pt[1] - 0.5],
+                           atol=1e-9)
+        assert np.allclose(hess, [[1.4, -1.3], [-1.3, 0.8]], atol=1e-6)
+    # it reads the patch interp reads
+    u = np.cos(3.0 * msh.coords[:, 0]) * np.exp(msh.coords[:, 1])
+    pts = np.column_stack([r * np.cos(a), r * np.sin(a)])
+    vals = [msh.patch_derivatives(u, pt)[0] for pt in pts]
+    assert np.allclose(vals, msh.interp(u, pts), rtol=0, atol=1e-14)
+
+
 def test_graded_mesh_refine_stationary(graded):
     c = np.array([1e-4, -0.8e-4])  # within half a cell of the centre node
     f = -((graded.coords[:, 0] - c[0]) ** 2) - 2 * (graded.coords[:, 1] - c[1]) ** 2 + 1.5

@@ -222,3 +222,17 @@ def test_gradient_balance_disk_symmetric(disk96, solved_p8):
     gb = pz.gradient_balance(solved_p8)
     assert len(gb.residuals) == 1
     assert np.hypot(*gb.residuals[0]) < 5e-4
+
+
+def test_gradient_balance_makes_one_solve_per_spike(green_work):
+    # spikes placed by hand on the h = 1/64 disk: the balance is C_j grad R(x_j)
+    # - 2 sum_m C_m grad_y G(x_m, x_j), grad R read from the regular part
+    m = build_mesh(make_domain("disk", r=1.0), 1.0 / 64)
+    pts = np.array([[0.3, 0.17], [-0.2, -0.25]])
+    C = [1.5, 0.5]
+    spikes = [le.SpikeData(x, 1.0, 1e-3, c) for x, c in zip(pts, C)]
+    gb = pz.gradient_balance(le.BranchEntry(8.0, np.zeros(m.n_nodes), spikes, 0.0, 0.0, 0.1, m))
+    assert green_work == {"lu": 1, "solve": 2}
+    for j, k in ((0, 1), (1, 0)):
+        exact = C[j] * unit_disk_grad_R(pts[j]) - 2 * C[k] * unit_disk_grad_G(pts[k], pts[j])
+        assert np.max(np.abs(gb.residuals[j] - exact)) < 1e-5
