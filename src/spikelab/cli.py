@@ -18,12 +18,17 @@ from . import greens, harness, kirchhoff_routh, lane_emden, liouville, mesh as m
 
 def parse_domain(text: str) -> mesh_mod.DomainSpec:
     """Parse 'disk,r=1' / 'ellipse,a=2,b=1' / 'annulus,r_in=0.5,r_out=1'."""
-    kind, *parts = [t.strip() for t in text.split(",") if t.strip()]
-    params = {}
-    for part in parts:
-        k, v = part.split("=", 1)
-        params[k.strip()] = float(v)
-    return mesh_mod.make_domain(kind, **params)
+    try:
+        kind, *parts = [t.strip() for t in text.split(",") if t.strip()]
+        params = {}
+        for part in parts:
+            k, eq, v = part.partition("=")
+            if not eq:
+                raise ValueError(f"{part!r} is not key=value")
+            params[k.strip()] = float(v)
+        return mesh_mod.make_domain(kind, **params)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a domain: {text!r} ({exc})") from None
 
 
 def parse_points(text: str) -> np.ndarray:
@@ -35,11 +40,14 @@ def parse_points(text: str) -> np.ndarray:
 
 
 def parse_h(text: str) -> float:
-    """Grid spacing as a decimal or a fraction: '1/64', '0.015625', '1e-2'."""
+    """Positive grid spacing as a decimal or a fraction: '1/64', '0.015625', '1e-2'."""
     try:
-        return float(fractions.Fraction(text))
+        h = float(fractions.Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a decimal or a fraction: {text!r}") from None
+    if h <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive spacing: {text!r}")
+    return h
 
 
 def parse_p_range(text: str) -> list[float]:
@@ -60,8 +68,7 @@ def _emit(obj, out: str | None) -> None:
 
 
 def cmd_green(args) -> int:
-    dom = parse_domain(args.domain)
-    msh = mesh_mod.build_mesh(dom, args.h)
+    msh = mesh_mod.build_mesh(args.domain, args.h)
     x0 = np.array([float(t) for t in args.source.split(",")])
     gd = greens.robin_derivatives(msh, x0)
     _emit(
@@ -80,9 +87,9 @@ def cmd_green(args) -> int:
 def _critical_point(args):
     """The mesh of --domain and --h, and the Kirchhoff-Routh point searched
     from --start."""
-    dom = parse_domain(args.domain)
-    msh = mesh_mod.build_mesh(dom, args.h)
-    return msh, kirchhoff_routh.find_critical_point(msh, kirchhoff_routh.start_points(dom, args.start))
+    msh = mesh_mod.build_mesh(args.domain, args.h)
+    start = kirchhoff_routh.start_points(args.domain, args.start)
+    return msh, kirchhoff_routh.find_critical_point(msh, start)
 
 
 def cmd_kr(args) -> int:
@@ -141,7 +148,7 @@ def _report(records, out_dir: str, t0: float, branch=None, plots=None) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.time()
     cfg = harness.RunConfig(
-        domain=parse_domain(args.domain), h_list=[args.h], p_list=parse_p_range(args.p),
+        domain=args.domain, h_list=[args.h], p_list=args.p,
         start_points=None if args.start is None else args.start.tolist(),
     )
     sweep = harness.run_sweep(cfg)
@@ -177,13 +184,20 @@ def cmd_verify(args) -> int:
     return _report(verify.acceptance_records(full=not args.quick), args.out, t0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad input in one line and exits 2, its subcommands too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="spikelab",
+    ap = _Parser(prog="spikelab",
                                  description="Lane-Emden spike asymptotics laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, out=None):
-        sp.add_argument("--domain", default="disk,r=1")
+        sp.add_argument("--domain", type=parse_domain, default="disk,r=1")
         sp.add_argument("--h", type=parse_h, default=1.0 / 64,
                         help="grid spacing (fractions like 1/128 accepted)")
         sp.add_argument("--out", default=out)
@@ -211,7 +225,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("sweep", help="branch sweep with diagnostics: writes checks.json, "
                                       "branch.csv and SVG plots to --out")
     common(sp, out="out")
-    sp.add_argument("--p", default="10:80", help=p_help)
+    sp.add_argument("--p", type=parse_p_range, default="10:80", help=p_help)
     sp.add_argument("--start", type=parse_points, help=start_help)
     sp.set_defaults(func=cmd_sweep)
 

@@ -123,6 +123,8 @@ class GreenData:
         return fundamental(self.source, pts[:, 0], pts[:, 1]) - self.mesh.interp(self.H_field, pts)
 
     def gradients(self, pts: np.ndarray) -> np.ndarray:
+        """grad_y G(x0, y) at each point: grad S in closed form minus the
+        gradient of the regular part's biquadratic patch."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         d = pts - self.source
         r2 = np.sum(d * d, axis=1)

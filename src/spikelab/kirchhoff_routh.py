@@ -21,7 +21,8 @@ from . import greens
 from .mesh import GridMesh
 
 MIN_SEPARATION_FACTOR = 4.0  # in units of h; G interpolation degrades closer
-# the search stops at |grad Psi_k| <= KR_TOL, within KR_MAX_ITER Newton steps
+# the search ends one full Newton step after |grad Psi_k| <= KR_TOL, reached
+# within KR_MAX_ITER Newton steps
 KR_TOL = 1e-7
 KR_MAX_ITER = 40
 
@@ -129,34 +130,44 @@ def start_points(domain, points) -> np.ndarray:
     return np.asarray(points, dtype=float).reshape(-1, 2)
 
 
+def _lower_gradient(mesh: GridMesh, cfg: SpikeConfig, alphas) -> SpikeConfig | None:
+    """``psi_derivatives`` at cfg's points moved by alpha times the Newton
+    step, for the first alpha of ``alphas`` that lowers |grad Psi|; None if
+    none does."""
+    try:
+        step = np.linalg.solve(cfg.hess, -cfg.grad)
+    except np.linalg.LinAlgError:
+        step = -cfg.grad
+    for alpha in alphas:
+        try:
+            trial = psi_derivatives(mesh, cfg.points.reshape(-1) + alpha * step)
+        except (CoincidentPointsError, PointNearBoundaryError):
+            continue
+        if np.linalg.norm(trial.grad) < np.linalg.norm(cfg.grad):
+            return trial
+    return None
+
+
 def find_critical_point(mesh: GridMesh, initial) -> SpikeConfig:
     """Damped Newton on grad Psi_k to KR_TOL, with gradient and Hessian from
     ``psi_derivatives`` at the start and at each trial point.  Steps are
-    halved (down to 1/8) until the gradient norm decreases; the returned
-    configuration carries gradient, Hessian, the Hessian's eigenvalues, their
-    least modulus (the non-degeneracy margin) and the point's classification.
+    halved (down to 1/8) until the gradient norm decreases.  Newton is
+    quadratic by then, so one more full step follows, kept if it lowers the
+    gradient norm.  The returned configuration carries gradient, Hessian,
+    the Hessian's eigenvalues, their least modulus (the non-degeneracy
+    margin) and the point's classification.
     """
     cfg = psi_derivatives(mesh, initial)
     for _ in range(KR_MAX_ITER):
         gnorm = float(np.linalg.norm(cfg.grad))
         if gnorm <= KR_TOL:
             break
-        try:
-            step = np.linalg.solve(cfg.hess, -cfg.grad)
-        except np.linalg.LinAlgError:
-            step = -cfg.grad
-        for alpha in (1.0, 0.5, 0.25, 0.125):
-            try:
-                trial = psi_derivatives(mesh, cfg.points.reshape(-1) + alpha * step)
-            except (CoincidentPointsError, PointNearBoundaryError):
-                continue
-            if np.linalg.norm(trial.grad) < gnorm:
-                cfg = trial
-                break
-        else:
+        cfg = _lower_gradient(mesh, cfg, (1.0, 0.5, 0.25, 0.125))
+        if cfg is None:
             raise NewtonDivergedError(f"no damping step reduced |grad Psi| (stuck at {gnorm:.3e})")
     else:
         raise NewtonDivergedError(f"Newton did not reach tol={KR_TOL} in {KR_MAX_ITER} iterations")
+    cfg = _lower_gradient(mesh, cfg, (1.0,)) or cfg
     # psi_derivatives builds the Hessian symmetric
     eigs = np.linalg.eigvalsh(cfg.hess)
     cfg.eigenvalues, cfg.nondeg_margin = eigs, float(np.min(np.abs(eigs)))

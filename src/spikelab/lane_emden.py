@@ -27,8 +27,8 @@ EIGHT_PI = 8.0 * math.pi
 # Newton's stopping test: the scaled residual ||F|| / (1 + ||u_+^p||)
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
-# a chord step, on a factor of an earlier iterate, must shrink the residual at
-# least by this factor
+# a chord step, on a factor of an earlier iterate, must shrink the residual by
+# more than this factor
 CHORD_CONTRACTION = 0.5
 
 
@@ -169,7 +169,7 @@ def newton_solve(mesh: GridMesh, u0: np.ndarray, p: float) -> tuple[np.ndarray, 
     A full (undamped) Newton step keeps its Jacobian factor, and the next
     iteration first tries an undamped chord step on it (the chord method of
     Kelley 1995; Deuflhard 2004's simplified Newton).  The chord step is taken
-    only if it leaves F finite and shrinks ||F|| by at least
+    only if it leaves F finite and shrinks ||F|| by more than
     CHORD_CONTRACTION; otherwise the factor is dropped, the Jacobian is
     factorized at the current iterate and a damped Newton step follows.  A
     damped step drops its factor.  Chord steps count as iterations.
@@ -193,6 +193,19 @@ def newton_solve(mesh: GridMesh, u0: np.ndarray, p: float) -> tuple[np.ndarray, 
     history = [rn]
     factorizations = 0
     lu = None  # the factor of the last full Newton step
+
+    def take(trial: np.ndarray, bound: float) -> bool:
+        """Make ``trial`` the iterate if its merit is finite and below ``bound``."""
+        nonlocal u, upow, res, merit, rn
+        t_res, t_upow = problem.residual(trial, p)
+        with np.errstate(over="ignore"):
+            t_merit = mesh.norm(t_res)
+        if not (np.isfinite(t_merit) and t_merit < bound):
+            return False
+        u, upow, res, merit = trial, t_upow, t_res, t_merit
+        rn = _residual_norm(mesh, res, mesh.norm(upow))
+        return True
+
     try:
         for _ in range(NEWTON_MAX_ITER):
             if not np.isfinite(rn):
@@ -200,31 +213,17 @@ def newton_solve(mesh: GridMesh, u0: np.ndarray, p: float) -> tuple[np.ndarray, 
             if rn <= NEWTON_TOL:
                 break
             if lu is not None:
-                trial = u + lu.solve(-res)
-                t_res, t_upow = problem.residual(trial, p)
-                with np.errstate(over="ignore"):
-                    t_merit = mesh.norm(t_res)
-                if np.isfinite(t_merit) and t_merit <= CHORD_CONTRACTION * merit:
-                    u, upow, res, merit = trial, t_upow, t_res, t_merit
-                    rn = _residual_norm(mesh, res, mesh.norm(upow))
+                if take(u + lu.solve(-res), CHORD_CONTRACTION * merit):
                     history.append(rn)
                     continue
                 lu = None  # free the stale factor before the next one is built
             lu = factorize(problem.jacobian(u, p))
             factorizations += 1
             step = lu.solve(-res)
-            accepted = False
             for alpha in tuple(0.5**i for i in range(11)):
-                trial = u + alpha * step
-                t_res, t_upow = problem.residual(trial, p)
-                with np.errstate(over="ignore"):
-                    t_merit = mesh.norm(t_res)
-                if np.isfinite(t_merit) and t_merit < merit:
-                    u, upow, res, merit = trial, t_upow, t_res, t_merit
-                    rn = _residual_norm(mesh, res, mesh.norm(upow))
-                    accepted = True
+                if take(u + alpha * step, merit):
                     break
-            if not accepted:
+            else:
                 raise NewtonDivergedError(f"damping failed at residual {rn:.3e}", factorizations)
             if alpha < 1.0:
                 lu = None
@@ -330,8 +329,9 @@ def extract_spikes(mesh: GridMesh, u: np.ndarray, p: float, k: int, d: float) ->
 
 
 def energy_functional(mesh: GridMesh, u: np.ndarray, p: float) -> float:
-    gx, gy = mesh.nodal_gradient(u)
-    return p * float(np.sum(mesh.node_area * (gx * gx + gy * gy)))
+    """p times the discrete Dirichlet form u^T D (-Δ_h) u (D = ``node_area``),
+    the integral of |grad u|^2 for u vanishing on the boundary."""
+    return p * float(u @ (mesh.node_area * (greens.laplacian_operator(mesh) @ u)))
 
 
 def default_spike_radius(mesh: GridMesh, points: np.ndarray) -> float:

@@ -175,15 +175,23 @@ def _quad_derivatives(r: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     return dw, np.array([2.0 / (r * (r + 1.0)), -2.0 / r, 2.0 / (1.0 + r)])
 
 
-def _patch_derivatives(block: np.ndarray, rx: float, xi: float, ry: float, eta: float):
-    """Value, gradient and Hessian at (xi, eta) of the biquadratic patch through
-    a 3x3 block of node values, in units of the right and upper arms (``_arm_units``)."""
-    wx, wy = _quad_weights(rx, xi), _quad_weights(ry, eta)
-    dwx, ddwx = _quad_derivatives(rx, xi)
-    dwy, ddwy = _quad_derivatives(ry, eta)
-    gxy = dwx @ block @ dwy
-    return (wx @ block @ wy, np.array([dwx @ block @ wy, wx @ block @ dwy]),
-            np.array([[ddwx @ block @ wy, gxy], [gxy, wx @ block @ ddwy]]))
+def _patch_derivatives(blocks: np.ndarray, rx, xi, ry, eta):
+    """Values, gradients and Hessians at (xi, eta) of the biquadratic patches
+    through stacked 3x3 blocks of node values, in units of the right and upper
+    arms (``_arm_units``); rx, xi, ry and eta hold one entry per block."""
+    def per_block(w):  # (3,) or (3, n) weights as one row per block
+        return w.reshape(3, -1).T
+
+    wx, wy = per_block(_quad_weights(rx, xi)), per_block(_quad_weights(ry, eta))
+    dwx, ddwx = map(per_block, _quad_derivatives(rx, xi))
+    dwy, ddwy = map(per_block, _quad_derivatives(ry, eta))
+
+    def form(a, b):  # a^T block b, per block
+        return (a[:, None, :] @ blocks @ b[:, :, None])[:, 0, 0]
+
+    gxy = form(dwx, dwy)
+    return (form(wx, wy), np.column_stack([form(dwx, wy), form(wx, dwy)]),
+            np.stack([form(ddwx, wy), gxy, gxy, form(wx, ddwy)], axis=1).reshape(-1, 2, 2))
 
 
 def _line_position(lines: np.ndarray, x):
@@ -323,61 +331,58 @@ class GridMesh:
         keep = area > 0
         return near[keep], area[keep]
 
-    # ---- field storage and interpolation -------------------------------
+    # ---- point reads of node fields ----------------------------------
 
-    def grid_array(self, values: np.ndarray, fill: float = np.nan) -> np.ndarray:
-        arr = np.full((len(self.xs), len(self.ys)), fill, dtype=float)
-        arr[self.ij[:, 0], self.ij[:, 1]] = values
-        return arr
-
-    def interp(self, values: np.ndarray, pts: np.ndarray, fill: float | None = None) -> np.ndarray:
-        """Biquadratic interpolation of a node field at arbitrary points.
-
-        Uses the 3x3 lattice block around the nearest node, shifting the block
-        by one cell when it touches exterior nodes.  ``fill`` substitutes
-        exterior values (0 is appropriate for fields vanishing on the
-        boundary); with ``fill=None`` exterior contamination raises.
-        """
-        arr = self.grid_array(values)
-        if fill is not None:
-            arr = np.where(np.isnan(arr), fill, arr)
+    def _patches(self, values: np.ndarray, pts: np.ndarray, fill: float | None):
+        """The biquadratic patch every point read uses: per point the 3x3
+        block of the nearest node, shifted by ``_interior_block`` when it
+        touches exterior nodes and ``fill`` is None; otherwise ``fill``
+        stands for exterior values.  Returns the stacked blocks of node
+        values and ``_arm_units`` along x and along y."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         ic = _nearest_line(self.xs, pts[:, 0])
         jc = _nearest_line(self.ys, pts[:, 1])
-        blocks = _blocks(arr, ic - 1, jc - 1, 3)
-        for k in np.nonzero(np.isnan(blocks).any(axis=(1, 2)))[0]:
-            ic[k], jc[k] = self._interior_block(np.isnan(arr), pts[k], ic[k], jc[k])
-            blocks[k] = arr[ic[k] - 1 : ic[k] + 2, jc[k] - 1 : jc[k] + 2]
-        rx, _, tx = _arm_units(self.xs, ic, pts[:, 0])
-        ry, _, ty = _arm_units(self.ys, jc, pts[:, 1])
-        wx, wy = _quad_weights(rx, tx), _quad_weights(ry, ty)
-        return np.einsum("ik,kij,jk->k", wx, blocks, wy)
+        nodes = _blocks(self.node_of, ic - 1, jc - 1, 3)
+        if fill is None:
+            for k in np.nonzero((nodes < 0).any(axis=(1, 2)))[0]:
+                ic[k], jc[k] = self._interior_block(pts[k], ic[k], jc[k])
+                nodes[k] = self.node_of[ic[k] - 1 : ic[k] + 2, jc[k] - 1 : jc[k] + 2]
+        blocks = values[nodes]
+        if fill is not None:
+            blocks[nodes < 0] = fill
+        return blocks, _arm_units(self.xs, ic, pts[:, 0]), _arm_units(self.ys, jc, pts[:, 1])
 
-    def _interior_block(self, exterior: np.ndarray, pt, i0: int, j0: int) -> tuple[int, int]:
+    def _interior_block(self, pt, i0: int, j0: int) -> tuple[int, int]:
         """Centre of the first 3x3 block within one line of (i0, j0) that
-        touches no exterior node (True in the lattice mask ``exterior``)."""
+        touches no exterior node."""
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
                 ii, jj = i0 + di, j0 + dj
                 if 1 <= ii < len(self.xs) - 1 and 1 <= jj < len(self.ys) - 1:
-                    if not exterior[ii - 1 : ii + 2, jj - 1 : jj + 2].any():
+                    if not (self.node_of[ii - 1 : ii + 2, jj - 1 : jj + 2] < 0).any():
                         return ii, jj
         raise ValueError(f"interpolation stencil at ({pt[0]:.4g},{pt[1]:.4g}) touches the exterior")
 
+    def interp(self, values: np.ndarray, pts: np.ndarray, fill: float | None = None) -> np.ndarray:
+        """Values at arbitrary points of the biquadratic patch (``_patches``).
+        ``fill`` substitutes exterior values (0 is appropriate for fields
+        vanishing on the boundary); with ``fill=None`` a point with no
+        interior block within one line raises."""
+        blocks, (rx, _, tx), (ry, _, ty) = self._patches(values, pts, fill)
+        return np.einsum("ik,kij,jk->k", _quad_weights(rx, tx), blocks, _quad_weights(ry, ty))
+
+    def interp_gradient(self, values: np.ndarray, pts: np.ndarray, fill: float | None = None) -> np.ndarray:
+        """Gradients at arbitrary points, (n, 2), of the patch ``interp`` reads."""
+        blocks, (rx, bx, xi), (ry, by, eta) = self._patches(values, pts, fill)
+        return _patch_derivatives(blocks, rx, xi, ry, eta)[1] * (1.0 / np.column_stack([bx, by]))
+
     def patch_derivatives(self, values: np.ndarray, pt) -> tuple[float, np.ndarray, np.ndarray]:
-        """Value, gradient and Hessian at pt of the biquadratic patch that
-        ``interp`` reads there: the 3x3 block of the nearest node, shifted
-        by one line when it touches exterior nodes."""
-        x, y = float(pt[0]), float(pt[1])
-        i0, j0 = int(_nearest_line(self.xs, x)), int(_nearest_line(self.ys, y))
-        if (self.node_of[i0 - 1 : i0 + 2, j0 - 1 : j0 + 2] < 0).any():
-            i0, j0 = self._interior_block(self.node_of < 0, pt, i0, j0)
-        rx, bx, xi = _arm_units(self.xs, i0, x)
-        ry, by, eta = _arm_units(self.ys, j0, y)
-        block = values[self.node_of[i0 - 1 : i0 + 2, j0 - 1 : j0 + 2]]
-        val, g, H = _patch_derivatives(block, rx, xi, ry, eta)
-        scale = np.array([1.0 / bx, 1.0 / by])
-        return float(val), g * scale, H * np.outer(scale, scale)
+        """Value, gradient and Hessian at pt of the patch ``interp`` reads
+        there with ``fill=None``."""
+        blocks, (rx, bx, xi), (ry, by, eta) = self._patches(values, pt, None)
+        val, g, H = _patch_derivatives(blocks, rx, xi, ry, eta)
+        scale = np.array([1.0 / bx[0], 1.0 / by[0]])
+        return float(val[0]), g[0] * scale, H[0] * np.outer(scale, scale)
 
     def refine_stationary(self, values: np.ndarray, start):
         """Stationary point of the local biquadratic patch around ``start``.
@@ -392,13 +397,13 @@ class GridMesh:
         nodes = self.node_of[i0 - 1 : i0 + 2, j0 - 1 : j0 + 2]
         if (nodes < 0).any():
             return np.array([x0, y0]), float(values[self.node_of[i0, j0]])
-        block = values[nodes]
+        block = values[nodes][None]
         # Newton runs in the units of the right and upper arms
         rx, bx, xi = _arm_units(self.xs, i0, x0)
         ry, by, eta = _arm_units(self.ys, j0, y0)
         lim_x, lim_y = (-0.5 * rx, 0.5), (-0.5 * ry, 0.5)
         for _ in range(4):
-            _, g, H = _patch_derivatives(block, rx, xi, ry, eta)
+            _, (g,), (H,) = _patch_derivatives(block, rx, xi, ry, eta)
             try:
                 step = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
@@ -408,62 +413,7 @@ class GridMesh:
             if np.hypot(*step) < 1e-12:
                 break
         pt = np.array([self.xs[i0] + xi * bx, self.ys[j0] + eta * by])
-        return pt, float(_patch_derivatives(block, rx, xi, ry, eta)[0])
-
-    def nodal_gradient(self, values: np.ndarray, nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node gradient: three-point differences exact on quadratics
-        (the plain central difference on equal arms), one-sided at cut arms.
-
-        With ``nodes`` only those nodes' gradients, bit for bit as in the
-        whole field."""
-        sel = slice(None) if nodes is None else np.asarray(nodes, dtype=int)
-        v = values
-        v_sel = v[sel]
-        gx = np.empty(len(v_sel))
-        gy = np.empty(len(v_sel))
-        for d_pos, d_neg, g in ((0, 1, gx), (2, 3, gy)):
-            ip = self.nbr[sel, d_pos]
-            im = self.nbr[sel, d_neg]
-            a_p = self.arms[sel, d_pos]
-            a_m = self.arms[sel, d_neg]
-            both = (ip >= 0) & (im >= 0)
-            vp, vm, v0 = v[ip[both]], v[im[both]], v_sel[both]
-            ap, am = a_p[both], a_m[both]
-            # secant plus the curvature term that unequal arms leave behind
-            g[both] = (vp - vm) / (ap + am) + (am - ap) * (am * (vp - v0) - ap * (v0 - vm)) / (
-                ap * am * (ap + am)
-            )
-            only_p = (ip >= 0) & (im < 0)
-            g[only_p] = (v[ip[only_p]] - v_sel[only_p]) / a_p[only_p]
-            only_m = (ip < 0) & (im >= 0)
-            g[only_m] = (v_sel[only_m] - v[im[only_m]]) / a_m[only_m]
-            none = (ip < 0) & (im < 0)
-            g[none] = 0.0
-        return gx, gy
-
-    def interp_gradient(self, values: np.ndarray, pts: np.ndarray, fill: float | None = None) -> np.ndarray:
-        """Bilinear interpolation of the nodal gradient field.
-
-        The gradient is taken only at the corners of the cells holding
-        ``pts``; ``fill`` stands for exterior corners, and with ``fill=None``
-        an exterior corner raises."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        i = _cell_of(self.xs, pts[:, 0])
-        j = _cell_of(self.ys, pts[:, 1])
-        tx = (pts[:, 0] - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
-        ty = (pts[:, 1] - self.ys[j]) / (self.ys[j + 1] - self.ys[j])
-        corners = _blocks(self.node_of, i, j, 2)
-        inside = corners >= 0
-        if fill is None and not inside.all():
-            x, y = pts[np.nonzero(~inside.all(axis=(1, 2)))[0][0]]
-            raise ValueError(f"bilinear stencil at ({x:.4g},{y:.4g}) touches the exterior")
-        out = np.empty((pts.shape[0], 2))
-        for col, g in enumerate(self.nodal_gradient(values, corners[inside])):
-            c = np.full(corners.shape, fill, dtype=float)
-            c[inside] = g
-            out[:, col] = (c[:, 0, 0] * (1 - tx) * (1 - ty) + c[:, 1, 0] * tx * (1 - ty)
-                           + c[:, 0, 1] * (1 - tx) * ty + c[:, 1, 1] * tx * ty)
-        return out
+        return pt, float(_patch_derivatives(block, rx, xi, ry, eta)[0][0])
 
 
 def _bisect_arms(domain: DomainSpec, starts: np.ndarray, dirs: np.ndarray, lengths: np.ndarray) -> np.ndarray:

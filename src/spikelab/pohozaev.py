@@ -7,10 +7,10 @@ Q_i(u,v) = -int (dv/dnu du/dx_i + du/dnu dv/dx_i) + int <grad u, grad v> nu_i
 with all integrals over the circle of radius theta (arc measure).
 ``circle_forms`` returns the pair (P, Q) for one circle, Q as the 2-vector
 (Q_1, Q_2); every identity here is built on it.  Fields are anything
-exposing values(pts) and gradients(pts); node fields interpolate the mesh
-(gradients by central differences then bilinear interpolation), and a
-``greens.GreenData`` combines the analytic singular part with the
-interpolated regular part.
+exposing values(pts) and gradients(pts); a node field reads both from the
+mesh's biquadratic patch (``GridMesh.interp`` and ``interp_gradient``), and
+a ``greens.GreenData`` combines the analytic singular part with the patch of
+the regular part.
 """
 
 from __future__ import annotations

@@ -37,10 +37,12 @@ def test_h_takes_decimals_and_fractions_only(capsys):
     assert outs[0]["R"] == pytest.approx(0.015009992653501485, rel=1e-12)
     # an expression is a bad value, not code to run
     expr = "(1).__class__.__mro__[-1].__subclasses__().__len__() and 1/32"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["green", "--h", expr, "--source", "0.3,0.0"])
-    assert exc.value.code == 2
-    assert "--h" in capsys.readouterr().err
+    for bad in (expr, "0", "-1/64"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["green", "--h", bad, "--source", "0.3,0.0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--h" in err and err.count("\n") == 1
 
 
 def test_kr_command(capsys):
@@ -240,20 +242,29 @@ def test_domain_parse_errors():
         cli.parse_domain("disk,r=-1")
 
 
-@pytest.mark.parametrize("argv, message", [
+@pytest.mark.parametrize("argv, line", [
     (["spectrum", "--domain", "annulus,r_in=0.4,r_out=1", "--h", "1/24", "--p", "10"],
-     "point [0.12 0.07] too close to the boundary"),
+     "spikelab: error: point [0.12 0.07] too close to the boundary"),
     (["kr", "--domain", "annulus,r_in=0.4,r_out=1", "--h", "1/24"],
-     "point [0.12 0.07] too close to the boundary"),
+     "spikelab: error: point [0.12 0.07] too close to the boundary"),
     (["green", "--h", "1/32", "--source", "0.97,0"],
-     "source [0.97 0.  ] is closer than 3.0h to the boundary"),
+     "spikelab: error: source [0.97 0.  ] is closer than 3.0h to the boundary"),
     (["green", "--h", "1/24", "--source", "0.9,0"],
-     "source [0.9 0. ] is closer than 3.0h to the boundary"),
-], ids=["spectrum-annulus", "kr-annulus", "green-source", "green-source-depth"])
-def test_points_the_geometry_rejects_end_in_one_error_line(capsys, argv, message):
+     "spikelab: error: source [0.9 0. ] is closer than 3.0h to the boundary"),
+    # malformed input, which the parsers reject before anything runs
+    (["kr", "--domain", "square"],
+     "spikelab kr: error: argument --domain: not a domain: 'square' (unknown domain kind: 'square')"),
+    (["kr", "--domain", "disk,r"],
+     "spikelab kr: error: argument --domain: not a domain: 'disk,r' ('r' is not key=value)"),
+    (["green", "--domain", "disk,r=-1", "--source", "0,0"],
+     "spikelab green: error: argument --domain: not a domain: 'disk,r=-1' (disk radius must be positive)"),
+    (["sweep", "--p", "abc"], "spikelab sweep: error: argument --p: invalid parse_p_range value: 'abc'"),
+], ids=["spectrum-annulus", "kr-annulus", "green-source", "green-source-depth",
+        "kr-unknown-domain", "kr-domain-without-value", "green-negative-radius", "sweep-p"])
+def test_points_the_geometry_rejects_end_in_one_error_line(capsys, argv, line):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err == f"spikelab: error: {message}\n"
+    assert captured.err == line + "\n"
     assert captured.out == ""

@@ -89,14 +89,15 @@ def test_find_critical_point_ellipse():
     assert cfg.nondeg_margin > 0
 
 
-def test_search_makes_one_lu_and_at_most_four_solves(green_work):
-    # C3's search: the step-2h stencil it replaces made 36 solves here
+def test_search_makes_one_lu_and_at_most_five_solves(green_work):
+    # C3's search: the step-2h stencil it replaces made 36 solves here; the
+    # fifth is the full Newton step past KR_TOL, which lands on the centre
     m = build_mesh(make_domain("disk", r=1.0), 1.0 / 128)
     cfg = kr.find_critical_point(m, [(0.3, 0.2)])
-    assert green_work["lu"] == 1 and green_work["solve"] <= 4
+    assert green_work["lu"] == 1 and green_work["solve"] <= 5
     again = kr.psi_derivatives(m, cfg.points)
     assert np.array_equal(cfg.grad, again.grad) and np.array_equal(cfg.hess, again.hess)
-    assert np.hypot(*cfg.points[0]) < 1e-8
+    assert np.hypot(*cfg.points[0]) < 1e-12
     assert np.max(np.abs(cfg.eigenvalues * np.pi - 1.0)) < 1e-10
 
 

@@ -274,6 +274,21 @@ def test_peak_mass_approaches_limit(disk64, solved_p10):
     assert s.C * 10.0 < 8 * np.pi * math.sqrt(math.e)
 
 
+@pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64])
+def test_energy_is_the_dirichlet_form(h):
+    # u = 1 - |x|^2 vanishes on the unit circle and has int |grad u|^2 = 2 pi
+    m = build_mesh(make_domain("disk", r=1.0), h)
+    x, y = m.coords.T
+    energy = le.energy_functional(m, 1.0 - x * x - y * y, 1.0)
+    assert energy == pytest.approx(2.0 * np.pi, abs=3.0 * h * h)
+
+
+def test_energy_matches_oracle_at_p10(disk64, solved_p10):
+    u, _ = solved_p10
+    oracle = radial.solve_radial(10.0).energy()
+    assert le.energy_functional(disk64, u, 10.0) == pytest.approx(oracle, abs=0.25)
+
+
 def _graded_like_the_fallback(mesh, cfg, p):
     """The mesh continue_in_p grades for p: the sweep's h, toward the spike
     points, with the eps of the oracle heights."""

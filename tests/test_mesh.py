@@ -452,12 +452,6 @@ def test_graded_mesh_gradient_exact(graded):
     lin = 2.0 * graded.coords[:, 0] - 3.0 * graded.coords[:, 1] + 1.0
     g = graded.interp_gradient(lin, pts)
     assert np.max(np.abs(g - [2.0, -3.0])) < 1e-9
-    # three-point differences on unequal arms are exact on quadratics
-    gx, gy = graded.nodal_gradient(_quadratic(graded.coords[:, 0], graded.coords[:, 1]))
-    full = np.all(graded.nbr >= 0, axis=1)
-    x, y = graded.coords[full].T
-    assert np.max(np.abs(gx[full] - (1.4 * x - 1.3 * y + 0.2))) < 1e-9
-    assert np.max(np.abs(gy[full] - (-1.3 * x + 0.8 * y - 0.5))) < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["uniform", "graded"])
@@ -469,17 +463,20 @@ def test_patch_derivatives_exact_on_quadratics(graded, kind):
     rng = np.random.default_rng(7)
     r = np.concatenate([0.8 * np.sqrt(rng.random(40)), np.full(10, 0.96), 0.01 * rng.random(10)])
     a = 2 * np.pi * rng.random(r.size)
-    for pt in np.column_stack([r * np.cos(a), r * np.sin(a)]):
+    pts = np.column_stack([r * np.cos(a), r * np.sin(a)])
+    exact_grad = np.column_stack([1.4 * pts[:, 0] - 1.3 * pts[:, 1] + 0.2,
+                                  -1.3 * pts[:, 0] + 0.8 * pts[:, 1] - 0.5])
+    for pt, want in zip(pts, exact_grad):
         val, grad, hess = msh.patch_derivatives(f, pt)
         assert val == pytest.approx(_quadratic(*pt), abs=1e-12)
-        assert np.allclose(grad, [1.4 * pt[0] - 1.3 * pt[1] + 0.2, -1.3 * pt[0] + 0.8 * pt[1] - 0.5],
-                           atol=1e-9)
+        assert np.allclose(grad, want, atol=1e-9)
         assert np.allclose(hess, [[1.4, -1.3], [-1.3, 0.8]], atol=1e-6)
-    # it reads the patch interp reads
+    assert np.max(np.abs(msh.interp_gradient(f, pts) - exact_grad)) < 1e-9
+    # interp and interp_gradient read the patch patch_derivatives reads
     u = np.cos(3.0 * msh.coords[:, 0]) * np.exp(msh.coords[:, 1])
-    pts = np.column_stack([r * np.cos(a), r * np.sin(a)])
-    vals = [msh.patch_derivatives(u, pt)[0] for pt in pts]
-    assert np.allclose(vals, msh.interp(u, pts), rtol=0, atol=1e-14)
+    at_points = [msh.patch_derivatives(u, pt) for pt in pts]
+    assert np.allclose([v for v, _, _ in at_points], msh.interp(u, pts), rtol=0, atol=1e-14)
+    assert np.max(np.abs(np.array([g for _, g, _ in at_points]) - msh.interp_gradient(u, pts))) <= 1e-14
 
 
 def test_graded_mesh_refine_stationary(graded):
@@ -536,14 +533,21 @@ def _lagrange(nodes, x):
                      for l in range(3)])
 
 
+def _lagrange_slope(nodes, x):
+    """x-derivatives of the quadratic Lagrange weights of the three nodes, at x."""
+    return np.array([sum(x - nodes[m] for m in range(3) if m != l)
+                     / np.prod([nodes[l] - nodes[m] for m in range(3) if m != l]) for l in range(3)])
+
+
 def _interp_point_by_point(msh, values, pts, fill):
-    """Reference for GridMesh.interp, one point at a time: the 3x3 block of the
-    nearest node, else the first block one line away that avoids the exterior.
-    Returns (values, shifted), with NaN where no such block exists."""
-    arr = msh.grid_array(values)
-    if fill is not None:
-        arr = np.where(np.isnan(arr), fill, arr)
-    out, shifted = np.full(len(pts), np.nan), np.zeros(len(pts), dtype=bool)
+    """Reference for GridMesh.interp and interp_gradient, one point at a time:
+    the 3x3 block of the nearest node, else the first block one line away that
+    avoids the exterior.  Returns (values, gradients, shifted), with NaN where
+    no such block exists."""
+    arr = np.full((len(msh.xs), len(msh.ys)), np.nan if fill is None else fill)
+    arr[msh.ij[:, 0], msh.ij[:, 1]] = values
+    out, grad = np.full(len(pts), np.nan), np.full((len(pts), 2), np.nan)
+    shifted = np.zeros(len(pts), dtype=bool)
     for k, (x, y) in enumerate(pts):
         i0 = int(np.clip(np.argmin(np.abs(msh.xs - x)), 1, len(msh.xs) - 2))
         j0 = int(np.clip(np.argmin(np.abs(msh.ys - y)), 1, len(msh.ys) - 2))
@@ -551,29 +555,13 @@ def _interp_point_by_point(msh, values, pts, fill):
             i, j = i0 + di, j0 + dj
             block = arr[i - 1 : i + 2, j - 1 : j + 2]
             if 1 <= i < len(msh.xs) - 1 and 1 <= j < len(msh.ys) - 1 and not np.isnan(block).any():
-                out[k] = _lagrange(msh.xs[i - 1 : i + 2], x) @ block @ _lagrange(msh.ys[j - 1 : j + 2], y)
+                xs, ys = msh.xs[i - 1 : i + 2], msh.ys[j - 1 : j + 2]
+                out[k] = _lagrange(xs, x) @ block @ _lagrange(ys, y)
+                grad[k] = [_lagrange_slope(xs, x) @ block @ _lagrange(ys, y),
+                           _lagrange(xs, x) @ block @ _lagrange_slope(ys, y)]
                 shifted[k] = (i, j) != (i0, j0)
                 break
-    return out, shifted
-
-
-def _gradient_arrays(msh, values, fill):
-    """The nodal gradient's two components on the lattice, fill outside."""
-    arrays = [msh.grid_array(g) for g in msh.nodal_gradient(values)]
-    return arrays if fill is None else [np.where(np.isnan(a), fill, a) for a in arrays]
-
-
-def _gradient_point_by_point(msh, values, pts, fill):
-    """Reference for GridMesh.interp_gradient: bilinear in the lattice cell."""
-    out = np.empty((len(pts), 2))
-    for col, arr in enumerate(_gradient_arrays(msh, values, fill)):
-        for k, (x, y) in enumerate(pts):
-            i = int(np.clip(np.searchsorted(msh.xs, x, side="right") - 1, 0, len(msh.xs) - 2))
-            j = int(np.clip(np.searchsorted(msh.ys, y, side="right") - 1, 0, len(msh.ys) - 2))
-            tx = (x - msh.xs[i]) / (msh.xs[i + 1] - msh.xs[i])
-            ty = (y - msh.ys[j]) / (msh.ys[j + 1] - msh.ys[j])
-            out[k, col] = np.array([1 - tx, tx]) @ arr[i : i + 2, j : j + 2] @ np.array([1 - ty, ty])
-    return out
+    return out, grad, shifted
 
 
 @pytest.fixture(scope="module", params=["uniform", "graded"])
@@ -591,45 +579,16 @@ def disk_field(request, graded):
 def test_bulk_interp_matches_point_by_point(disk_field):
     msh, u, pts = disk_field
     scale = np.max(np.abs(u))
-    want, _ = _interp_point_by_point(msh, u, pts, 0.0)
+    # a gradient's rounding is the values' over the cell's width
+    gtol = 1e-14 * scale / msh.line_stats()["min_cell"]
+    want, want_grad, _ = _interp_point_by_point(msh, u, pts, 0.0)
     assert np.max(np.abs(msh.interp(u, pts, fill=0.0) - want)) <= 1e-14 * scale
-    want, shifted = _interp_point_by_point(msh, u, pts, None)
+    assert np.max(np.abs(msh.interp_gradient(u, pts, fill=0.0) - want_grad)) <= gtol
+    want, want_grad, shifted = _interp_point_by_point(msh, u, pts, None)
     ok = ~np.isnan(want)
     assert shifted.sum() > 10 and (~ok).any()
     assert np.max(np.abs(msh.interp(u, pts[ok]) - want[ok])) <= 1e-14 * scale
-    with pytest.raises(ValueError, match="touches the exterior"):
-        msh.interp(u, pts[~ok][:1])
-
-
-def test_bulk_interp_gradient_matches_point_by_point(disk_field):
-    msh, u, pts = disk_field
-    scale = np.max(np.abs(msh.nodal_gradient(u)))
-    want = _gradient_point_by_point(msh, u, pts, 0.0)
-    assert np.max(np.abs(msh.interp_gradient(u, pts, fill=0.0) - want)) <= 1e-14 * scale
-    inner = pts[:300]
-    want = _gradient_point_by_point(msh, u, inner, None)
-    assert np.max(np.abs(msh.interp_gradient(u, inner) - want)) <= 1e-14 * scale
-    with pytest.raises(ValueError, match="touches the exterior"):
-        msh.interp_gradient(u, pts)
-
-
-def test_interp_gradient_is_the_whole_mesh_path_bit_for_bit(graded):
-    x, y = graded.coords.T
-    u = np.cos(3.0 * x) * np.exp(y) * (1.0 - x * x - y * y)
-    rng = np.random.default_rng(6)
-    r = np.r_[0.01 * np.sqrt(rng.random(200)), 0.95 * np.sqrt(rng.random(200)),
-              rng.uniform(0.95, 0.999, 200)]
-    a = 2 * np.pi * rng.random(600)
-    pts = np.column_stack([r * np.cos(a), r * np.sin(a)])
-    for fill, sample in ((0.0, pts), (None, pts[:400]), (-2.5, pts)):
-        got = graded.interp_gradient(u, sample, fill=fill)
-        i = np.clip(np.searchsorted(graded.xs, sample[:, 0], side="right") - 1, 0, len(graded.xs) - 2)
-        j = np.clip(np.searchsorted(graded.ys, sample[:, 1], side="right") - 1, 0, len(graded.ys) - 2)
-        tx = (sample[:, 0] - graded.xs[i]) / (graded.xs[i + 1] - graded.xs[i])
-        ty = (sample[:, 1] - graded.ys[j]) / (graded.ys[j + 1] - graded.ys[j])
-        for col, arr in enumerate(_gradient_arrays(graded, u, fill)):
-            want = (arr[i, j] * (1 - tx) * (1 - ty) + arr[i + 1, j] * tx * (1 - ty)
-                    + arr[i, j + 1] * (1 - tx) * ty + arr[i + 1, j + 1] * tx * ty)
-            assert np.array_equal(got[:, col], want)
-    with pytest.raises(ValueError, match="touches the exterior"):
-        graded.interp_gradient(u, pts)
+    assert np.max(np.abs(msh.interp_gradient(u, pts[ok]) - want_grad[ok])) <= gtol
+    for read in (msh.interp, msh.interp_gradient):
+        with pytest.raises(ValueError, match="touches the exterior"):
+            read(u, pts[~ok][:1])
