@@ -240,7 +240,7 @@ def emit_reports(records: list[VerificationRecord], out_dir: str,
 def run_sweep(cfg: RunConfig) -> dict:
     """KR search, continuation over the p list, per-p diagnostics, law fits.
 
-    Returns {records, branch, plots, kr}; a failing stage is recorded and the
+    Returns {records, branch, plots}; a failing stage is recorded and the
     sweep continues with whatever remains.
     """
     cfg.validate()
@@ -275,7 +275,7 @@ def run_sweep(cfg: RunConfig) -> dict:
                 {"error": error}, "completes", False, notes=error,
             )
         )
-        return {"records": records, "branch": None, "plots": {}, "kr": None}
+        return {"records": records, "branch": None, "plots": {}}
 
     # continuation
     try:
@@ -288,7 +288,7 @@ def run_sweep(cfg: RunConfig) -> dict:
                 {"error": error}, "completes", False, notes=error,
             )
         )
-        return {"records": records, "branch": None, "plots": {}, "kr": kr_cfg}
+        return {"records": records, "branch": None, "plots": {}}
 
     # per-entry diagnostics on the entry's own mesh, in p order: one flat
     # row per spike j, its Pohozaev circle and profile disk inside B_d(x_j)
@@ -395,4 +395,4 @@ def run_sweep(cfg: RunConfig) -> dict:
             notes="; ".join(diag_errors),
         )
     )
-    return {"records": records, "branch": branch, "plots": plots, "kr": kr_cfg}
+    return {"records": records, "branch": branch, "plots": plots}

@@ -1,12 +1,13 @@
 """Kirchhoff-Routh function of spike configurations: evaluation, damped-Newton
 critical point search, and Hessian-based non-degeneracy certification.
 
-Psi_k(a) = sum_j [ R(a_j) - sum_{m != j} G(a_j, a_m) ];  its gradient and
-Hessian come from the fields ``greens.robin_derivatives`` solves at each
-a_j, one three-column triangular solve per spike and point.  ``greens``
-holds one Laplacian factor, that of the mesh it solved on last, so a search
-factorizes its mesh's Laplacian at most once (not at all when that factor
-is already held).
+Psi_k(a) = sum_j [ R(a_j) - sum_{m != j} G(a_j, a_m) ].  ``psi_eval`` is the
+one evaluator: Psi_k's value, gradient and Hessian come from the fields
+``greens.robin_derivatives`` solves at each a_j, one three-column triangular
+solve per spike and point, and the Hessian's eigenvalues certify the point.
+``greens`` holds one Laplacian factor, that of the mesh it solved on last, so
+a search factorizes its mesh's Laplacian at most once (not at all when that
+factor is already held).
 """
 
 from __future__ import annotations
@@ -51,13 +52,14 @@ class SpikeConfig:
     points: np.ndarray  # (k, 2)
     psi_parts: np.ndarray  # (k,)
     psi_total: float
-    # the regular parts H(a_j, .) solved for it, one per point, on its mesh
+    # robin_derivatives' fields at each point, H(a_j, .) and d/dx0 H(a_j, .),
+    # on its mesh; lane_emden.ansatz reads the far field from H_field
     regular_parts: list[greens.GreenData]
-    grad: np.ndarray | None = None  # (2k,)
-    hess: np.ndarray | None = None  # (2k, 2k)
-    nondeg_margin: float | None = None
-    eigenvalues: np.ndarray | None = None
-    classification: str | None = None
+    grad: np.ndarray  # (2k,)
+    hess: np.ndarray  # (2k, 2k)
+    eigenvalues: np.ndarray  # (2k,), ascending
+    nondeg_margin: float  # least |eigenvalue|
+    classification: str  # "minimum", "maximum" or "saddle"
 
 
 def _spike_points(mesh: GridMesh, points) -> np.ndarray:
@@ -75,19 +77,9 @@ def _spike_points(mesh: GridMesh, points) -> np.ndarray:
 
 
 def psi_eval(mesh: GridMesh, points) -> SpikeConfig:
-    """Evaluate Psi_{k,j} and Psi_k at the given interior points (values
-    only); the configuration keeps the regular parts it solved."""
-    points = _spike_points(mesh, points)
-    k = len(points)
-    gds = [greens.regular_part(mesh, a) for a in points]
-    parts = np.array([gds[j].R_value - sum(float(gds[j].values(points[m][None, :])[0])
-                                           for m in range(k) if m != j) for j in range(k)])
-    return SpikeConfig(k=k, points=points, psi_parts=parts, psi_total=float(parts.sum()),
-                       regular_parts=gds)
-
-
-def psi_derivatives(mesh: GridMesh, points) -> SpikeConfig:
-    """Psi_{k,j} and Psi_k with the gradient and Hessian of Psi_k.
+    """Psi_{k,j} and Psi_k at the given interior points, with the gradient,
+    Hessian and Hessian eigenvalues of Psi_k, its non-degeneracy margin and
+    its classification.
 
     With S(x0, y) = s(y - x0), the pair (j, m) reads the fields of a_j at
     a_m (d = a_m - a_j): G(a_j, a_m) = s(d) - H, d/dx0 G = -grad s - dH and
@@ -116,8 +108,11 @@ def psi_derivatives(mesh: GridMesh, points) -> SpikeConfig:
         hess[sj, sm] += mixed
         hess[sm, sj] += mixed.T
         hess[sm, sm] -= 2.0 * (hess_s - hess_H)
-    return SpikeConfig(k=k, points=points, psi_parts=parts, psi_total=float(parts.sum()),
-                       regular_parts=gds, grad=grad, hess=hess)
+    eigs = np.linalg.eigvalsh(hess)  # the Hessian is built symmetric
+    classification = ("minimum" if np.all(eigs > 0) else "maximum" if np.all(eigs < 0)
+                      else "saddle")
+    return SpikeConfig(k, points, parts, float(parts.sum()), gds, grad, hess, eigs,
+                       float(np.min(np.abs(eigs))), classification)
 
 
 def start_points(domain, points) -> np.ndarray:
@@ -131,16 +126,15 @@ def start_points(domain, points) -> np.ndarray:
 
 
 def _lower_gradient(mesh: GridMesh, cfg: SpikeConfig, alphas) -> SpikeConfig | None:
-    """``psi_derivatives`` at cfg's points moved by alpha times the Newton
-    step, for the first alpha of ``alphas`` that lowers |grad Psi|; None if
-    none does."""
+    """``psi_eval`` at cfg's points moved by alpha times the Newton step, for
+    the first alpha of ``alphas`` that lowers |grad Psi|; None if none does."""
     try:
         step = np.linalg.solve(cfg.hess, -cfg.grad)
     except np.linalg.LinAlgError:
         step = -cfg.grad
     for alpha in alphas:
         try:
-            trial = psi_derivatives(mesh, cfg.points.reshape(-1) + alpha * step)
+            trial = psi_eval(mesh, cfg.points.reshape(-1) + alpha * step)
         except (CoincidentPointsError, PointNearBoundaryError):
             continue
         if np.linalg.norm(trial.grad) < np.linalg.norm(cfg.grad):
@@ -150,14 +144,12 @@ def _lower_gradient(mesh: GridMesh, cfg: SpikeConfig, alphas) -> SpikeConfig | N
 
 def find_critical_point(mesh: GridMesh, initial) -> SpikeConfig:
     """Damped Newton on grad Psi_k to KR_TOL, with gradient and Hessian from
-    ``psi_derivatives`` at the start and at each trial point.  Steps are
-    halved (down to 1/8) until the gradient norm decreases.  Newton is
-    quadratic by then, so one more full step follows, kept if it lowers the
-    gradient norm.  The returned configuration carries gradient, Hessian,
-    the Hessian's eigenvalues, their least modulus (the non-degeneracy
-    margin) and the point's classification.
+    ``psi_eval`` at the start and at each trial point.  Steps are halved
+    (down to 1/8) until the gradient norm decreases.  Newton is quadratic by
+    then, so one more full step follows, kept if it lowers the gradient
+    norm.  Returns ``psi_eval``'s configuration at the last point kept.
     """
-    cfg = psi_derivatives(mesh, initial)
+    cfg = psi_eval(mesh, initial)
     for _ in range(KR_MAX_ITER):
         gnorm = float(np.linalg.norm(cfg.grad))
         if gnorm <= KR_TOL:
@@ -167,10 +159,4 @@ def find_critical_point(mesh: GridMesh, initial) -> SpikeConfig:
             raise NewtonDivergedError(f"no damping step reduced |grad Psi| (stuck at {gnorm:.3e})")
     else:
         raise NewtonDivergedError(f"Newton did not reach tol={KR_TOL} in {KR_MAX_ITER} iterations")
-    cfg = _lower_gradient(mesh, cfg, (1.0,)) or cfg
-    # psi_derivatives builds the Hessian symmetric
-    eigs = np.linalg.eigvalsh(cfg.hess)
-    cfg.eigenvalues, cfg.nondeg_margin = eigs, float(np.min(np.abs(eigs)))
-    cfg.classification = ("minimum" if np.all(eigs > 0) else "maximum" if np.all(eigs < 0)
-                          else "saddle")
-    return cfg
+    return _lower_gradient(mesh, cfg, (1.0,)) or cfg

@@ -85,8 +85,9 @@ def ansatz(mesh: GridMesh, cfg: SpikeConfig, p: float) -> np.ndarray:
     oracle rather than its p -> infinity limit U: at moderate p the limit
     profile is rough enough to throw Newton out of its basin, while the
     universal profile is the exact local structure at every p (and the two
-    agree to O(1/p)).  The far field takes the regular parts ``psi_eval``
-    solved when they are this mesh's, and solves them here otherwise.
+    agree to O(1/p)).  The far field takes each H(a_j, .) from the fields
+    ``psi_eval`` solved when they are this mesh's, and solves it here
+    (``greens.regular_part``) otherwise.
     """
     pts = mesh.coords
     rad = solve_radial(p)
@@ -415,12 +416,10 @@ def rescale_profile(entry: BranchEntry, j: int, radius: float) -> RescaledProfil
     mesh = entry.mesh
     radii = np.linspace(0.0, radius, PROFILE_N_R)
     angles = np.linspace(0.0, 2 * np.pi, PROFILE_N_THETA, endpoint=False)
-    w = np.empty((PROFILE_N_R, PROFILE_N_THETA))
-    for it, th in enumerate(angles):
-        pts = np.column_stack(
-            [s.position[0] + s.eps * radii * math.cos(th), s.position[1] + s.eps * radii * math.sin(th)]
-        )
-        uu = mesh.interp(entry.u, pts, fill=0.0)
-        w[:, it] = entry.p * (uu - s.u_max) / s.u_max
+    rho = s.eps * radii[:, None]
+    pts = np.column_stack([(s.position[0] + rho * np.cos(angles)).ravel(),
+                           (s.position[1] + rho * np.sin(angles)).ravel()])
+    uu = mesh.interp(entry.u, pts, fill=0.0).reshape(PROFILE_N_R, PROFILE_N_THETA)
+    w = entry.p * (uu - s.u_max) / s.u_max
     v = entry.p * (w - liouville.U(radii)[:, None])
     return RescaledProfile(j, radii, angles, w, v)

@@ -175,23 +175,23 @@ def _quad_derivatives(r: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     return dw, np.array([2.0 / (r * (r + 1.0)), -2.0 / r, 2.0 / (1.0 + r)])
 
 
+def _patch_form(a: np.ndarray, blocks: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^T block b per block, for weights a and b of shape (3, n), or (3,)
+    for one block: the one contraction every patch read makes."""
+    return np.einsum("ik,kij,jk->k", a.reshape(3, -1), blocks, b.reshape(3, -1))
+
+
 def _patch_derivatives(blocks: np.ndarray, rx, xi, ry, eta):
     """Values, gradients and Hessians at (xi, eta) of the biquadratic patches
     through stacked 3x3 blocks of node values, in units of the right and upper
     arms (``_arm_units``); rx, xi, ry and eta hold one entry per block."""
-    def per_block(w):  # (3,) or (3, n) weights as one row per block
-        return w.reshape(3, -1).T
-
-    wx, wy = per_block(_quad_weights(rx, xi)), per_block(_quad_weights(ry, eta))
-    dwx, ddwx = map(per_block, _quad_derivatives(rx, xi))
-    dwy, ddwy = map(per_block, _quad_derivatives(ry, eta))
-
-    def form(a, b):  # a^T block b, per block
-        return (a[:, None, :] @ blocks @ b[:, :, None])[:, 0, 0]
-
-    gxy = form(dwx, dwy)
-    return (form(wx, wy), np.column_stack([form(dwx, wy), form(wx, dwy)]),
-            np.stack([form(ddwx, wy), gxy, gxy, form(wx, ddwy)], axis=1).reshape(-1, 2, 2))
+    wx, wy = _quad_weights(rx, xi), _quad_weights(ry, eta)
+    (dwx, ddwx), (dwy, ddwy) = _quad_derivatives(rx, xi), _quad_derivatives(ry, eta)
+    gxy = _patch_form(dwx, blocks, dwy)
+    return (_patch_form(wx, blocks, wy),
+            np.column_stack([_patch_form(dwx, blocks, wy), _patch_form(wx, blocks, dwy)]),
+            np.stack([_patch_form(ddwx, blocks, wy), gxy, gxy, _patch_form(wx, blocks, ddwy)],
+                     axis=1).reshape(-1, 2, 2))
 
 
 def _line_position(lines: np.ndarray, x):
@@ -369,7 +369,7 @@ class GridMesh:
         vanishing on the boundary); with ``fill=None`` a point with no
         interior block within one line raises."""
         blocks, (rx, _, tx), (ry, _, ty) = self._patches(values, pts, fill)
-        return np.einsum("ik,kij,jk->k", _quad_weights(rx, tx), blocks, _quad_weights(ry, ty))
+        return _patch_form(_quad_weights(rx, tx), blocks, _quad_weights(ry, ty))
 
     def interp_gradient(self, values: np.ndarray, pts: np.ndarray, fill: float | None = None) -> np.ndarray:
         """Gradients at arbitrary points, (n, 2), of the patch ``interp`` reads."""

@@ -131,13 +131,13 @@ def gradient_balance(entry: BranchEntry) -> GradientBalance:
 
         C_j dR(x_j)/dx_i - 2 sum_{m != j} C_m D_{x_i} G(x_m, x_j)
 
-    which the asymptotics drive to O(eps_p / p^(2-delta)).  By the symmetry
-    of H, grad R(x) = 2 grad_y H(x, y) at y = x, read from the patch of the
-    regular part solved at each spike.
+    which the asymptotics drive to O(eps_p / p^(2-delta)).  grad R(x_j) is
+    ``greens.robin_derivatives``' R_grad, the one the Kirchhoff-Routh search
+    reads, and grad_y G(x_m, .) is read from the regular part that solve
+    gives at x_m.
     """
-    mesh = entry.mesh
-    gds = [greens.regular_part(mesh, s.position) for s in entry.spikes]
-    residuals = [sj.C * 2.0 * mesh.patch_derivatives(gj.H_field, gj.source)[1]
+    gds = [greens.robin_derivatives(entry.mesh, s.position) for s in entry.spikes]
+    residuals = [sj.C * gj.R_grad
                  - 2.0 * sum(sm.C * greens.green_eval(gm, sj.position)[1]
                              for sm, gm in zip(entry.spikes, gds) if gm is not gj)
                  for sj, gj in zip(entry.spikes, gds)]

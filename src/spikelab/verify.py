@@ -384,8 +384,8 @@ def criterion_10_gradient_balance(ctx: AcceptanceContext) -> list[VerificationRe
             "ellipse |C grad R(x_p)| / (eps/p) decreases monotonically over p in {20, 40, 80}",
             0.0, {"ratios": ratios}, "monotone decreasing", monotone, "2d-solver",
             notes="the single spike is pinned to the ellipse centre by symmetry, "
-                  "where grad R vanishes: the measured grad R(x_p) is ~4e-15, the "
-                  "rounding of the regular part's patch gradient 2 grad_y H there, so "
+                  "where grad R vanishes: the measured grad R(x_p) is ~1.5e-15, the "
+                  "rounding of grad R = d_x0 H + grad_y H there, so "
                   "each ratio is rounding divided by eps/p and grows with p; the paper "
                   "bounds the balance by O(eps/p^(2-delta)) and promises no monotone decay",
         )

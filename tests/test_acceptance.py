@@ -9,10 +9,11 @@ are larger than the windows; the records carry the numbers).
 C10-balance is a known red that fails its test outright.  It asks the
 ellipse force-balance ratio |C grad R(x_p)| / (eps/p) to fall monotonically
 in p, but the single spike sits at the centre by symmetry, where grad R
-vanishes: the measured grad R is ~4e-15, the rounding of the regular part's
-patch gradient 2 grad_y H there, so the ratios (7.08e-11, 1.68e-10,
-3.83e-10) are rounding divided by eps/p and grow with p.  The paper bounds
-the balance by O(eps/p^(2-delta)) and promises no monotone decay.
+vanishes: the measured grad R is ~1.5e-15, the rounding of grad R = d_x0 H +
+grad_y H (greens.robin_derivatives) there, so the ratios (2.44e-11,
+6.07e-11, 1.38e-10) are rounding divided by eps/p and grow with p.  The
+paper bounds the balance by O(eps/p^(2-delta)) and promises no monotone
+decay.
 Everything else must pass outright.
 """
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -95,17 +96,37 @@ def test_search_makes_one_lu_and_at_most_five_solves(green_work):
     m = build_mesh(make_domain("disk", r=1.0), 1.0 / 128)
     cfg = kr.find_critical_point(m, [(0.3, 0.2)])
     assert green_work["lu"] == 1 and green_work["solve"] <= 5
-    again = kr.psi_derivatives(m, cfg.points)
+    again = kr.psi_eval(m, cfg.points)
     assert np.array_equal(cfg.grad, again.grad) and np.array_equal(cfg.hess, again.hess)
     assert np.hypot(*cfg.points[0]) < 1e-12
     assert np.max(np.abs(cfg.eigenvalues * np.pi - 1.0)) < 1e-10
 
 
 def test_psi_eval_makes_one_solve_per_point(disk48, green_work):
+    # each solve has three columns: H(a_j, .) and its two source derivatives
     kr.psi_eval(disk48, [(0.0, 0.0)])
     assert green_work == {"lu": 1, "solve": 1}
     kr.psi_eval(disk48, [(0.4, 0.0), (-0.3, 0.2)])
     assert green_work == {"lu": 1, "solve": 3}
+
+
+def test_psi_eval_certifies_the_configuration(disk48):
+    # every field is set, and the search returns psi_eval's configuration at
+    # the point it finds
+    found = kr.find_critical_point(disk48, [(0.25, 0.15)])
+    cfg = kr.psi_eval(disk48, found.points)
+    assert all(getattr(cfg, f.name) is not None for f in dataclasses.fields(cfg))
+    for name in ("points", "psi_parts", "grad", "hess", "eigenvalues"):
+        assert np.array_equal(getattr(cfg, name), getattr(found, name))
+    assert (cfg.psi_total, cfg.nondeg_margin, cfg.classification) == (
+        found.psi_total, found.nondeg_margin, found.classification)
+    assert np.array_equal(cfg.eigenvalues, np.linalg.eigvalsh(cfg.hess))
+    assert cfg.nondeg_margin == np.min(np.abs(cfg.eigenvalues))
+    assert cfg.classification == "minimum"
+    # two spikes on a diameter of the disk: the Hessian is negative for the
+    # pair drawn in or out along the diameter and positive for the other modes
+    pair = kr.psi_eval(disk48, [(0.4, 0.0), (-0.4, 0.0)])
+    assert pair.classification == "saddle" and pair.eigenvalues.shape == (4,)
 
 
 def test_k2_search_solves_each_source_once(monkeypatch, green_work):
@@ -122,20 +143,20 @@ def test_k2_search_solves_each_source_once(monkeypatch, green_work):
     # one three-column solve per spike and point, no source twice
     assert len(sources) == len(set(sources)) == green_work["solve"]
     assert len(sources) % 2 == 0 and len(sources) >= 4
-    again = kr.psi_derivatives(m, cfg.points)
+    again = kr.psi_eval(m, cfg.points)
     assert np.array_equal(cfg.grad, again.grad) and np.array_equal(cfg.hess, again.hess)
 
 
 def test_symmetric_k2_iterates_stay_symmetric(monkeypatch):
     m = build_mesh(make_domain("annulus", r_in=0.4, r_out=1.0), 1.0 / 24)
     seen = []
-    derivatives = kr.psi_derivatives
+    evaluate = kr.psi_eval
 
     def recorded(mesh, points):
         seen.append(np.reshape(points, (-1, 2)))
-        return derivatives(mesh, points)
+        return evaluate(mesh, points)
 
-    monkeypatch.setattr(kr, "psi_derivatives", recorded)
+    monkeypatch.setattr(kr, "psi_eval", recorded)
     kr.find_critical_point(m, [(0.68, 0.0), (-0.68, 0.0)])
     assert len(seen) >= 2
     for pts in seen:
@@ -146,7 +167,7 @@ def test_fd_gradient_matches_difference_quotient(disk48):
     # the field gradient is the limit of the difference quotients of Psi,
     # which approach it at second order in their step
     pt = np.array([0.25, 0.1])
-    grad = kr.psi_derivatives(disk48, [pt]).grad
+    grad = kr.psi_eval(disk48, [pt]).grad
     f = lambda flat: psi_total(disk48, flat)
     errs = [np.linalg.norm(central_differences(f, pt, d * disk48.h)[0] - grad) for d in (4, 2, 1)]
     for coarse, fine in zip(errs, errs[1:]):
@@ -159,7 +180,7 @@ def test_k2_derivatives_match_the_disk_closed_form():
     # central differences of step 1e-4 are exact to about 1e-8
     m = build_mesh(make_domain("disk", r=1.0), 1.0 / 64)
     pts = np.array([[0.3, 0.1], [-0.2, 0.15]])
-    cfg = kr.psi_derivatives(m, pts)
+    cfg = kr.psi_eval(m, pts)
     psi = lambda v: unit_disk_R(v[:2]) + unit_disk_R(v[2:]) - 2 * unit_disk_G(v[:2], v[2:])
     grad, hess = central_differences(psi, pts.reshape(-1), 1e-4)
     assert cfg.psi_total == pytest.approx(psi(pts.reshape(-1)), abs=1e-6)
@@ -195,8 +216,8 @@ def test_nondegeneracy_margin_invariances(disk48):
 
 def test_relabeling_leaves_margin(disk48):
     pts = np.array([[0.45, 0.0], [-0.3, 0.2]])
-    hess = kr.psi_derivatives(disk48, pts).hess
-    hess_swapped = kr.psi_derivatives(disk48, pts[::-1]).hess
+    hess = kr.psi_eval(disk48, pts).hess
+    hess_swapped = kr.psi_eval(disk48, pts[::-1]).hess
     perm = np.zeros((4, 4))
     perm[0, 2] = perm[1, 3] = perm[2, 0] = perm[3, 1] = 1.0
     assert np.allclose(perm @ hess @ perm.T, hess_swapped, atol=1e-12)

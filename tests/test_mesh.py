@@ -472,11 +472,13 @@ def test_patch_derivatives_exact_on_quadratics(graded, kind):
         assert np.allclose(grad, want, atol=1e-9)
         assert np.allclose(hess, [[1.4, -1.3], [-1.3, 0.8]], atol=1e-6)
     assert np.max(np.abs(msh.interp_gradient(f, pts) - exact_grad)) < 1e-9
-    # interp and interp_gradient read the patch patch_derivatives reads
+    # interp and interp_gradient read the patch patch_derivatives reads, with
+    # the same contraction: a batch of points gives each point's value and
+    # gradient bit for bit
     u = np.cos(3.0 * msh.coords[:, 0]) * np.exp(msh.coords[:, 1])
     at_points = [msh.patch_derivatives(u, pt) for pt in pts]
-    assert np.allclose([v for v, _, _ in at_points], msh.interp(u, pts), rtol=0, atol=1e-14)
-    assert np.max(np.abs(np.array([g for _, g, _ in at_points]) - msh.interp_gradient(u, pts))) <= 1e-14
+    assert np.array_equal([v for v, _, _ in at_points], msh.interp(u, pts))
+    assert np.array_equal([g for _, g, _ in at_points], msh.interp_gradient(u, pts))
 
 
 def test_graded_mesh_refine_stationary(graded):

@@ -226,7 +226,7 @@ def test_gradient_balance_disk_symmetric(disk96, solved_p8):
 
 def test_gradient_balance_makes_one_solve_per_spike(green_work):
     # spikes placed by hand on the h = 1/64 disk: the balance is C_j grad R(x_j)
-    # - 2 sum_m C_m grad_y G(x_m, x_j), grad R read from the regular part
+    # - 2 sum_m C_m grad_y G(x_m, x_j), each spike's fields from one solve
     m = build_mesh(make_domain("disk", r=1.0), 1.0 / 64)
     pts = np.array([[0.3, 0.17], [-0.2, -0.25]])
     C = [1.5, 0.5]
@@ -236,3 +236,14 @@ def test_gradient_balance_makes_one_solve_per_spike(green_work):
     for j, k in ((0, 1), (1, 0)):
         exact = C[j] * unit_disk_grad_R(pts[j]) - 2 * C[k] * unit_disk_grad_G(pts[k], pts[j])
         assert np.max(np.abs(gb.residuals[j] - exact)) < 1e-5
+
+
+def test_gradient_balance_reads_the_search_grad_R():
+    # one spike off the centre: the balance is C grad R(x), the grad R the
+    # Kirchhoff-Routh search reads, bit for bit
+    m = build_mesh(make_domain("disk", r=1.0), 1.0 / 64)
+    x, C = np.array([0.3, 0.17]), 1.5
+    entry = le.BranchEntry(8.0, np.zeros(m.n_nodes), [le.SpikeData(x, 1.0, 1e-3, C)], 0.0, 0.0, 0.1, m)
+    gb = pz.gradient_balance(entry)
+    assert np.array_equal(gb.residuals[0], C * greens.robin_derivatives(m, x).R_grad)
+    assert np.max(np.abs(gb.residuals[0] - C * unit_disk_grad_R(x))) < 1e-5
